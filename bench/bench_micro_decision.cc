@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/policy.h"
@@ -13,6 +14,8 @@
 #include "matching/transportation.h"
 #include "qoe/sigmoid_model.h"
 #include "stats/bucketizer.h"
+#include "trace/generator.h"
+#include "trace/windows.h"
 #include "util/rng.h"
 
 namespace e2e {
@@ -148,8 +151,9 @@ BENCHMARK(BM_MappingSolve)
 // operating point: one anchor solve over a fixed 256×8 matrix, then
 // capacity vectors that shift one unit between columns — the hill climb's
 // neighbor shape (core/policy.cc warm anchor). warm 1 = Resolve() replay
-// from the recorded checkpoints, warm 0 = a fresh cold solve per
-// perturbation (recording off, matching the policy's throwaway solves).
+// from the recorded checkpoints, warm 0 = the policy's throwaway solve: the
+// negated weights written into a reused TransportationScratch and solved
+// cold under each perturbation.
 void BM_IncrementalResolve(benchmark::State& state) {
   const std::size_t n = 256;
   const std::size_t decisions = 8;
@@ -176,10 +180,13 @@ void BM_IncrementalResolve(benchmark::State& state) {
       benchmark::DoNotOptimize(anchor.Resolve(neighbors[i++ % neighbors.size()]));
     }
   } else {
+    TransportationScratch scratch;
+    const std::span<const double> weights = m.Data();
     for (auto _ : state) {
-      TransportationSolver cold(m, neighbors[i++ % neighbors.size()],
-                                /*maximize=*/true, /*record_replay=*/false);
-      benchmark::DoNotOptimize(cold.Solve());
+      const std::span<double> cost = scratch.Costs(n, decisions);
+      for (std::size_t k = 0; k < weights.size(); ++k) cost[k] = -weights[k];
+      benchmark::DoNotOptimize(
+          scratch.Solve(neighbors[i++ % neighbors.size()], /*maximize=*/true));
     }
   }
 }
@@ -213,6 +220,34 @@ BENCHMARK(BM_PolicyFullSolve)
     ->Args({0, 0})   // Transportation, default worker pool.
     ->Args({1, 1})   // Hungarian reference, serial sweep.
     ->Unit(benchmark::kMillisecond);
+
+// The live controller's D = 8 recompute: ComputePolicy with the 8-level
+// broker G (one 5 ms consumer) at 16 target buckets over one page-type-1
+// window — 16:00-16:10 of a seed-20190819, 0.1-scale day, planned at
+// 160 rps — the input ComputePolicy.BrokerWindowGoldenLock pins. Where
+// BM_PolicyFullSolve's synthetic n = 256 WideModel is dominated by its
+// 256×8 solve arithmetic, this instance (32 buckets, ~4k transport solves)
+// weighs the evaluation path around the solves as the controller_live
+// workload does: G calls, QoE-column probes and per-solve setup.
+void BM_BrokerRecompute(benchmark::State& state) {
+  TraceGenParams params;
+  params.seed = 20190819;
+  params.scale = 0.1;
+  const Trace trace = TraceGenerator(params).Generate();
+  std::vector<double> externals;
+  for (const TraceRecord& r : GroupByWindow(trace.records, 600000.0)
+                                  .at(WindowKey{PageType::kType1, 16 * 6})) {
+    externals.push_back(r.external_delay_ms);
+  }
+  const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
+  const PriorityQueueModel g(8, 5.0, 1);
+  PolicyConfig config;
+  config.target_buckets = 16;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputePolicy(qoe, g, externals, 160.0, config));
+  }
+}
+BENCHMARK(BM_BrokerRecompute)->Unit(benchmark::kMillisecond);
 
 // The pluggable-objective overhead at the same operating point: the full
 // policy solve scored by each built-in objective family (objective =

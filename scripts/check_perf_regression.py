@@ -147,7 +147,7 @@ def check_warm_resolve(times):
 def check_regression(baseline, current):
     # The objective benches are gated by their in-run overhead ratio (gate
     # 2), which is machine-independent; their absolute times are too noisy
-    # at 3 repetitions for the cross-run compare, so they are excluded here.
+    # for the cross-run compare, so they are excluded here.
     shared = sorted(name for name in set(baseline) & set(current)
                     if not name.startswith(OBJECTIVE_BENCH + "/"))
     if not shared:

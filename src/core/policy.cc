@@ -1,13 +1,16 @@
 #include "core/policy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "matching/assignment.h"
@@ -89,11 +92,27 @@ double ExpectedQoe(const QoeModel& qoe, DelayMs c,
   return total;
 }
 
-bool SameMatrix(const WeightMatrix& a, const WeightMatrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  const std::span<const double> da = a.Data();
-  const std::span<const double> db = b.Data();
-  return std::memcmp(da.data(), db.data(), da.size() * sizeof(double)) == 0;
+bool SameBytes(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+// 64-bit hash of a delay distribution's value and probability bits: the key
+// of the expected-QoE column cache. A collision costs one extra content
+// compare, never a wrong column.
+std::uint64_t ContentHash(std::span<const double> values,
+                          std::span<const double> probs) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ values.size();
+  const auto mix = [&h](std::span<const double> xs) {
+    for (const double x : xs) {
+      h ^= std::bit_cast<std::uint64_t>(x);
+      h *= 0xBF58476D1CE4E5B9ULL;
+      h ^= h >> 31;
+    }
+  };
+  mix(values);
+  mix(probs);
+  return h;
 }
 
 // Result of evaluating one allocation.
@@ -148,6 +167,22 @@ class AllocationEvaluator {
     int warm = 0;
   };
 
+  // What G says about one split at one rate: each decision's delay
+  // distribution and its expected-QoE column (an entry of qoe_columns_;
+  // null until fetched).
+  struct GOutputs {
+    std::vector<DiscreteDistribution> delay_of_decision;
+    std::vector<const std::vector<double>*> columns;
+  };
+
+  // One cached expected-QoE column and the distribution content it belongs
+  // to (values ++ probabilities; the halves have equal length, so the
+  // concatenation is unambiguous).
+  struct CachedColumn {
+    std::vector<double> content;
+    std::vector<double> column;
+  };
+
   const Evaluation& EvaluateImpl(const std::vector<int>& units, bool base) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -184,91 +219,114 @@ class AllocationEvaluator {
       fractions[d] = static_cast<double>(units[d]) / total_units;
     }
 
-    Evaluation eval = SolveWithFractions(units, fractions, counts,
-                                         /*install_anchor=*/base, base);
+    Evaluation eval;
+    GOutputs at_split;  // G's outputs at the split of the last solve.
+    SolveWithFractions(units, fractions, counts, /*install_anchor=*/base,
+                       base, eval, at_split);
+    std::vector<double> actual;
+    SplitOf(eval.decision_of_bucket, units.size(), actual);
     const int max_rounds = config_.refine_fractions ? 3 : 0;
     for (int round = 0; round < max_rounds; ++round) {
-      std::vector<double> actual(units.size(), 0.0);
-      for (std::size_t b = 0; b < buckets_.size(); ++b) {
-        actual[static_cast<std::size_t>(eval.decision_of_bucket[b])] +=
-            buckets_[b].weight;
-      }
       double moved = 0.0;
       for (std::size_t d = 0; d < actual.size(); ++d) {
         moved += std::abs(actual[d] - fractions[d]);
       }
       if (moved < 0.02) break;  // Converged.
-      fractions = std::move(actual);
-      eval = SolveWithFractions(units, fractions, counts,
-                                /*install_anchor=*/false, base);
+      fractions.swap(actual);
+      SolveWithFractions(units, fractions, counts, /*install_anchor=*/false,
+                         base, eval, at_split);
+      SplitOf(eval.decision_of_bucket, units.size(), actual);
     }
     // Score at the split the final mapping actually creates, docked by the
-    // elective-overload safety margin (see PolicyConfig).
-    {
-      std::vector<double> actual(units.size(), 0.0);
+    // elective-overload safety margin (see PolicyConfig). Usually the refine
+    // loop stops with that split bitwise equal to the one the last solve
+    // ran at (moved == 0). G is a pure function of its arguments, so the
+    // solve's distributions and columns are then exactly what scoring would
+    // fetch again; only a split that moved asks G anew.
+    if (!SameBytes(actual, fractions)) {
+      QueryG(actual, /*rate_factor=*/1.0, at_split);
+    }
+    eval.objective_value =
+        ScoreMapping(eval.decision_of_bucket, at_split, base);
+    if (config_.stress_weight > 0.0 && config_.stress_factor > 1.0) {
+      GOutputs stressed;
+      QueryG(actual, config_.stress_factor, stressed);
+      eval.objective_value =
+          (1.0 - config_.stress_weight) * eval.objective_value +
+          config_.stress_weight *
+              ScoreMapping(eval.decision_of_bucket, stressed, base);
+    }
+    if (config_.instability_penalty > 0.0) {
+      // IsOverloaded depends only on (decision, fractions, rate), so ask
+      // once per decision instead of once per bucket; the per-bucket mass
+      // accumulation below keeps its historical order.
+      std::vector<char> overloaded(units.size(), 0);
+      for (std::size_t d = 0; d < units.size(); ++d) {
+        overloaded[d] =
+            g_.IsOverloaded(static_cast<int>(d), actual,
+                            total_rps_ * config_.overload_headroom)
+                ? 1
+                : 0;
+      }
+      double overloaded_mass = 0.0;
       for (std::size_t b = 0; b < buckets_.size(); ++b) {
-        actual[static_cast<std::size_t>(eval.decision_of_bucket[b])] +=
-            buckets_[b].weight;
-      }
-      eval.objective_value = ScoreMapping(eval.decision_of_bucket, actual,
-                                          base);
-      if (config_.stress_weight > 0.0 && config_.stress_factor > 1.0) {
-        const double stressed = ScoreMapping(eval.decision_of_bucket, actual,
-                                             base, config_.stress_factor);
-        eval.objective_value =
-            (1.0 - config_.stress_weight) * eval.objective_value +
-            config_.stress_weight * stressed;
-      }
-      if (config_.instability_penalty > 0.0) {
-        // IsOverloaded depends only on (decision, fractions, rate), so ask
-        // once per decision instead of once per bucket; the per-bucket mass
-        // accumulation below keeps its historical order.
-        std::vector<char> overloaded(units.size(), 0);
-        for (std::size_t d = 0; d < units.size(); ++d) {
-          overloaded[d] =
-              g_.IsOverloaded(static_cast<int>(d), actual,
-                              total_rps_ * config_.overload_headroom)
-                  ? 1
-                  : 0;
+        if (overloaded[static_cast<std::size_t>(
+                eval.decision_of_bucket[b])] != 0) {
+          overloaded_mass += buckets_[b].weight;
         }
-        double overloaded_mass = 0.0;
-        for (std::size_t b = 0; b < buckets_.size(); ++b) {
-          if (overloaded[static_cast<std::size_t>(
-                  eval.decision_of_bucket[b])] != 0) {
-            overloaded_mass += buckets_[b].weight;
-          }
-        }
-        eval.objective_value -=
-            config_.instability_penalty * qoe_.Qoe(0.0) * overloaded_mass;
       }
+      eval.objective_value -=
+          config_.instability_penalty * qoe_.Qoe(0.0) * overloaded_mass;
     }
     return eval;
   }
 
+  // The split a mapping creates: each decision's summed bucket weight.
+  void SplitOf(const std::vector<int>& decision_of_bucket,
+               std::size_t num_decisions, std::vector<double>& split) const {
+    split.assign(num_decisions, 0.0);
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+      split[static_cast<std::size_t>(decision_of_bucket[b])] +=
+          buckets_[b].weight;
+    }
+  }
+
+  // Asks G for every decision's delay distribution when the load splits as
+  // `fractions` at `rate_factor` times the planned rate. Columns start
+  // unfetched.
+  void QueryG(const std::vector<double>& fractions, double rate_factor,
+              GOutputs& out) const {
+    const int num_decisions = g_.NumDecisions();
+    out.delay_of_decision.clear();
+    out.delay_of_decision.reserve(static_cast<std::size_t>(num_decisions));
+    for (int d = 0; d < num_decisions; ++d) {
+      out.delay_of_decision.push_back(
+          g_.DelayDistribution(d, fractions, total_rps_ * rate_factor));
+    }
+    out.columns.assign(static_cast<std::size_t>(num_decisions), nullptr);
+  }
+
   // Per-bucket expected-QoE column for one slot delay distribution:
   // column[b] = ExpectedQoe(qoe, buckets[b].representative, f). Cached by
-  // distribution *content* (values ++ probabilities — the two halves have
-  // equal length, so the concatenation is unambiguous): the hill climb
-  // revisits the same per-decision distributions across evaluations
-  // whenever load fractions land on the same grid points, and each column
-  // is a pure function of that content. Entries are mutex-guarded and
-  // node-stable; racing threads computing the same key produce bitwise
-  // identical columns (same accumulation, per-slot writes), so which
-  // insert wins is unobservable. When `allow_parallel` (base evaluations
-  // only — never from inside the pool) the per-bucket fills fan out over
-  // the pool into disjoint index slots.
+  // distribution *content*: the hill climb revisits the same per-decision
+  // distributions across evaluations whenever load fractions land on the
+  // same grid points, and each column is a pure function of that content.
+  // A probe hashes the content's bits and compares the full content of
+  // each entry under that hash; only an insert copies the content. Entries
+  // are mutex-guarded and node-stable (the map is only ever looked up,
+  // never iterated); racing threads computing the same content produce
+  // bitwise identical columns (same accumulation, per-slot writes), and the
+  // first insert wins. When `allow_parallel` (base evaluations only — never
+  // from inside the pool) the per-bucket fills fan out over the pool into
+  // disjoint index slots.
   const std::vector<double>& QoeColumn(const DiscreteDistribution& f,
                                        bool allow_parallel) {
     const auto values = f.values();
     const auto probs = f.probabilities();
-    std::vector<double> key;
-    key.reserve(values.size() + probs.size());
-    key.insert(key.end(), values.begin(), values.end());
-    key.insert(key.end(), probs.begin(), probs.end());
+    const std::uint64_t hash = ContentHash(values, probs);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const auto it = qoe_columns_.find(key);
-      if (it != qoe_columns_.end()) return it->second;
+      if (const auto* hit = FindColumn(hash, values, probs)) return *hit;
     }
     std::vector<double> column(buckets_.size());
     const auto fill = [&](std::size_t b) {
@@ -280,42 +338,49 @@ class AllocationEvaluator {
       for (std::size_t b = 0; b < column.size(); ++b) fill(b);
     }
     std::lock_guard<std::mutex> lock(mu_);
-    const auto [it, inserted] =
-        qoe_columns_.emplace(std::move(key), std::move(column));
-    return it->second;
+    if (const auto* hit = FindColumn(hash, values, probs)) return *hit;
+    CachedColumn entry{std::vector<double>(values.begin(), values.end()),
+                       std::move(column)};
+    entry.content.insert(entry.content.end(), probs.begin(), probs.end());
+    return qoe_columns_.emplace(hash, std::move(entry))->second.column;
   }
 
-  // Objective score of a fixed mapping when G is driven by `fractions`, at
-  // `rate_factor` times the planned load. Builds one QoeBucketView per
-  // bucket, in bucket-index order; per-bucket QoE distributions (the view's
-  // value/probability spans) are only materialized when the objective asks
-  // for them, and for the mean fast path the expected-QoE accumulation is
-  // byte-for-byte the historical ExpectedQoe loop (shared with the mapping
-  // solves through the column cache).
-  double ScoreMapping(const std::vector<int>& decision_of_bucket,
-                      const std::vector<double>& fractions,
-                      bool allow_parallel, double rate_factor = 1.0) {
-    std::vector<DiscreteDistribution> delay_of_decision;
-    const int num_decisions = g_.NumDecisions();
-    delay_of_decision.reserve(static_cast<std::size_t>(num_decisions));
-    for (int d = 0; d < num_decisions; ++d) {
-      delay_of_decision.push_back(
-          g_.DelayDistribution(d, fractions, total_rps_ * rate_factor));
+  // The cached column for this content, or null. Caller holds mu_.
+  const std::vector<double>* FindColumn(std::uint64_t hash,
+                                        std::span<const double> values,
+                                        std::span<const double> probs) const {
+    const auto [first, last] = qoe_columns_.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+      const std::vector<double>& content = it->second.content;
+      if (content.size() == values.size() + probs.size() &&
+          SameBytes(std::span(content).first(values.size()), values) &&
+          SameBytes(std::span(content).subspan(values.size()), probs)) {
+        return &it->second.column;
+      }
     }
+    return nullptr;
+  }
+
+  // Objective score of a fixed mapping under G's outputs `g_out`. Builds one
+  // QoeBucketView per bucket, in bucket-index order; per-bucket QoE
+  // distributions (the view's value/probability spans) are only
+  // materialized when the objective asks for them, and for the mean fast
+  // path the expected-QoE accumulation is byte-for-byte the historical
+  // ExpectedQoe loop (shared with the mapping solves through the column
+  // cache). Columns `g_out` lacks are fetched lazily, so decisions no bucket
+  // routed to cost nothing.
+  double ScoreMapping(const std::vector<int>& decision_of_bucket,
+                      GOutputs& g_out, bool allow_parallel) {
     const bool need_distribution = objective_.NeedsDistribution();
     std::vector<QoeBucketView> views(buckets_.size());
     // Owns the per-bucket Q(rep + s) vectors the views alias; must outlive
     // the Score call below.
     std::vector<std::vector<double>> qoe_values;
     if (need_distribution) qoe_values.resize(buckets_.size());
-    // Mean fast path: per-decision columns, fetched lazily so decisions no
-    // bucket routed to cost nothing.
-    std::vector<const std::vector<double>*> columns(
-        static_cast<std::size_t>(num_decisions), nullptr);
     for (std::size_t b = 0; b < buckets_.size(); ++b) {
       const std::size_t d =
           static_cast<std::size_t>(decision_of_bucket[b]);
-      const DiscreteDistribution& f = delay_of_decision[d];
+      const DiscreteDistribution& f = g_out.delay_of_decision[d];
       QoeBucketView& view = views[b];
       view.weight = buckets_[b].weight;
       if (need_distribution) {
@@ -335,20 +400,23 @@ class AllocationEvaluator {
         view.qoe_values = qv;
         view.probabilities = probs;
       } else {
-        if (columns[d] == nullptr) {
-          columns[d] = &QoeColumn(f, allow_parallel);
+        if (g_out.columns[d] == nullptr) {
+          g_out.columns[d] = &QoeColumn(f, allow_parallel);
         }
-        view.expected_qoe = (*columns[d])[b];
+        view.expected_qoe = (*g_out.columns[d])[b];
       }
     }
     return objective_.Score(views);
   }
 
-  Evaluation SolveWithFractions(const std::vector<int>& units,
-                                const std::vector<double>& fractions,
-                                SolveCounts& counts, bool install_anchor,
-                                bool allow_parallel) {
-    const int num_decisions = g_.NumDecisions();
+  // Solves the mapping for allocation `units` against G at `fractions`,
+  // writing the mapping into `eval` and G's outputs (every column fetched)
+  // into `g_out`.
+  void SolveWithFractions(const std::vector<int>& units,
+                          const std::vector<double>& fractions,
+                          SolveCounts& counts, bool install_anchor,
+                          bool allow_parallel, Evaluation& eval,
+                          GOutputs& g_out) {
     const std::size_t n = buckets_.size();
     std::size_t assigned = 0;
     for (const int u : units) assigned += static_cast<std::size_t>(u);
@@ -356,72 +424,23 @@ class AllocationEvaluator {
       throw std::logic_error("AllocationEvaluator: allocation != buckets");
     }
 
-    // Per-decision delay distributions under this allocation.
-    std::vector<DiscreteDistribution> delay_of_decision;
-    delay_of_decision.reserve(static_cast<std::size_t>(num_decisions));
-    for (int d = 0; d < num_decisions; ++d) {
-      delay_of_decision.push_back(g_.DelayDistribution(d, fractions,
-                                                       total_rps_));
+    // Per-decision delay distributions under this allocation. Edge weights
+    // depend only on (bucket, decision) — all slots of one decision share a
+    // byte-identical weight column, fetched through the content-keyed
+    // column cache (and filled in parallel on base evaluations).
+    QueryG(fractions, /*rate_factor=*/1.0, g_out);
+    const std::vector<DiscreteDistribution>& delay_of_decision =
+        g_out.delay_of_decision;
+    for (std::size_t d = 0; d < g_out.columns.size(); ++d) {
+      g_out.columns[d] = &QoeColumn(delay_of_decision[d], allow_parallel);
     }
+    const std::vector<const std::vector<double>*>& qoe_col = g_out.columns;
 
-    // Edge weights depend only on (bucket, decision) — all slots of one
-    // decision share a byte-identical weight column, fetched through the
-    // content-keyed column cache (and filled in parallel on base
-    // evaluations).
-    std::vector<const std::vector<double>*> qoe_col(
-        static_cast<std::size_t>(num_decisions));
-    for (int d = 0; d < num_decisions; ++d) {
-      qoe_col[static_cast<std::size_t>(d)] = &QoeColumn(
-          delay_of_decision[static_cast<std::size_t>(d)], allow_parallel);
-    }
-
-    Evaluation eval;
     eval.decision_of_bucket.resize(n);
     eval.expected_qoe_of_bucket.resize(n);
 
     if (config_.mapping == MappingAlgorithm::kTransportation) {
-      // Collapsed mapping: n unit-supply buckets × D capacitated
-      // decisions, O(n²·D) instead of Hungarian's O(n³) over the expanded
-      // slot matrix (matching/transportation.h).
-      WeightMatrix weights(n, units.size());
-      for (std::size_t d = 0; d < units.size(); ++d) {
-        const std::vector<double>& col = *qoe_col[d];
-        for (std::size_t b = 0; b < n; ++b) {
-          weights.At(b, d) = buckets_[b].weight * col[b];
-        }
-      }
-      TransportationResult mapping;
-      bool solved_warm = false;
-      if (!install_anchor && warm_ != nullptr &&
-          SameMatrix(warm_->matrix(), weights)) {
-        // Same weight matrix as the anchor, different capacity vector: the
-        // incremental re-solve replays only the rows the capacity shift can
-        // affect and is byte-identical to the cold solve it replaces —
-        // including the count below, so transport_solves telemetry matches
-        // the cold path exactly.
-        mapping = warm_->Resolve(units);
-        ++counts.transports;
-        ++counts.warm;
-        solved_warm = true;
-      }
-      if (!solved_warm) {
-        // Replay state is only ever consumed through the warm anchor, so
-        // throwaway neighbor solves skip recording it.
-        auto solver = std::make_unique<TransportationSolver>(
-            std::move(weights), units, /*maximize=*/true,
-            /*record_replay=*/install_anchor);
-        mapping = solver->Solve();
-        ++counts.transports;
-        // Anchor installs happen only on (serial) base evaluations, so the
-        // sweep's concurrent readers never race this write.
-        if (install_anchor) warm_ = std::move(solver);
-      }
-      for (std::size_t b = 0; b < n; ++b) {
-        const int d = static_cast<int>(mapping.column_of_row[b]);
-        eval.decision_of_bucket[b] = d;
-        eval.expected_qoe_of_bucket[b] =
-            (*qoe_col[static_cast<std::size_t>(d)])[b];
-      }
+      SolveTransport(units, qoe_col, counts, install_anchor, eval);
     } else if (config_.mapping == MappingAlgorithm::kOptimalMatching) {
       // Expanded mapping kept for cross-checks: units[d] slots per
       // decision, one column per slot.
@@ -490,7 +509,61 @@ class AllocationEvaluator {
     // No score here: EvaluateUncached always re-scores the final mapping at
     // the split it actually creates, so an intermediate mean would be dead
     // weight (and wrong for non-mean objectives).
-    return eval;
+  }
+
+  // Collapsed mapping: n unit-supply buckets × D capacitated decisions,
+  // O(n²·D) instead of Hungarian's O(n³) over the expanded slot matrix
+  // (matching/transportation.h). Edge weight (b, d) is bucket b's weight
+  // times entry b of decision d's column.
+  void SolveTransport(const std::vector<int>& units,
+                      const std::vector<const std::vector<double>*>& qoe_col,
+                      SolveCounts& counts, bool install_anchor,
+                      Evaluation& eval) {
+    const std::size_t n = buckets_.size();
+    const auto apply = [&](const TransportationResult& mapping) {
+      for (std::size_t b = 0; b < n; ++b) {
+        const std::size_t d = mapping.column_of_row[b];
+        eval.decision_of_bucket[b] = static_cast<int>(d);
+        eval.expected_qoe_of_bucket[b] = (*qoe_col[d])[b];
+      }
+    };
+    ++counts.transports;
+    if (install_anchor) {
+      // The warm anchor owns its matrix, which later gates compare against.
+      // Anchor installs happen only on (serial) base evaluations, so the
+      // sweep's concurrent readers never race this write.
+      WeightMatrix weights(n, units.size());
+      for (std::size_t d = 0; d < units.size(); ++d) {
+        for (std::size_t b = 0; b < n; ++b) {
+          weights.At(b, d) = buckets_[b].weight * (*qoe_col[d])[b];
+        }
+      }
+      warm_ = std::make_unique<TransportationSolver>(std::move(weights), units,
+                                                     /*maximize=*/true);
+      apply(warm_->Solve());
+      return;
+    }
+    // Throwaway solve: the negated weights go straight into this thread's
+    // scratch (the sweep may run on the pool), bitwise the costs an owned
+    // matrix of the same weights would search.
+    thread_local TransportationScratch scratch;
+    const std::span<double> cost = scratch.Costs(n, units.size());
+    for (std::size_t d = 0; d < units.size(); ++d) {
+      for (std::size_t b = 0; b < n; ++b) {
+        cost[d * n + b] = -(buckets_[b].weight * (*qoe_col[d])[b]);
+      }
+    }
+    if (warm_ != nullptr && SameBytes(warm_->costs(), cost)) {
+      // Same matrix as the anchor, different capacity vector: the
+      // incremental re-solve replays only the rows the capacity shift can
+      // affect and is byte-identical to the cold solve it replaces —
+      // including the count above, so transport_solves telemetry matches
+      // the cold path exactly.
+      ++counts.warm;
+      apply(warm_->Resolve(units));
+      return;
+    }
+    apply(scratch.Solve(units, /*maximize=*/true));
   }
 
   const QoeModel& qoe_;
@@ -503,8 +576,8 @@ class AllocationEvaluator {
   ThreadPool* pool_;  // May be null (serial config); not owned.
   mutable std::mutex mu_;  // Guards cache_, qoe_columns_, and stats_.
   std::map<std::vector<int>, Evaluation> cache_;
-  // Content-keyed expected-QoE columns (see QoeColumn).
-  std::map<std::vector<double>, std::vector<double>> qoe_columns_;
+  // Content-keyed expected-QoE columns by ContentHash (see QoeColumn).
+  std::unordered_multimap<std::uint64_t, CachedColumn> qoe_columns_;
   // Warm-start anchor: the solved transportation state of the most recent
   // base evaluation's first (seed-fraction) solve. Written only on base
   // evaluations (serial by contract — see EvaluateBase); neighbor

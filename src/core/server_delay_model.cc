@@ -118,6 +118,11 @@ PriorityQueueModel::PriorityQueueModel(int levels, double consume_interval_ms,
       overload_horizon_ms_ <= 0.0) {
     throw std::invalid_argument("PriorityQueueModel: bad parameters");
   }
+  for (int i = 0; i < kDelayPoints; ++i) {
+    const double q =
+        (static_cast<double>(i) + 0.5) / static_cast<double>(kDelayPoints);
+    log_survival_[static_cast<std::size_t>(i)] = std::log(1.0 - q);
+  }
 }
 
 double PriorityQueueModel::MeanWaitMs(int decision,
@@ -164,13 +169,10 @@ DiscreteDistribution PriorityQueueModel::DelayDistribution(
   // Queueing delays are right-skewed; approximate with an exponential
   // around the mean, discretized at mid-quantiles, shifted by the fixed
   // handling cost.
-  constexpr int kPoints = 12;
   std::vector<double> values;
-  values.reserve(kPoints);
-  for (int i = 0; i < kPoints; ++i) {
-    const double q =
-        (static_cast<double>(i) + 0.5) / static_cast<double>(kPoints);
-    values.push_back(handling_cost_ms_ - mean_wait * std::log(1.0 - q));
+  values.reserve(kDelayPoints);
+  for (const double log_survival : log_survival_) {
+    values.push_back(handling_cost_ms_ - mean_wait * log_survival);
   }
   std::vector<double> probs(values.size(),
                             1.0 / static_cast<double>(values.size()));

@@ -6,6 +6,7 @@
 // (§4.3 uses the distribution, not a point estimate, when weighting edges).
 #pragma once
 
+#include <array>
 #include <limits>
 #include <memory>
 #include <span>
@@ -20,7 +21,9 @@
 namespace e2e {
 
 /// Abstract G(.): per-decision server-side delay distribution as a function
-/// of how the offered load is split across decisions.
+/// of how the offered load is split across decisions. Implementations are
+/// pure functions of their arguments: the policy reuses an answer instead of
+/// asking again for the same arguments.
 class ServerDelayModel {
  public:
   virtual ~ServerDelayModel() = default;
@@ -167,11 +170,18 @@ class PriorityQueueModel final : public ServerDelayModel {
                     double total_rps) const;
 
  private:
+  // Support size of the discretized waiting-time distribution.
+  static constexpr int kDelayPoints = 12;
+
   int levels_;
   double consume_interval_ms_;
   int num_consumers_;
   double handling_cost_ms_;
   double overload_horizon_ms_;
+  // log(1 - q_i) at the mid-quantiles q_i = (i + 0.5) / kDelayPoints: the
+  // unit exponential's quantiles are their negations. Fixed per model, so
+  // computed once here rather than on every DelayDistribution call.
+  std::array<double, kDelayPoints> log_survival_{};
 };
 
 }  // namespace e2e

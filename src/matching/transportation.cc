@@ -21,6 +21,31 @@ struct Arrival {
   bool entry = true;          // Reached directly from the new row.
 };
 
+// One row search's working buffers. Every entry a search reads it first
+// writes, so the buffers carry nothing between searches; they only keep
+// their capacity. Per thread, because Resolve() and the throwaway solves
+// run concurrently on the policy's worker pool.
+struct RowBuffers {
+  std::vector<double> dist;
+  std::vector<std::uint8_t> finalized;
+  std::vector<Arrival> arrival;
+  // The reduced cost of each row assigned to the column being relaxed, at
+  // that column — constant across target columns, so hoisted out of the
+  // per-target loop.
+  std::vector<double> at_cur;
+};
+
+RowBuffers& ThreadRowBuffers(std::size_t rows, std::size_t cols) {
+  thread_local RowBuffers buffers;
+  if (buffers.dist.size() < cols) {
+    buffers.dist.resize(cols);
+    buffers.finalized.resize(cols);
+    buffers.arrival.resize(cols);
+  }
+  if (buffers.at_cur.size() < rows) buffers.at_cur.resize(rows);
+  return buffers;
+}
+
 void ValidateCapacity(std::span<const int> capacity, std::size_t rows,
                       std::size_t cols) {
   if (capacity.size() != cols) {
@@ -41,14 +66,41 @@ void ValidateCapacity(std::span<const int> capacity, std::size_t rows,
 
 }  // namespace
 
+void TransportationSolver::SearchState::Reset(std::size_t rows,
+                                              std::size_t cols) {
+  potential.assign(cols, 0.0);
+  // Slots past a column's occupancy are never read, so they need no fill.
+  rows_of_col.resize(rows * cols);
+  occupancy.assign(cols, 0);
+  column_of_row.assign(rows, 0);
+}
+
+void TransportationSolver::SearchState::RestoreFrom(const SearchState& from,
+                                                    std::size_t rows) {
+  potential = from.potential;
+  occupancy = from.occupancy;
+  column_of_row = from.column_of_row;
+  rows_of_col.resize(from.rows_of_col.size());
+  for (std::size_t c = 0; c < occupancy.size(); ++c) {
+    std::copy_n(from.rows_of_col.data() + c * rows, occupancy[c],
+                rows_of_col.data() + c * rows);
+  }
+}
+
 TransportationSolver::TransportationSolver(WeightMatrix matrix,
                                            std::vector<int> capacity,
-                                           bool maximize, bool record_replay)
-    : matrix_(std::move(matrix)),
+                                           bool maximize)
+    : cost_(std::move(matrix)),
       capacity_(std::move(capacity)),
-      maximize_(maximize),
-      record_replay_(record_replay) {
-  ValidateCapacity(capacity_, matrix_.rows(), matrix_.cols());
+      maximize_(maximize) {
+  ValidateCapacity(capacity_, cost_.rows(), cost_.cols());
+  if (maximize_) {
+    for (std::size_t c = 0; c < cost_.cols(); ++c) {
+      for (std::size_t r = 0; r < cost_.rows(); ++r) {
+        cost_.At(r, c) = -cost_.At(r, c);
+      }
+    }
+  }
 }
 
 // Successive shortest augmenting paths with column potentials. The
@@ -71,17 +123,15 @@ void TransportationSolver::RunRows(std::span<const double> cost,
                                    TransportationSolver* record) {
   const std::size_t n = rows;
   const std::size_t num_cols = cols;
-  std::vector<double>& potential = state.potential;
-  std::vector<std::vector<std::size_t>>& rows_of_col = state.rows_of_col;
-  std::vector<std::size_t>& column_of_row = state.column_of_row;
-
-  std::vector<double> dist(num_cols, 0.0);
-  std::vector<std::uint8_t> finalized(num_cols, 0);
-  std::vector<Arrival> arrival(num_cols);
-  // Scratch, reused across rows: the reduced cost of each row assigned to
-  // the column being relaxed, at that column — constant across target
-  // columns, so hoisted out of the per-target loop.
-  std::vector<double> at_cur;
+  RowBuffers& buffers = ThreadRowBuffers(n, num_cols);
+  double* const dist = buffers.dist.data();
+  std::uint8_t* const finalized = buffers.finalized.data();
+  Arrival* const arrival = buffers.arrival.data();
+  double* const at_cur = buffers.at_cur.data();
+  double* const potential = state.potential.data();
+  std::size_t* const rows_of_col = state.rows_of_col.data();
+  std::size_t* const occupancy = state.occupancy.data();
+  std::size_t* const column_of_row = state.column_of_row.data();
 
   for (std::size_t r = first_row; r < n; ++r) {
     if (record != nullptr && r % record->checkpoint_stride_ == 0) {
@@ -106,7 +156,7 @@ void TransportationSolver::RunRows(std::span<const double> cost,
         throw std::logic_error("TransportationSolver: no augmenting path");
       }
       finalized[cur] = 1;
-      if (rows_of_col[cur].size() < static_cast<std::size_t>(capacity[cur])) {
+      if (occupancy[cur] < static_cast<std::size_t>(capacity[cur])) {
         // Occupancy of `cur` grows here (the only place it ever changes —
         // augment chains shift rows through saturated columns net-zero).
         if (record != nullptr) record->fill_rows_[cur].push_back(r);
@@ -116,10 +166,9 @@ void TransportationSolver::RunRows(std::span<const double> cost,
       if (record != nullptr && record->sat_select_row_[cur] == n) {
         record->sat_select_row_[cur] = r;
       }
-      const std::vector<std::size_t>& assigned = rows_of_col[cur];
-      if (assigned.empty()) continue;
-      const std::size_t occupants = assigned.size();
-      at_cur.resize(occupants);
+      const std::size_t occupants = occupancy[cur];
+      if (occupants == 0) continue;
+      const std::size_t* const assigned = rows_of_col + cur * n;
       const double* const cur_col = cost.data() + cur * n;
       const double potential_cur = potential[cur];
       for (std::size_t i = 0; i < occupants; ++i) {
@@ -160,57 +209,53 @@ void TransportationSolver::RunRows(std::span<const double> cost,
     }
 
     // Augment: walk the arrival chain back to the entry edge, shifting each
-    // intermediate row one column forward, then place the new row.
+    // intermediate row one column forward, then place the new row. Erasing
+    // shifts the rest of the list down in place, so every list keeps its
+    // insertion order.
     std::size_t cur = final_col;
     while (!arrival[cur].entry) {
       const std::size_t moved = arrival[cur].moved_row;
       const std::size_t prev = arrival[cur].prev_col;
-      std::vector<std::size_t>& from = rows_of_col[prev];
-      from.erase(std::find(from.begin(), from.end(), moved));
-      rows_of_col[cur].push_back(moved);
+      std::size_t* const from = rows_of_col + prev * n;
+      std::size_t* const from_end = from + occupancy[prev];
+      std::size_t* const at = std::find(from, from_end, moved);
+      std::copy(at + 1, from_end, at);
+      --occupancy[prev];
+      rows_of_col[cur * n + occupancy[cur]++] = moved;
       column_of_row[moved] = cur;
       cur = prev;
     }
-    rows_of_col[cur].push_back(r);
+    rows_of_col[cur * n + occupancy[cur]++] = r;
     column_of_row[r] = cur;
   }
 }
 
-TransportationResult TransportationSolver::MakeResult(
-    SearchState&& state) const {
-  TransportationResult result;
-  result.column_of_row = std::move(state.column_of_row);
-  for (std::size_t r = 0; r < result.column_of_row.size(); ++r) {
-    result.total += CostAt(r, result.column_of_row[r]);
+void TransportationSolver::FillResult(std::span<const double> cost,
+                                      std::size_t rows,
+                                      const SearchState& state, bool maximize,
+                                      TransportationResult& result) {
+  result.column_of_row.assign(state.column_of_row.begin(),
+                              state.column_of_row.end());
+  double total = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    total += cost[result.column_of_row[r] * rows + r];
   }
-  if (maximize_) result.total = -result.total;
-  return result;
+  result.total = maximize ? -total : total;
 }
 
 const TransportationResult& TransportationSolver::Solve() {
   if (solved_) return result_;
-  const std::size_t n = matrix_.rows();
-  const std::size_t num_cols = matrix_.cols();
+  const std::size_t n = cost_.rows();
+  const std::size_t num_cols = cost_.cols();
   checkpoint_stride_ = std::max<std::size_t>(1, n / kTargetCheckpoints);
   checkpoints_.clear();
   fill_rows_.assign(num_cols, {});
   sat_select_row_.assign(num_cols, n);
 
-  // Column-major cost copy, negated for the max objective, so the relax
-  // inner loops scan contiguous columns with no per-access branch.
-  const std::span<const double> data = matrix_.Data();  // column-major
-  cost_.resize(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    cost_[i] = maximize_ ? -data[i] : data[i];
-  }
-
   SearchState state;
-  state.potential.assign(num_cols, 0.0);
-  state.rows_of_col.assign(num_cols, {});
-  state.column_of_row.assign(n, 0);
-  RunRows(cost_, n, num_cols, state, 0, capacity_,
-          record_replay_ ? this : nullptr);
-  result_ = MakeResult(std::move(state));
+  state.Reset(n, num_cols);
+  RunRows(cost_.Data(), n, num_cols, state, 0, capacity_, this);
+  FillResult(cost_.Data(), n, state, maximize_, result_);
   solved_ = true;
   return result_;
 }
@@ -220,12 +265,8 @@ TransportationResult TransportationSolver::Resolve(
   if (!solved_) {
     throw std::logic_error("TransportationSolver: Resolve before Solve");
   }
-  if (!record_replay_) {
-    throw std::logic_error(
-        "TransportationSolver: Resolve without replay recording");
-  }
-  const std::size_t n = matrix_.rows();
-  ValidateCapacity(new_capacity, n, matrix_.cols());
+  const std::size_t n = cost_.rows();
+  ValidateCapacity(new_capacity, n, cost_.cols());
 
   // First row whose search can observe the perturbation. Capacity[c] is read
   // only when a search finalizes c: the test (occupancy < capacity[c])
@@ -265,27 +306,63 @@ TransportationResult TransportationSolver::Resolve(
       break;
     }
   }
-  SearchState state = nearest->state;
-  RunRows(cost_, n, matrix_.cols(), state, nearest->row, new_capacity,
+  // Restored into per-thread storage: concurrent re-solves each replay
+  // their own copy, and the copy reuses the last replay's capacity.
+  thread_local SearchState state;
+  state.RestoreFrom(nearest->state, n);
+  RunRows(cost_.Data(), n, cost_.cols(), state, nearest->row, new_capacity,
           /*record=*/nullptr);
   if (rows_replayed != nullptr) *rows_replayed = n - nearest->row;
-  return MakeResult(std::move(state));
+  TransportationResult result;
+  FillResult(cost_.Data(), n, state, maximize_, result);
+  return result;
 }
+
+std::span<double> TransportationScratch::Costs(std::size_t rows,
+                                               std::size_t cols) {
+  if (rows == 0 || cols == 0) {
+    throw std::invalid_argument("TransportationScratch: zero dimension");
+  }
+  rows_ = rows;
+  cols_ = cols;
+  cost_.resize(rows * cols);
+  return std::span<double>(cost_.data(), cost_.size());
+}
+
+const TransportationResult& TransportationScratch::Solve(
+    std::span<const int> capacity, bool maximize) {
+  ValidateCapacity(capacity, rows_, cols_);
+  state_.Reset(rows_, cols_);
+  TransportationSolver::RunRows(cost_, rows_, cols_, state_, 0, capacity,
+                                /*record=*/nullptr);
+  TransportationSolver::FillResult(cost_, rows_, state_, maximize, result_);
+  return result_;
+}
+
+namespace {
+
+TransportationResult SolveThrowaway(const WeightMatrix& matrix,
+                                    std::span<const int> capacity,
+                                    bool maximize) {
+  TransportationScratch scratch;
+  const std::span<double> cost = scratch.Costs(matrix.rows(), matrix.cols());
+  const std::span<const double> data = matrix.Data();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    cost[i] = maximize ? -data[i] : data[i];
+  }
+  return scratch.Solve(capacity, maximize);
+}
+
+}  // namespace
 
 TransportationResult SolveMinCostTransportation(
     const WeightMatrix& cost, std::span<const int> capacity) {
-  TransportationSolver solver(
-      cost, std::vector<int>(capacity.begin(), capacity.end()),
-      /*maximize=*/false, /*record_replay=*/false);
-  return solver.Solve();
+  return SolveThrowaway(cost, capacity, /*maximize=*/false);
 }
 
 TransportationResult SolveMaxWeightTransportation(
     const WeightMatrix& weight, std::span<const int> capacity) {
-  TransportationSolver solver(
-      weight, std::vector<int>(capacity.begin(), capacity.end()),
-      /*maximize=*/true, /*record_replay=*/false);
-  return solver.Solve();
+  return SolveThrowaway(weight, capacity, /*maximize=*/true);
 }
 
 }  // namespace e2e

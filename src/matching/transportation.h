@@ -34,6 +34,13 @@
 // under the new capacities would produce (tests/matching_test.cc pins this
 // property over randomized perturbations; docs/PERFORMANCE.md has the
 // argument).
+//
+// One search loop serves every solve: TransportationSolver::Solve(),
+// Resolve() and the throwaway solves of TransportationScratch all run the
+// same row searches. Their per-search buffers are per-thread scratch and
+// the per-column row lists share one flat rows×cols array, so the searches
+// never allocate, and a throwaway solve allocates nothing once its buffers
+// have grown to the instance size.
 #pragma once
 
 #include <cstddef>
@@ -54,26 +61,27 @@ struct TransportationResult {
   double total = 0.0;
 };
 
+class TransportationScratch;
+
 /// Stateful transportation solver: owns the matrix, solves once cold, and
 /// then answers capacity-perturbed re-solves by replaying only the suffix of
 /// rows whose searches can observe the perturbation. `maximize` selects the
-/// max-weight objective; internally costs are the negated weights, applied
-/// per element access (IEEE negation is exact and addition is
-/// sign-symmetric, so this is bitwise identical to solving an explicitly
-/// negated copy, minus the copy).
+/// max-weight objective: the constructor negates the owned matrix in place
+/// and the searches minimize that cost (IEEE negation is exact and addition
+/// is sign-symmetric, so this is bitwise identical to solving the weights
+/// directly, and no second copy of the matrix exists).
 ///
 /// Thread safety: Solve() mutates; Resolve() is const and touches only the
-/// recorded state plus call-local scratch, so any number of threads may call
+/// recorded state plus per-thread scratch, so any number of threads may call
 /// Resolve() concurrently after the one Solve().
 class TransportationSolver {
  public:
   /// Validates like the free functions below: capacity.size() must equal
   /// matrix.cols(), all capacities >= 0, sum(capacity) >= matrix.rows().
-  /// `record_replay` controls whether Solve() records the checkpoint/event
-  /// state Resolve() replays from; pass false for throwaway solves to skip
-  /// the recording cost (Resolve() then throws).
+  /// Solves nobody re-solves from belong on TransportationScratch, which
+  /// records no replay state.
   TransportationSolver(WeightMatrix matrix, std::vector<int> capacity,
-                       bool maximize, bool record_replay = true);
+                       bool maximize);
 
   /// Runs the cold solve (recording replay state) and returns the result.
   /// Idempotent: later calls return the cached result.
@@ -89,52 +97,64 @@ class TransportationSolver {
                                std::size_t* rows_replayed = nullptr) const;
 
   bool solved() const { return solved_; }
-  const WeightMatrix& matrix() const { return matrix_; }
   std::span<const int> capacity() const { return capacity_; }
 
+  /// The costs the row searches read, column-major (entry (r, c) at
+  /// [c * rows + r]): the matrix as given for the min objective, negated
+  /// for max. Two solvers search identically iff these bytes are equal —
+  /// the warm-start gate in core/policy.cc relies on this.
+  std::span<const double> costs() const { return cost_.Data(); }
+
  private:
+  friend class TransportationScratch;
+
   // Full solver state between row searches: the column potentials, the
-  // per-column assigned-row lists (order matters — relax loops and augment
-  // erases iterate them in insertion order), and the row→column map.
+  // per-column assigned-row lists, and the row→column map. Column c's list
+  // is rows_of_col[c * rows, c * rows + occupancy[c]) in insertion order —
+  // the order matters, since relax loops and augment erases iterate it.
+  // One flat array for all lists makes copying a state a few vector
+  // assignments that reuse capacity; Resolve()'s restore skips the slots
+  // past each column's occupancy.
   struct SearchState {
     std::vector<double> potential;
-    std::vector<std::vector<std::size_t>> rows_of_col;
+    std::vector<std::size_t> rows_of_col;
+    std::vector<std::size_t> occupancy;
     std::vector<std::size_t> column_of_row;
+
+    // The empty state of a rows×cols instance.
+    void Reset(std::size_t rows, std::size_t cols);
+    // Makes this a copy of `from`, a state of a `rows`-row instance,
+    // copying only each column's live slots.
+    void RestoreFrom(const SearchState& from, std::size_t rows);
   };
   struct Checkpoint {
     std::size_t row = 0;  // State is "all rows < row processed".
     SearchState state;
   };
 
-  double CostAt(std::size_t r, std::size_t c) const {
-    const double w = matrix_.At(r, c);
-    return maximize_ ? -w : w;
-  }
-
-  // Runs row searches [first_row, n) over `state` with `capacity`, reading
-  // the pre-materialized column-major cost array (already negated for the
+  // Runs row searches [first_row, rows) over `state` with `capacity`,
+  // reading the column-major `cost` array (already negated for the
   // max-weight objective). When `record` is non-null (cold solve only)
   // fills its checkpoints_/fill_rows_/sat_select_row_. Static so the const
-  // Resolve() path can run it without touching `this`.
+  // Resolve() path and the throwaway solves can run it without a solver.
   static void RunRows(std::span<const double> cost, std::size_t rows,
                       std::size_t cols, SearchState& state,
                       std::size_t first_row, std::span<const int> capacity,
                       TransportationSolver* record);
 
-  TransportationResult MakeResult(SearchState&& state) const;
+  // Writes `state`'s assignment and the total of its entries of `cost` into
+  // `result`, reusing the result's storage. The total is reported in the
+  // caller's objective: negated back to a weight when `maximize`.
+  static void FillResult(std::span<const double> cost, std::size_t rows,
+                         const SearchState& state, bool maximize,
+                         TransportationResult& result);
 
-  WeightMatrix matrix_;
+  // The owned matrix, negated in place for the max objective.
+  WeightMatrix cost_;
   std::vector<int> capacity_;
   bool maximize_ = false;
-  bool record_replay_ = true;
   bool solved_ = false;
   TransportationResult result_;
-  // Column-major cost copy the row searches read: the matrix data as-is for
-  // the min objective, element-wise negated for max. IEEE negation is exact,
-  // so the stored doubles are bit-identical to negating at each access —
-  // this just keeps the branch out of the Dijkstra inner loops, which scan
-  // contiguous columns.
-  std::vector<double> cost_;
 
   // Replay state recorded by the cold solve.
   std::size_t checkpoint_stride_ = 1;
@@ -145,8 +165,39 @@ class TransportationSolver {
   std::vector<std::vector<std::size_t>> fill_rows_;
   // sat_select_row_[c] = first row whose search finalized column c while it
   // was saturated (occupancy == capacity, search continued through it);
-  // rows() when that never happened.
+  // the row count when that never happened.
   std::vector<std::size_t> sat_select_row_;
+};
+
+/// Reusable working memory for throwaway solves: solves nobody re-solves
+/// from, such as the hill climb's neighbor evaluations. The caller fills the
+/// cost buffer straight from its own data, and Solve() runs the solver's row
+/// searches over it — no WeightMatrix, no TransportationSolver, no copy of
+/// the costs, and no allocation once the buffers have grown to the largest
+/// instance seen. One scratch serves one thread at a time.
+class TransportationScratch {
+ public:
+  /// Sizes the cost buffer for a rows×cols instance and returns it for the
+  /// caller to fill, column-major: entry (r, c) at [c * rows + r]. Entries
+  /// hold whatever an earlier instance left, so write every one. Throws on a
+  /// zero dimension, like WeightMatrix.
+  std::span<double> Costs(std::size_t rows, std::size_t cols);
+
+  /// Solves the min-cost transportation problem over the buffer the last
+  /// Costs() call sized, validating `capacity` like TransportationSolver.
+  /// With `maximize` the buffer holds negated weights and the total is
+  /// reported as a weight, so the result is bit for bit what
+  /// TransportationSolver(weights, capacity, true).Solve() returns. The
+  /// reference stays valid until the next call on this scratch.
+  const TransportationResult& Solve(std::span<const int> capacity,
+                                    bool maximize);
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<double> cost_;
+  TransportationSolver::SearchState state_;
+  TransportationResult result_;
 };
 
 /// Solves the minimum-cost transportation problem for `cost` (rows are
@@ -157,8 +208,8 @@ class TransportationSolver {
 TransportationResult SolveMinCostTransportation(
     const WeightMatrix& cost, std::span<const int> capacity);
 
-/// Solves the maximum-weight transportation problem (negated costs, applied
-/// inline). Optimal.
+/// Solves the maximum-weight transportation problem (the min-cost solve
+/// over the negated weights). Optimal.
 TransportationResult SolveMaxWeightTransportation(
     const WeightMatrix& weight, std::span<const int> capacity);
 

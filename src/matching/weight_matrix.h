@@ -39,7 +39,7 @@ class WeightMatrix {
 
   /// Flat storage view, column-major. Two matrices with equal dimensions are
   /// element-wise bitwise equal iff their Data() bytes compare equal — the
-  /// warm-start gate in core/policy.cc relies on this.
+  /// warm-start gate in core/policy.cc compares solver costs this way.
   std::span<const double> Data() const {
     return std::span<const double>(data_.data(), data_.size());
   }

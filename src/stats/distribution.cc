@@ -55,6 +55,12 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> values,
     throw std::invalid_argument(
         "DiscreteDistribution: values/probabilities size mismatch or empty");
   }
+  // NaN has no place in an ordered support (and would break the sort's
+  // strict weak order below).
+  if (std::any_of(values_.begin(), values_.end(),
+                  [](double v) { return std::isnan(v); })) {
+    throw std::invalid_argument("DiscreteDistribution: NaN support value");
+  }
   double total = 0.0;
   for (double p : probs_) {
     if (p < 0.0) {
@@ -66,7 +72,10 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> values,
     throw std::invalid_argument("DiscreteDistribution: zero total probability");
   }
   for (double& p : probs_) p /= total;
-  // Sort support ascending, keeping probabilities aligned.
+  // Sort support ascending, keeping probabilities aligned. A stable sort of
+  // a non-decreasing support is the identity, and every G in the tree emits
+  // one, so that case keeps its bytes without the index sort and copies.
+  if (std::is_sorted(values_.begin(), values_.end())) return;
   std::vector<std::size_t> order(values_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {

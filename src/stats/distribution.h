@@ -51,8 +51,10 @@ class DiscreteDistribution {
   /// Point mass at `value`.
   static DiscreteDistribution PointMass(double value);
 
-  /// Builds from explicit (value, probability) pairs. Probabilities are
-  /// normalized; all must be non-negative with positive sum.
+  /// Builds from explicit (value, probability) pairs, sorted by value (a
+  /// stable sort: tied values keep their order). Probabilities are
+  /// normalized; all must be non-negative with positive sum. Throws
+  /// std::invalid_argument on a NaN value.
   DiscreteDistribution(std::vector<double> values,
                        std::vector<double> probabilities);
 

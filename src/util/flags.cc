@@ -4,6 +4,26 @@
 #include <string_view>
 
 namespace e2e {
+namespace {
+
+// Parses the whole of `--key`'s value with `parse` (a std::sto* call taking
+// the end-position out-parameter). A partial parse ("4x"), an empty value
+// and an out-of-range one all throw std::invalid_argument naming the flag.
+template <typename Parse>
+auto ParseWhole(const std::string& key, const std::string& value,
+                const char* what, Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto parsed = parse(value, &used);
+    if (used == value.size()) return parsed;
+  } catch (const std::invalid_argument&) {
+  } catch (const std::out_of_range&) {
+  }
+  throw std::invalid_argument("Flags: --" + key + "='" + value +
+                              "' is not " + what);
+}
+
+}  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -30,12 +50,20 @@ std::string Flags::GetString(const std::string& key,
 
 double Flags::GetDouble(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stod(it->second);
+  if (it == values_.end()) return fallback;
+  return ParseWhole(key, it->second, "a number",
+                    [](const std::string& s, std::size_t* used) {
+                      return std::stod(s, used);
+                    });
 }
 
 int Flags::GetInt(const std::string& key, int fallback) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::stoi(it->second);
+  if (it == values_.end()) return fallback;
+  return ParseWhole(key, it->second, "an int",
+                    [](const std::string& s, std::size_t* used) {
+                      return std::stoi(s, used);
+                    });
 }
 
 bool Flags::GetBool(const std::string& key, bool fallback) const {

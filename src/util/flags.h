@@ -17,9 +17,12 @@ class Flags {
                         const std::string& fallback) const;
 
   /// Returns the value for `key` parsed as double, or `fallback` if absent.
+  /// The whole value must parse: a partial ("1.5x"), empty or out-of-range
+  /// value throws std::invalid_argument naming the flag.
   double GetDouble(const std::string& key, double fallback) const;
 
   /// Returns the value for `key` parsed as int, or `fallback` if absent.
+  /// Throws like GetDouble: `--shards=4x` is an error, not 4.
   int GetInt(const std::string& key, int fallback) const;
 
   /// Returns true when `key` is present and not "false"/"0".

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/controller.h"
@@ -14,6 +16,8 @@
 #include "core/server_delay_model.h"
 #include "core/table_cache.h"
 #include "qoe/sigmoid_model.h"
+#include "trace/generator.h"
+#include "trace/windows.h"
 #include "util/rng.h"
 
 namespace e2e {
@@ -604,6 +608,171 @@ TEST(ComputePolicy, ParallelSweepMatchesSerialByteForByte) {
   // Warm re-solves replace cold solves one-for-one, so they are bounded by
   // (and counted inside) the transport solves.
   EXPECT_LE(serial.stats.warm_resolves, serial.stats.transport_solves);
+}
+
+// Counts DelayDistribution calls into a base model (serial use only).
+class CountingServerModel final : public ServerDelayModel {
+ public:
+  explicit CountingServerModel(const ServerDelayModel& base) : base_(base) {}
+
+  int NumDecisions() const override { return base_.NumDecisions(); }
+  DiscreteDistribution DelayDistribution(
+      int decision, std::span<const double> load_fractions,
+      double total_rps) const override {
+    ++calls_;
+    return base_.DelayDistribution(decision, load_fractions, total_rps);
+  }
+  std::string Name() const override { return base_.Name(); }
+  bool IsOverloaded(int decision, std::span<const double> load_fractions,
+                    double total_rps) const override {
+    return base_.IsOverloaded(decision, load_fractions, total_rps);
+  }
+
+  int calls() const { return calls_; }
+
+ private:
+  const ServerDelayModel& base_;
+  mutable int calls_ = 0;
+};
+
+TEST(ComputePolicy, ConvergedEvaluationsScoreFromTheSolvesOwnG) {
+  // 16 distinct delays in per-request mode make 16 buckets of weight 1/16,
+  // so every split is an exact binary fraction: each evaluation's first
+  // solve creates bitwise the split it ran at, and the refine loop stops
+  // with moved == 0. Scoring must then reuse that solve's G outputs — D
+  // calls per transport solve and not one more.
+  const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
+  const PriorityQueueModel broker(4, 5.0, 1);
+  const CountingServerModel g(broker);
+  std::vector<double> externals;
+  for (int i = 0; i < 16; ++i) {
+    externals.push_back(300.0 + 450.0 * static_cast<double>(i));
+  }
+  PolicyConfig config;
+  config.per_request = true;
+  const auto result = ComputePolicy(qoe, g, externals, 150.0, config);
+  EXPECT_EQ(result.stats.buckets, 16);
+  EXPECT_GT(result.stats.hill_climb_steps, 0);
+  // One solve per evaluation: the seed split was already the fixed point.
+  EXPECT_EQ(result.stats.transport_solves,
+            result.stats.allocations_evaluated);
+  EXPECT_EQ(g.calls(), g.NumDecisions() * result.stats.transport_solves);
+  // Counting changes nothing the policy computes.
+  ExpectIdenticalResults(result,
+                         ComputePolicy(qoe, broker, externals, 150.0, config));
+}
+
+TEST(ComputePolicy, BrokerWindowGoldenLock) {
+  // The live controller's D = 8 recompute, pinned bit for bit: the 8-level
+  // broker G (one 5 ms consumer) at 16 target buckets, over page type 1's
+  // 16:00-16:10 window of a seed-20190819, 0.1-scale day, planned at
+  // 160 rps (utilization 0.8). Any change to the evaluation path that moves
+  // a table byte or the search's work fails here.
+  TraceGenParams params;
+  params.seed = 20190819;
+  params.scale = 0.1;
+  const Trace trace = TraceGenerator(params).Generate();
+  const auto groups = GroupByWindow(trace.records, 600000.0);
+  std::vector<double> externals;
+  for (const TraceRecord& r : groups.at(WindowKey{PageType::kType1, 16 * 6})) {
+    externals.push_back(r.external_delay_ms);
+  }
+  ASSERT_EQ(externals.size(), 679u);
+
+  const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
+  const PriorityQueueModel g(8, 5.0, 1);
+  PolicyConfig config;
+  config.target_buckets = 16;
+  const PolicyResult result = ComputePolicy(qoe, g, externals, 160.0, config);
+
+  const DecisionTableRow kRows[] = {
+      {0x1.9e859bc1cbc9fp+7, 0x1.dc441548da39bp+9, 3,
+       0x1.e0b9ae05d9d41p-1, 0x1.fab8be054742p-5},
+      {0x1.dc441548da39bp+9, 0x1.525e495a2c38bp+10, 2,
+       0x1.d803c16e2bb86p-1, 0x1.fab8be054742p-5},
+      {0x1.525e495a2c38bp+10, 0x1.87ab48b1c9e5p+10, 2,
+       0x1.ce36de2a8f054p-1, 0x1.0364aa6a5231p-4},
+      {0x1.87ab48b1c9e5p+10, 0x1.c8bdb2ab86e93p+10, 1,
+       0x1.c3cafb65d9ce9p-1, 0x1.fab8be054742p-5},
+      {0x1.c8bdb2ab86e93p+10, 0x1.0a3c2133f287p+11, 1,
+       0x1.b166cb9ba123cp-1, 0x1.0364aa6a5231p-4},
+      {0x1.0a3c2133f287p+11, 0x1.3c421f2be05dcp+11, 0,
+       0x1.931f5cc425edbp-1, 0x1.fab8be054742p-5},
+      {0x1.3c421f2be05dcp+11, 0x1.6c31f4ad26d94p+11, 0,
+       0x1.62d1824b80defp-1, 0x1.0364aa6a5231p-4},
+      {0x1.6c31f4ad26d94p+11, 0x1.941a9c7322ba3p+11, 0,
+       0x1.341158503a596p-1, 0x1.fab8be054742p-5},
+      {0x1.941a9c7322ba3p+11, 0x1.cdb8b585b1c99p+11, 0,
+       0x1.faaf4cc22be0dp-2, 0x1.fab8be054742p-5},
+      {0x1.cdb8b585b1c99p+11, 0x1.ffdcbc09322bfp+11, 0,
+       0x1.8279a7ca8bc4dp-2, 0x1.0364aa6a5231p-4},
+      {0x1.ffdcbc09322bfp+11, 0x1.28234288842e8p+12, 1,
+       0x1.2ffd804c59738p-2, 0x1.fab8be054742p-5},
+      {0x1.28234288842e8p+12, 0x1.538ccf6e792d2p+12, 2,
+       0x1.eeadd6553363ap-3, 0x1.0364aa6a5231p-4},
+      {0x1.538ccf6e792d2p+12, 0x1.97069689a01a9p+12, 3,
+       0x1.b320850dae49ep-3, 0x1.fab8be054742p-5},
+      {0x1.97069689a01a9p+12, 0x1.e004f091515a4p+12, 4,
+       0x1.9201b771839a5p-3, 0x1.0364aa6a5231p-4},
+      {0x1.e004f091515a4p+12, 0x1.09ed12827e822p+13, 4,
+       0x1.7bf6d7c3c7b33p-3, 0x1.e29790668d01ep-6},
+      {0x1.09ed12827e822p+13, 0x1.23d7acbc54573p+13, 4,
+       0x1.6b2805f24deb9p-3, 0x1.218e2370bb012p-6},
+      {0x1.23d7acbc54573p+13, 0x1.3dc246f62a2c3p+13, 4,
+       0x1.55e7647d45faep-3, 0x1.e29790668d01ep-7},
+      {0x1.3dc246f62a2c3p+13, 0x1.63140dff16523p+13, 4,
+       0x1.3cd3085129f3bp-3, 0x1.69f1ac4ce9c17p-6},
+      {0x1.63140dff16523p+13, 0x1.8865d50802782p+13, 4,
+       0x1.222b67f95610cp-3, 0x1.218e2370bb012p-8},
+      {0x1.8865d50802782p+13, 0x1.adb79c10ee9e2p+13, 4,
+       0x1.09d888dfa99e1p-3, 0x1.8212d9eba4018p-8},
+      {0x1.adb79c10ee9e2p+13, 0x1.d3096319dac42p+13, 5,
+       0x1.cec4768bd634fp-4, 0x1.218e2370bb012p-8},
+      {0x1.d3096319dac42p+13, 0x1.f85b2a22c6ea2p+13, 6,
+       0x1.a30ba4bf66408p-4, 0x1.8212d9eba4018p-10},
+      {0x1.f85b2a22c6ea2p+13, 0x1.0ed67895d9881p+14, 5,
+       0x1.79c59778395b2p-4, 0x1.8212d9eba4018p-9},
+      {0x1.0ed67895d9881p+14, 0x1.217f5c1a4f9bp+14, 5,
+       0x1.56e1ad208a9fap-4, 0x1.8212d9eba4018p-8},
+      {0x1.217f5c1a4f9bp+14, 0x1.34283f9ec5aep+14, 6,
+       0x1.2d2f10a31d842p-4, 0x1.8212d9eba4018p-9},
+      {0x1.34283f9ec5aep+14, 0x1.46d123233bc1p+14, 6,
+       0x1.206ae830c0aep-4, 0x1.218e2370bb012p-8},
+      {0x1.46d123233bc1p+14, 0x1.b6c6783e0033p+14, 6,
+       0x1.0fc50ed9eb9b6p-4, 0x1.8212d9eba4018p-10},
+      {0x1.b6c6783e0033p+14, 0x1.c96f5bc27646p+14, 7,
+       0x1.b4795092bfbcap-5, 0x1.8212d9eba4018p-10},
+      {0x1.c96f5bc27646p+14, 0x1.0a0974ea2748fp+15, 7,
+       0x1.aae6e00a858a3p-5, 0x1.8212d9eba4018p-10},
+      {0x1.0a0974ea2748fp+15, 0x1.10f764d68932fp+16, 7,
+       0x1.9eb40c7db0024p-5, 0x1.8212d9eba4018p-10},
+      {0x1.10f764d68932fp+16, 0x1.2cf4ba1d3a4f6p+16, 7,
+       0x1.9999ef33b32fcp-5, 0x1.8212d9eba4018p-10},
+      {0x1.2cf4ba1d3a4f6p+16, 0x1.319ef2fe57d42p+16, 7,
+       0x1.9999a5928f52p-5, 0x1.8212d9eba4018p-10},
+  };
+  const std::vector<double> kLoadFractions = {
+      0x1.3fb79c7723d14p-2, 0x1.7f0eb437ccb98p-3, 0x1.8212d9eba4018p-3,
+      0x1.fab8be054742p-4, 0x1.42bbc22afb195p-3, 0x1.b25535291881bp-7,
+      0x1.51d07eae2f815p-7, 0x1.e29790668d01ep-8};
+  ASSERT_EQ(result.table.rows.size(), std::size(kRows));
+  for (std::size_t i = 0; i < std::size(kRows); ++i) {
+    const DecisionTableRow& row = result.table.rows[i];
+    EXPECT_EQ(row.lo, kRows[i].lo) << "row " << i;
+    EXPECT_EQ(row.hi, kRows[i].hi) << "row " << i;
+    EXPECT_EQ(row.decision, kRows[i].decision) << "row " << i;
+    EXPECT_EQ(row.expected_qoe, kRows[i].expected_qoe) << "row " << i;
+    EXPECT_EQ(row.weight, kRows[i].weight) << "row " << i;
+  }
+  EXPECT_EQ(result.table.load_fractions, kLoadFractions);
+  EXPECT_EQ(result.table.objective_value, 0x1.15a73c0dc5dadp-1);
+  EXPECT_EQ(result.stats.buckets, 32);
+  EXPECT_EQ(result.stats.hill_climb_steps, 50);
+  EXPECT_EQ(result.stats.allocations_evaluated, 2084);
+  EXPECT_EQ(result.stats.matchings_solved, 0);
+  EXPECT_EQ(result.stats.transport_solves, 4167);
+  EXPECT_EQ(result.stats.warm_resolves, 0);
+  EXPECT_EQ(result.stats.parallel_evals, 0);
 }
 
 // ---- Table cache -----------------------------------------------------------

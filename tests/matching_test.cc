@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -369,17 +371,106 @@ TEST(Transportation, WarmResolveMatchesColdByteForByte) {
   });
 }
 
+// Fills `scratch` with `m`'s costs (negated weights for the max objective)
+// and runs the throwaway solve.
+const TransportationResult& ScratchSolve(TransportationScratch& scratch,
+                                         const WeightMatrix& m,
+                                         const std::vector<int>& capacity,
+                                         bool maximize) {
+  const std::span<double> cost = scratch.Costs(m.rows(), m.cols());
+  for (std::size_t c = 0; c < m.cols(); ++c) {
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+      cost[c * m.rows() + r] = maximize ? -m.At(r, c) : m.At(r, c);
+    }
+  }
+  return scratch.Solve(capacity, maximize);
+}
+
+TEST(Transportation, ScratchSolveMatchesSolveAndResolveByteForByte) {
+  // The three entries into the one search loop — the throwaway scratch
+  // solve, the owning solver's cold Solve(), and its Resolve() replay —
+  // must agree bit for bit. One scratch serves every instance, so its
+  // buffers grow and shrink with (rows, cols) and must carry nothing from
+  // one instance into the next. Covers all-tied, rectangular (surplus
+  // capacity), zero-capacity and single-column instances, both objectives.
+  TransportationScratch scratch;
+  proptest::Check("transportation-scratch-vs-solver", [&scratch](Rng& rng) {
+    const auto rows = static_cast<std::size_t>(rng.UniformInt(1, 40));
+    const auto cols = rng.UniformInt(0, 5) == 0
+                          ? std::size_t{1}
+                          : static_cast<std::size_t>(rng.UniformInt(2, 9));
+    const WeightMatrix m =
+        rng.UniformInt(0, 4) == 0  // All tied.
+            ? WeightMatrix(rows, cols, rng.Uniform(-5.0, 5.0))
+            : RandomMatrix(rows, cols, rng);
+    const bool maximize = rng.UniformInt(0, 1) == 1;
+    const auto random_col = [&] {
+      return static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(cols) - 1));
+    };
+    std::vector<int> capacity(cols, 0);
+    for (std::size_t r = 0; r < rows; ++r) ++capacity[random_col()];
+    const auto surplus = rng.UniformInt(0, 3);
+    for (std::int64_t s = 0; s < surplus; ++s) ++capacity[random_col()];
+    if (cols > 1 && rng.UniformInt(0, 2) == 0) {
+      // Empty one column into its neighbour: a zero-capacity decision.
+      const std::size_t c = random_col();
+      capacity[(c + 1) % cols] += capacity[c];
+      capacity[c] = 0;
+    }
+
+    TransportationSolver solver(m, capacity, maximize);
+    const TransportationResult& cold = solver.Solve();
+    const TransportationResult& throwaway =
+        ScratchSolve(scratch, m, capacity, maximize);
+    ExpectFeasible(m, capacity, throwaway);
+    EXPECT_EQ(throwaway.column_of_row, cold.column_of_row);
+    EXPECT_EQ(throwaway.total, cold.total);
+
+    for (int perturbation = 0; perturbation < 3; ++perturbation) {
+      // Move one unit between columns (a hill-climb neighbour), sometimes
+      // draining a column to zero.
+      std::vector<int> perturbed = capacity;
+      const std::size_t from = random_col();
+      if (perturbed[from] == 0) continue;
+      const std::size_t to = random_col();
+      --perturbed[from];
+      ++perturbed[to];
+      const TransportationResult warm = solver.Resolve(perturbed);
+      TransportationSolver fresh(m, perturbed, maximize);
+      const TransportationResult& reference = fresh.Solve();
+      const TransportationResult& scratch_result =
+          ScratchSolve(scratch, m, perturbed, maximize);
+      EXPECT_EQ(warm.column_of_row, reference.column_of_row);
+      EXPECT_EQ(warm.total, reference.total);
+      EXPECT_EQ(scratch_result.column_of_row, reference.column_of_row);
+      EXPECT_EQ(scratch_result.total, reference.total);
+    }
+  });
+}
+
+TEST(Transportation, ScratchValidatesInputs) {
+  TransportationScratch scratch;
+  EXPECT_THROW(scratch.Costs(0, 2), std::invalid_argument);
+  EXPECT_THROW(scratch.Costs(2, 0), std::invalid_argument);
+  const std::span<double> cost = scratch.Costs(2, 2);
+  std::fill(cost.begin(), cost.end(), 1.0);
+  const std::vector<int> short_caps = {2};
+  const std::vector<int> negative = {3, -1};
+  const std::vector<int> scarce = {1, 0};
+  EXPECT_THROW(scratch.Solve(short_caps, false), std::invalid_argument);
+  EXPECT_THROW(scratch.Solve(negative, false), std::invalid_argument);
+  EXPECT_THROW(scratch.Solve(scarce, false), std::invalid_argument);
+  const std::vector<int> capacity = {1, 1};
+  EXPECT_EQ(scratch.Solve(capacity, false).total, 2.0);
+}
+
 TEST(Transportation, ResolveRequiresSolveAndRecording) {
   const WeightMatrix m(3, 2, 1.0);
   const std::vector<int> capacity = {2, 1};
 
   TransportationSolver unsolved(m, capacity, /*maximize=*/true);
   EXPECT_THROW(unsolved.Resolve(capacity), std::logic_error);
-
-  TransportationSolver no_replay(m, capacity, /*maximize=*/true,
-                                 /*record_replay=*/false);
-  no_replay.Solve();
-  EXPECT_THROW(no_replay.Resolve(capacity), std::logic_error);
 
   TransportationSolver solver(m, capacity, /*maximize=*/true);
   solver.Solve();

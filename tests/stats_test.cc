@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "proptest.h"
@@ -137,6 +138,60 @@ TEST(DiscreteDistribution, InvalidInputsThrow) {
   EXPECT_THROW(DiscreteDistribution({1.0}, {-1.0}), std::invalid_argument);
   EXPECT_THROW(DiscreteDistribution({1.0}, {0.0}), std::invalid_argument);
   EXPECT_THROW(DiscreteDistribution::FromSamples({}, 4), std::invalid_argument);
+}
+
+TEST(DiscreteDistribution, NanSupportThrows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(DiscreteDistribution({nan}, {1.0}), std::invalid_argument);
+  EXPECT_THROW(DiscreteDistribution({1.0, nan, 3.0}, {1.0, 1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(DiscreteDistribution({nan, 1.0}, {1.0, 1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(DiscreteDistribution::PointMass(nan), std::invalid_argument);
+}
+
+TEST(DiscreteDistribution, SortedSupportWithTiesKeepsItsBytes) {
+  // A non-decreasing support is already in order: values keep their bytes
+  // and order — ties included, even -0.0 before 0.0 — and each probability
+  // stays at its value's index, normalized.
+  const std::vector<double> values = {-0.0, 0.0, 2.0, 2.0, 2.0, 5.0};
+  const std::vector<double> probs = {0.5, 1.0, 4.0, 2.0, 1.5, 1.0};
+  const DiscreteDistribution d(values, probs);
+  ASSERT_EQ(d.values().size(), values.size());
+  double total = 0.0;
+  for (const double p : probs) total += p;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::signbit(d.values()[i]), std::signbit(values[i])) << i;
+    EXPECT_EQ(d.values()[i], values[i]) << i;
+    EXPECT_EQ(d.probabilities()[i], probs[i] / total) << i;
+  }
+}
+
+TEST(DiscreteDistribution, UnsortedSupportSortsStablyWithAlignedMass) {
+  // Unsorted input still sorts ascending; ties keep their input order and
+  // every probability travels with its value.
+  proptest::Check("distribution-stable-sort", [](Rng& rng) {
+    const auto n = static_cast<std::size_t>(rng.UniformInt(1, 12));
+    std::vector<double> values(n);
+    std::vector<double> probs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values[i] = static_cast<double>(rng.UniformInt(0, 4));  // Many ties.
+      probs[i] = static_cast<double>(i + 1);  // Identifies the input slot.
+    }
+    double total = 0.0;
+    for (const double p : probs) total += p;
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return values[a] < values[b];
+                     });
+    const DiscreteDistribution d(values, probs);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(d.values()[i], values[order[i]]) << i;
+      EXPECT_EQ(d.probabilities()[i], probs[order[i]] / total) << i;
+    }
+  });
 }
 
 TEST(Divergence, JsIsSymmetricAndBounded) {

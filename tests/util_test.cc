@@ -135,6 +135,49 @@ TEST(Flags, RejectsPositionalArguments) {
   EXPECT_THROW(Flags(2, argv), std::invalid_argument);
 }
 
+// The message of the std::invalid_argument `get` throws, or "" when it does
+// not throw.
+template <typename Get>
+std::string ParseError(Get get) {
+  try {
+    get();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Flags, NumbersMustParseWhole) {
+  const char* argv[] = {"prog",        "--shards=4x", "--rate=1.5ms",
+                        "--empty=",    "--big=99999999999",
+                        "--huge=1e999", "--space=4 ",  "--neg=-3",
+                        "--exp=2.5e-3"};
+  const Flags flags(9, argv);
+  // A partial parse is an error naming the flag, not the prefix's value.
+  EXPECT_NE(ParseError([&] { flags.GetInt("shards", 1); }).find("--shards"),
+            std::string::npos);
+  EXPECT_NE(ParseError([&] { flags.GetDouble("rate", 0.0); }).find("--rate"),
+            std::string::npos);
+  EXPECT_NE(ParseError([&] { flags.GetInt("space", 0); }).find("--space"),
+            std::string::npos);
+  // Empty and out-of-range values throw std::invalid_argument naming the
+  // flag too, not std::stoi's bare error or std::out_of_range.
+  for (const char* key : {"empty", "big"}) {
+    EXPECT_NE(ParseError([&] { flags.GetInt(key, 0); })
+                  .find("--" + std::string(key)),
+              std::string::npos)
+        << key;
+  }
+  EXPECT_NE(ParseError([&] { flags.GetDouble("empty", 0.0); }).find("--empty"),
+            std::string::npos);
+  EXPECT_NE(ParseError([&] { flags.GetDouble("huge", 0.0); }).find("--huge"),
+            std::string::npos);
+  // Whole values still parse, signs and exponents included.
+  EXPECT_EQ(flags.GetInt("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("exp", 0.0), 2.5e-3);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("neg", 0.0), -3.0);
+}
+
 // ---- TextTable ---------------------------------------------------------------
 
 TEST(TextTable, RendersAlignedColumns) {
