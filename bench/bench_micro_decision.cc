@@ -147,55 +147,6 @@ BENCHMARK(BM_MappingSolve)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// The incremental re-solve against the cold solve it replaces, at the
-// operating point: one anchor solve over a fixed 256×8 matrix, then
-// capacity vectors that shift one unit between columns — the hill climb's
-// neighbor shape (core/policy.cc warm anchor). warm 1 = Resolve() replay
-// from the recorded checkpoints, warm 0 = the policy's throwaway solve: the
-// negated weights written into a reused TransportationScratch and solved
-// cold under each perturbation.
-void BM_IncrementalResolve(benchmark::State& state) {
-  const std::size_t n = 256;
-  const std::size_t decisions = 8;
-  Rng rng(42);
-  WeightMatrix m(n, decisions);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < decisions; ++c) {
-      m.At(r, c) = rng.Uniform(0.0, 1.0);
-    }
-  }
-  const std::vector<int> capacity(decisions, static_cast<int>(n / decisions));
-  std::vector<std::vector<int>> neighbors;
-  for (std::size_t d = 0; d + 1 < decisions; ++d) {
-    std::vector<int> shifted = capacity;
-    --shifted[d];
-    ++shifted[d + 1];
-    neighbors.push_back(std::move(shifted));
-  }
-  std::size_t i = 0;
-  if (state.range(0) == 1) {
-    TransportationSolver anchor(m, capacity, /*maximize=*/true);
-    anchor.Solve();
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(anchor.Resolve(neighbors[i++ % neighbors.size()]));
-    }
-  } else {
-    TransportationScratch scratch;
-    const std::span<const double> weights = m.Data();
-    for (auto _ : state) {
-      const std::span<double> cost = scratch.Costs(n, decisions);
-      for (std::size_t k = 0; k < weights.size(); ++k) cost[k] = -weights[k];
-      benchmark::DoNotOptimize(
-          scratch.Solve(neighbors[i++ % neighbors.size()], /*maximize=*/true));
-    }
-  }
-}
-BENCHMARK(BM_IncrementalResolve)
-    ->ArgNames({"warm"})
-    ->Arg(1)
-    ->Arg(0)
-    ->Unit(benchmark::kMicrosecond);
-
 // The full policy computation at n=256 per-request buckets, D=8 decisions:
 // mapping 0 = transportation (default), 1 = expanded Hungarian; workers is
 // PolicyConfig::parallel_workers. The hill climb is bounded so the

@@ -17,13 +17,7 @@ Reads google-benchmark JSON for the policy micro-benchmarks and enforces:
    (objective:0) — distribution scoring is only allowed to cost a bounded
    premium over the historical fast path.
 
-3. Warm-resolve gate (in-run, machine-independent): the incremental
-   Resolve() replay (BM_IncrementalResolve/warm:1) must stay at least
-   WARM_SPEEDUP times faster than the cold solve it replaces (warm:0) —
-   the checkpoint-replay machinery only earns its complexity while it
-   beats re-solving from scratch.
-
-4. Regression gate (vs the committed baseline, speed-normalized): per
+3. Regression gate (vs the committed baseline, speed-normalized): per
    benchmark, compute current/baseline; the median ratio estimates the
    machine-speed difference, and any benchmark slower than
    median * (1 + TOLERANCE) is a relative regression and fails. A
@@ -40,15 +34,11 @@ import sys
 MIN_SPEEDUP = 50.0
 TOLERANCE = 0.20
 OBJECTIVE_OVERHEAD = 1.3
-WARM_SPEEDUP = 1.5
 
 FAST = "mapping:0/workers:1"
 REFERENCE = "mapping:1/workers:1"
 OBJECTIVE_BENCH = "BM_ObjectiveSolve"
 OBJECTIVE_FAST = "objective:0"
-WARM_BENCH = "BM_IncrementalResolve"
-WARM_FAST = "warm:1"
-WARM_REFERENCE = "warm:0"
 
 
 def load_times(path):
@@ -124,26 +114,6 @@ def check_objective_overhead(times):
     return ok
 
 
-def check_warm_resolve(times):
-    warm = cold = None
-    for name, t in times.items():
-        if not name.startswith(WARM_BENCH + "/"):
-            continue
-        if name.endswith(WARM_FAST):
-            warm = t
-        elif name.endswith(WARM_REFERENCE):
-            cold = t
-    if warm is None or cold is None:
-        print(f"check_perf_regression: {WARM_BENCH}: missing warm/cold "
-              "runs in the input", file=sys.stderr)
-        return False
-    speedup = cold / warm
-    status = "ok" if speedup >= WARM_SPEEDUP else "FAIL"
-    print(f"{WARM_BENCH}: warm resolve {speedup:.1f}x faster than cold "
-          f"solve (gate: >= {WARM_SPEEDUP:.1f}x) ... {status}")
-    return speedup >= WARM_SPEEDUP
-
-
 def check_regression(baseline, current):
     # The objective benches are gated by their in-run overhead ratio (gate
     # 2), which is machine-independent; their absolute times are too noisy
@@ -185,7 +155,6 @@ def main():
     current = load_times(args.current)
     ok = check_speedup(current)
     ok = check_objective_overhead(current) and ok
-    ok = check_warm_resolve(current) and ok
     if not args.speedup_only:
         if not args.baseline:
             parser.error("--baseline is required unless --speedup-only")

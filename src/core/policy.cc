@@ -29,18 +29,20 @@ struct PolicyBucket {
   double weight = 0.0;
 };
 
-std::vector<PolicyBucket> BuildBuckets(std::span<const DelayMs> externals,
+// The solver's bucket view of a (possibly streamed/merged) bucketizer. In
+// per-request mode: one bucket per *distinct* external delay of its sorted
+// sample multiset. Equal delays must collapse into one bucket with their
+// summed weight: emitting a zero-width [x, x) row per duplicate makes
+// DecisionTable::Lookup (lower-edge binary search) route every duplicate to
+// the last row with lo == x, so the installed load split silently diverges
+// from the planned one. Otherwise the bucketizer's own lazy rebuild supplies
+// the coarsened view, which is bitwise equal to batch-constructing over the
+// concatenated samples.
+std::vector<PolicyBucket> BuildBuckets(const Bucketizer& bucketizer,
                                        const PolicyConfig& config) {
   std::vector<PolicyBucket> buckets;
   if (config.per_request) {
-    // E2E (basic): one bucket per *distinct* external delay, sorted. Equal
-    // delays must collapse into one bucket with their summed weight:
-    // emitting a zero-width [x, x) row per duplicate makes
-    // DecisionTable::Lookup (lower-edge binary search) route every
-    // duplicate to the last row with lo == x, so the installed load split
-    // silently diverges from the planned one.
-    std::vector<double> sorted(externals.begin(), externals.end());
-    std::sort(sorted.begin(), sorted.end());
+    const std::span<const double> sorted = bucketizer.samples();
     const double unit = 1.0 / static_cast<double>(sorted.size());
     std::size_t i = 0;
     while (i < sorted.size()) {
@@ -53,26 +55,6 @@ std::vector<PolicyBucket> BuildBuckets(std::span<const DelayMs> externals,
     }
     return buckets;
   }
-  const Bucketizer bucketizer(externals, config.target_buckets,
-                              config.max_bucket_span_ms);
-  for (const Bucket& b : bucketizer.buckets()) {
-    buckets.push_back(PolicyBucket{b.lo, b.hi, b.representative, b.weight});
-  }
-  return buckets;
-}
-
-// Bucket view for a pre-accumulated (streaming/merged) bucketizer. In
-// per-request mode the bucketizer's sorted sample multiset feeds the same
-// duplicate-collapsing path as the span overload — re-sorting an already
-// sorted vector is a no-op, so the buckets are byte-identical. Otherwise the
-// bucketizer's own lazy rebuild supplies the coarsened view, which is
-// bitwise equal to batch-constructing over the concatenated samples.
-std::vector<PolicyBucket> BuildBucketsFromBucketizer(
-    const Bucketizer& bucketizer, const PolicyConfig& config) {
-  if (config.per_request) {
-    return BuildBuckets(bucketizer.samples(), config);
-  }
-  std::vector<PolicyBucket> buckets;
   for (const Bucket& b : bucketizer.buckets()) {
     buckets.push_back(PolicyBucket{b.lo, b.hi, b.representative, b.weight});
   }
@@ -152,10 +134,8 @@ class AllocationEvaluator {
 
   // Evaluation of a hill-climb start. Must be called from the thread that
   // owns the pool (never from inside a sweep): it may fan the per-decision
-  // expected-QoE column fills out across the pool, and on a cache miss it
-  // installs the solved transportation state as the warm-start anchor the
-  // following neighbor evaluations re-solve against. Results are
-  // byte-identical to Evaluate() — both effects are pure accelerations.
+  // expected-QoE column fills out across the pool. Results are
+  // byte-identical to Evaluate() — the fan-out is a pure acceleration.
   const Evaluation& EvaluateBase(const std::vector<int>& units) {
     return EvaluateImpl(units, /*base=*/true);
   }
@@ -164,7 +144,6 @@ class AllocationEvaluator {
   struct SolveCounts {
     int matchings = 0;
     int transports = 0;
-    int warm = 0;
   };
 
   // What G says about one split at one rate: each decision's delay
@@ -197,7 +176,6 @@ class AllocationEvaluator {
       ++stats_.allocations_evaluated;
       stats_.matchings_solved += counts.matchings;
       stats_.transport_solves += counts.transports;
-      stats_.warm_resolves += counts.warm;
     }
     return it->second;
   }
@@ -221,8 +199,7 @@ class AllocationEvaluator {
 
     Evaluation eval;
     GOutputs at_split;  // G's outputs at the split of the last solve.
-    SolveWithFractions(units, fractions, counts, /*install_anchor=*/base,
-                       base, eval, at_split);
+    SolveWithFractions(units, fractions, counts, base, eval, at_split);
     std::vector<double> actual;
     SplitOf(eval.decision_of_bucket, units.size(), actual);
     const int max_rounds = config_.refine_fractions ? 3 : 0;
@@ -233,8 +210,7 @@ class AllocationEvaluator {
       }
       if (moved < 0.02) break;  // Converged.
       fractions.swap(actual);
-      SolveWithFractions(units, fractions, counts, /*install_anchor=*/false,
-                         base, eval, at_split);
+      SolveWithFractions(units, fractions, counts, base, eval, at_split);
       SplitOf(eval.decision_of_bucket, units.size(), actual);
     }
     // Score at the split the final mapping actually creates, docked by the
@@ -414,9 +390,8 @@ class AllocationEvaluator {
   // into `g_out`.
   void SolveWithFractions(const std::vector<int>& units,
                           const std::vector<double>& fractions,
-                          SolveCounts& counts, bool install_anchor,
-                          bool allow_parallel, Evaluation& eval,
-                          GOutputs& g_out) {
+                          SolveCounts& counts, bool allow_parallel,
+                          Evaluation& eval, GOutputs& g_out) {
     const std::size_t n = buckets_.size();
     std::size_t assigned = 0;
     for (const int u : units) assigned += static_cast<std::size_t>(u);
@@ -440,7 +415,7 @@ class AllocationEvaluator {
     eval.expected_qoe_of_bucket.resize(n);
 
     if (config_.mapping == MappingAlgorithm::kTransportation) {
-      SolveTransport(units, qoe_col, counts, install_anchor, eval);
+      SolveTransport(units, qoe_col, counts, eval);
     } else if (config_.mapping == MappingAlgorithm::kOptimalMatching) {
       // Expanded mapping kept for cross-checks: units[d] slots per
       // decision, one column per slot.
@@ -514,38 +489,13 @@ class AllocationEvaluator {
   // Collapsed mapping: n unit-supply buckets × D capacitated decisions,
   // O(n²·D) instead of Hungarian's O(n³) over the expanded slot matrix
   // (matching/transportation.h). Edge weight (b, d) is bucket b's weight
-  // times entry b of decision d's column.
+  // times entry b of decision d's column; the negated weights go straight
+  // into this thread's scratch (the sweep may run on the pool).
   void SolveTransport(const std::vector<int>& units,
                       const std::vector<const std::vector<double>*>& qoe_col,
-                      SolveCounts& counts, bool install_anchor,
-                      Evaluation& eval) {
+                      SolveCounts& counts, Evaluation& eval) {
     const std::size_t n = buckets_.size();
-    const auto apply = [&](const TransportationResult& mapping) {
-      for (std::size_t b = 0; b < n; ++b) {
-        const std::size_t d = mapping.column_of_row[b];
-        eval.decision_of_bucket[b] = static_cast<int>(d);
-        eval.expected_qoe_of_bucket[b] = (*qoe_col[d])[b];
-      }
-    };
     ++counts.transports;
-    if (install_anchor) {
-      // The warm anchor owns its matrix, which later gates compare against.
-      // Anchor installs happen only on (serial) base evaluations, so the
-      // sweep's concurrent readers never race this write.
-      WeightMatrix weights(n, units.size());
-      for (std::size_t d = 0; d < units.size(); ++d) {
-        for (std::size_t b = 0; b < n; ++b) {
-          weights.At(b, d) = buckets_[b].weight * (*qoe_col[d])[b];
-        }
-      }
-      warm_ = std::make_unique<TransportationSolver>(std::move(weights), units,
-                                                     /*maximize=*/true);
-      apply(warm_->Solve());
-      return;
-    }
-    // Throwaway solve: the negated weights go straight into this thread's
-    // scratch (the sweep may run on the pool), bitwise the costs an owned
-    // matrix of the same weights would search.
     thread_local TransportationScratch scratch;
     const std::span<double> cost = scratch.Costs(n, units.size());
     for (std::size_t d = 0; d < units.size(); ++d) {
@@ -553,17 +503,13 @@ class AllocationEvaluator {
         cost[d * n + b] = -(buckets_[b].weight * (*qoe_col[d])[b]);
       }
     }
-    if (warm_ != nullptr && SameBytes(warm_->costs(), cost)) {
-      // Same matrix as the anchor, different capacity vector: the
-      // incremental re-solve replays only the rows the capacity shift can
-      // affect and is byte-identical to the cold solve it replaces —
-      // including the count above, so transport_solves telemetry matches
-      // the cold path exactly.
-      ++counts.warm;
-      apply(warm_->Resolve(units));
-      return;
+    const TransportationResult& mapping =
+        scratch.Solve(units, /*maximize=*/true);
+    for (std::size_t b = 0; b < n; ++b) {
+      const std::size_t d = mapping.column_of_row[b];
+      eval.decision_of_bucket[b] = static_cast<int>(d);
+      eval.expected_qoe_of_bucket[b] = (*qoe_col[d])[b];
     }
-    apply(scratch.Solve(units, /*maximize=*/true));
   }
 
   const QoeModel& qoe_;
@@ -578,11 +524,6 @@ class AllocationEvaluator {
   std::map<std::vector<int>, Evaluation> cache_;
   // Content-keyed expected-QoE columns by ContentHash (see QoeColumn).
   std::unordered_multimap<std::uint64_t, CachedColumn> qoe_columns_;
-  // Warm-start anchor: the solved transportation state of the most recent
-  // base evaluation's first (seed-fraction) solve. Written only on base
-  // evaluations (serial by contract — see EvaluateBase); neighbor
-  // evaluations only read it, and TransportationSolver::Resolve is const.
-  std::unique_ptr<TransportationSolver> warm_;
 };
 
 PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
@@ -732,11 +673,7 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            std::span<const DelayMs> external_delays,
                            double total_rps, const PolicyConfig& config) {
   // Thin wrapper: batch-load into a Bucketizer and delegate, so both entry
-  // points share one solver path. In per-request mode the bucketizer's
-  // sorted sample multiset feeds the same duplicate-collapsing path this
-  // overload used to run directly; in coarsened mode the Bucketizer is the
-  // one this overload used to construct internally. Byte-identical either
-  // way.
+  // points share one solver path.
   if (external_delays.empty()) {
     throw std::invalid_argument("ComputePolicy: no external delays");
   }
@@ -752,8 +689,8 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
   if (external_delays.empty()) {
     throw std::invalid_argument("ComputePolicy: no external delays");
   }
-  return RunPolicy(qoe, g, BuildBucketsFromBucketizer(external_delays, config),
-                   total_rps, config);
+  return RunPolicy(qoe, g, BuildBuckets(external_delays, config), total_rps,
+                   config);
 }
 
 PolicyResult ComputeSlopePolicy(const QoeModel& qoe, const ServerDelayModel& g,

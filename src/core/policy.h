@@ -139,14 +139,11 @@ struct PolicyStats {
   /// Expanded n×n Hungarian solves (mapping == kOptimalMatching).
   int matchings_solved = 0;
   /// Collapsed n×D transportation solves (mapping == kTransportation).
-  /// Includes warm-started incremental re-solves — each replaces exactly one
-  /// cold solve, so this count is identical with warm starts on or off.
   int transport_solves = 0;
-  /// Of the transport_solves, how many were answered by the warm-start
-  /// incremental path (replaying only the capacity-affected suffix of the
-  /// base solve). Deterministic for a given input/config at any worker
-  /// count: the warm anchor is installed only on the serial base
-  /// evaluations, and the cache admits each allocation once.
+  /// Always 0: every transport solve is a cold solve. The field stays only
+  /// because the repository benchmark (perfbench/workloads.cc) reads it for
+  /// its `core.policy.warm_resolves` and `warm_ratio` ledger entries; it
+  /// goes when those entries do.
   int warm_resolves = 0;
   /// Neighbor evaluations dispatched through the thread pool (0 on the
   /// serial path).

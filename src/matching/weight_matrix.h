@@ -37,9 +37,7 @@ class WeightMatrix {
     return std::span<const double>(data_.data() + c * rows_, rows_);
   }
 
-  /// Flat storage view, column-major. Two matrices with equal dimensions are
-  /// element-wise bitwise equal iff their Data() bytes compare equal — the
-  /// warm-start gate in core/policy.cc compares solver costs this way.
+  /// Flat storage view, column-major.
   std::span<const double> Data() const {
     return std::span<const double>(data_.data(), data_.size());
   }

@@ -70,8 +70,7 @@ class Bucketizer {
   bool empty() const { return samples_.empty(); }
 
   /// The accumulated samples, sorted ascending. (The per-request policy
-  /// path consumes these directly; sorting first is order-preserving for
-  /// it, since that path re-sorts anyway.)
+  /// path builds its one-bucket-per-distinct-delay view from these.)
   std::span<const double> samples() const;
 
   int target_buckets() const { return target_buckets_; }

@@ -380,15 +380,16 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
   }
 
   // Publishes one message, retrying fault drops with jittered backoff when
-  // the retry policy grants one. Shared so the backoff continuation can
-  // re-enter it; `forced_priority >= 0` pins an admission downgrade across
-  // retries. With resilience off this reduces exactly to the legacy
-  // publish-with-confirm (first_ms == the broker's publish time).
-  auto publish = std::make_shared<
-      std::function<void(broker::Message, int, double, int, std::uint64_t)>>();
-  *publish = [&, publish](broker::Message message, int failures,
-                          double first_ms, int forced_priority,
-                          std::uint64_t session_id) {
+  // the retry policy grants one; `forced_priority >= 0` pins an admission
+  // downgrade across retries. With resilience off this reduces exactly to
+  // the legacy publish-with-confirm (first_ms == the broker's publish time).
+  // The backoff continuation re-enters it by reference, never owning it:
+  // the loop drains before this function returns, and a callable that
+  // owned itself would never be freed.
+  std::function<void(broker::Message, int, double, int, std::uint64_t)>
+      publish;
+  publish = [&](broker::Message message, int failures, double first_ms,
+                int forced_priority, std::uint64_t session_id) {
     auto confirm = [&result, &qoe, &loop, &abandonment, &abandoned_sessions,
                     &record_model, metric_abandoned, first_ms,
                     breaker = breaker_scheduler.get(), id = message.id,
@@ -431,10 +432,9 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
                              qoe.Classify(message.external_delay_ms));
     if (backoff.has_value()) {
       if (metric_retries != nullptr) metric_retries->Increment();
-      loop.ScheduleAfter(*backoff, [publish, message, failures, first_ms,
+      loop.ScheduleAfter(*backoff, [&publish, message, failures, first_ms,
                                     forced_priority, session_id]() {
-        (*publish)(message, failures + 1, first_ms, forced_priority,
-                   session_id);
+        publish(message, failures + 1, first_ms, forced_priority, session_id);
       });
       return;
     }
@@ -487,14 +487,14 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
             return;
           }
           case resilience::AdmissionDecision::kDowngrade:
-            (*publish)(message, 0, publish_ms,
-                       config.broker.priority_levels - 1, rec.session_id);
+            publish(message, 0, publish_ms, config.broker.priority_levels - 1,
+                    rec.session_id);
             return;
           case resilience::AdmissionDecision::kAdmit:
             break;
         }
       }
-      (*publish)(message, 0, publish_ms, -1, rec.session_id);
+      publish(message, 0, publish_ms, -1, rec.session_id);
     });
   }
 

@@ -87,9 +87,10 @@ struct ShardedReplayResult {
 /// own arrival rate times `rps_planning_factor`; each record takes the
 /// decision its external delay maps to in the group's table and is charged
 /// the mean of that decision's delay distribution under the planned split.
-/// Shard resolution follows PolicyConfig::parallel_workers: 0 picks
-/// ThreadPool::DefaultWorkers(), 1 is serial, N > 1 uses N shards
-/// (negative throws). Fault plans are not supported (RequireNoFaultPlan).
+/// The shard count is `config.common.controller.shards`
+/// (ControllerConfig::shards): 0 picks ThreadPool::DefaultWorkers(), 1 is
+/// serial, N > 1 uses N shards (negative throws). Fault plans are not
+/// supported (RequireNoFaultPlan).
 ///
 /// When `common.abandonment.enabled`, a session whose total delay
 /// (external + planned mean server delay) exceeds its seeded patience quits:

@@ -1,5 +1,7 @@
 #include "trace/io.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +21,32 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   std::istringstream ss(line);
   while (std::getline(ss, field, ',')) fields.push_back(field);
   return fields;
+}
+
+// Parses the whole of `field` as a T. std::from_chars takes no sign on an
+// unsigned T and reports a value outside T's range, so "-1", a url_id past
+// 2^32 − 1, "12abc" and an empty field all throw, naming the column.
+template <typename T>
+T ParseField(const std::string& field, const char* column) {
+  T value{};
+  const char* const end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(std::string(column) + " '" + field +
+                                "' is not a valid number");
+  }
+  return value;
+}
+
+// A finite double field; `non_negative` also rejects values below zero.
+double ParseFinite(const std::string& field, const char* column,
+                   bool non_negative) {
+  const double value = ParseField<double>(field, column);
+  if (!std::isfinite(value) || (non_negative && value < 0.0)) {
+    throw std::invalid_argument(std::string(column) + " '" + field +
+                                "' is out of range");
+  }
+  return value;
 }
 
 }  // namespace
@@ -59,15 +87,19 @@ Trace ReadTraceCsv(std::istream& in) {
     }
     try {
       TraceRecord r;
-      r.request_id = std::stoull(fields[0]);
-      r.user_id = std::stoull(fields[1]);
-      r.session_id = std::stoull(fields[2]);
-      r.url_id = static_cast<std::uint32_t>(std::stoul(fields[3]));
-      r.page_type = PageTypeFromIndex(std::stoi(fields[4]));
-      r.arrival_ms = std::stod(fields[5]);
-      r.external_delay_ms = std::stod(fields[6]);
-      r.server_delay_ms = std::stod(fields[7]);
-      r.time_on_site_sec = std::stod(fields[8]);
+      r.request_id = ParseField<RequestId>(fields[0], "request_id");
+      r.user_id = ParseField<UserId>(fields[1], "user_id");
+      r.session_id = ParseField<std::uint64_t>(fields[2], "session_id");
+      r.url_id = ParseField<std::uint32_t>(fields[3], "url_id");
+      r.page_type = PageTypeFromIndex(ParseField<int>(fields[4], "page_type"));
+      r.arrival_ms = ParseFinite(fields[5], "arrival_ms",
+                                 /*non_negative=*/false);
+      r.external_delay_ms = ParseFinite(fields[6], "external_delay_ms",
+                                        /*non_negative=*/true);
+      r.server_delay_ms = ParseFinite(fields[7], "server_delay_ms",
+                                      /*non_negative=*/true);
+      r.time_on_site_sec = ParseFinite(fields[8], "time_on_site_sec",
+                                       /*non_negative=*/true);
       trace.records.push_back(r);
     } catch (const std::exception& e) {
       throw std::runtime_error("ReadTraceCsv: parse error at line " +

@@ -309,70 +309,8 @@ TEST(Transportation, MinAndMaxSolversMirror) {
   });
 }
 
-TEST(Transportation, WarmResolveMatchesColdByteForByte) {
-  // The incremental Resolve() contract: for any capacity perturbation, the
-  // replayed suffix produces the exact assignment — same tie-breaking, same
-  // floating-point total bit for bit — that a cold solve under the new
-  // capacities would. Exercises padded/rectangular (surplus capacity),
-  // all-tied matrices (maximal tie-breaking pressure), both objectives, and
-  // multi-column increase/decrease perturbations.
-  proptest::Check("transportation-warm-vs-cold", [](Rng& rng) {
-    const auto rows = static_cast<std::size_t>(rng.UniformInt(1, 32));
-    const auto cols = static_cast<std::size_t>(rng.UniformInt(1, 8));
-    const bool all_tied = rng.UniformInt(0, 4) == 0;
-    const WeightMatrix m = all_tied
-                               ? WeightMatrix(rows, cols, rng.Uniform(-5.0, 5.0))
-                               : RandomMatrix(rows, cols, rng);
-    const bool maximize = rng.UniformInt(0, 1) == 1;
-    std::vector<int> capacity(cols, 0);
-    for (std::size_t r = 0; r < rows; ++r) {
-      ++capacity[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(cols) - 1))];
-    }
-    const auto surplus = rng.UniformInt(0, 3);
-    for (std::int64_t s = 0; s < surplus; ++s) {
-      ++capacity[static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(cols) - 1))];
-    }
-
-    TransportationSolver solver(m, capacity, maximize);
-    const auto& base = solver.Solve();
-
-    // Unchanged capacities: provably nothing to replay, cached result.
-    std::size_t replayed = rows + 1;
-    const auto same = solver.Resolve(capacity, &replayed);
-    EXPECT_EQ(replayed, 0u);
-    EXPECT_EQ(same.column_of_row, base.column_of_row);
-    EXPECT_EQ(same.total, base.total);
-
-    std::size_t total_rows = 0;
-    for (const int c : capacity) total_rows += static_cast<std::size_t>(c);
-    for (int perturbation = 0; perturbation < 4; ++perturbation) {
-      std::vector<int> perturbed = capacity;
-      std::size_t sum = total_rows;
-      const auto moves = rng.UniformInt(1, 3);
-      for (std::int64_t mv = 0; mv < moves; ++mv) {
-        const auto c = static_cast<std::size_t>(
-            rng.UniformInt(0, static_cast<std::int64_t>(cols) - 1));
-        if (rng.UniformInt(0, 1) == 0 && perturbed[c] > 0 && sum > rows) {
-          --perturbed[c];
-          --sum;
-        } else {
-          ++perturbed[c];
-          ++sum;
-        }
-      }
-      const auto warm = solver.Resolve(perturbed);
-      TransportationSolver cold(m, perturbed, maximize);
-      const auto& reference = cold.Solve();
-      EXPECT_EQ(warm.column_of_row, reference.column_of_row);
-      EXPECT_EQ(warm.total, reference.total);
-    }
-  });
-}
-
 // Fills `scratch` with `m`'s costs (negated weights for the max objective)
-// and runs the throwaway solve.
+// and solves.
 const TransportationResult& ScratchSolve(TransportationScratch& scratch,
                                          const WeightMatrix& m,
                                          const std::vector<int>& capacity,
@@ -386,13 +324,13 @@ const TransportationResult& ScratchSolve(TransportationScratch& scratch,
   return scratch.Solve(capacity, maximize);
 }
 
-TEST(Transportation, ScratchSolveMatchesSolveAndResolveByteForByte) {
-  // The three entries into the one search loop — the throwaway scratch
-  // solve, the owning solver's cold Solve(), and its Resolve() replay —
-  // must agree bit for bit. One scratch serves every instance, so its
-  // buffers grow and shrink with (rows, cols) and must carry nothing from
-  // one instance into the next. Covers all-tied, rectangular (surplus
-  // capacity), zero-capacity and single-column instances, both objectives.
+TEST(Transportation, ReusedScratchMatchesFreshSolveByteForByte) {
+  // One scratch serves every instance, so its buffers grow and shrink with
+  // (rows, cols) and must carry nothing from one instance into the next: it
+  // must agree bit for bit with a fresh solve of each instance. Covers
+  // all-tied, rectangular (surplus capacity), zero-capacity and
+  // single-column instances, both objectives, and the hill climb's one-unit
+  // neighbour perturbations.
   TransportationScratch scratch;
   proptest::Check("transportation-scratch-vs-solver", [&scratch](Rng& rng) {
     const auto rows = static_cast<std::size_t>(rng.UniformInt(1, 40));
@@ -419,14 +357,17 @@ TEST(Transportation, ScratchSolveMatchesSolveAndResolveByteForByte) {
       capacity[c] = 0;
     }
 
-    TransportationSolver solver(m, capacity, maximize);
-    const TransportationResult& cold = solver.Solve();
-    const TransportationResult& throwaway =
-        ScratchSolve(scratch, m, capacity, maximize);
-    ExpectFeasible(m, capacity, throwaway);
-    EXPECT_EQ(throwaway.column_of_row, cold.column_of_row);
-    EXPECT_EQ(throwaway.total, cold.total);
-
+    const auto expect_fresh = [&](const std::vector<int>& caps) {
+      const TransportationResult& reused =
+          ScratchSolve(scratch, m, caps, maximize);
+      const TransportationResult fresh =
+          maximize ? SolveMaxWeightTransportation(m, caps)
+                   : SolveMinCostTransportation(m, caps);
+      ExpectFeasible(m, caps, reused);
+      EXPECT_EQ(reused.column_of_row, fresh.column_of_row);
+      EXPECT_EQ(reused.total, fresh.total);
+    };
+    expect_fresh(capacity);
     for (int perturbation = 0; perturbation < 3; ++perturbation) {
       // Move one unit between columns (a hill-climb neighbour), sometimes
       // draining a column to zero.
@@ -436,15 +377,7 @@ TEST(Transportation, ScratchSolveMatchesSolveAndResolveByteForByte) {
       const std::size_t to = random_col();
       --perturbed[from];
       ++perturbed[to];
-      const TransportationResult warm = solver.Resolve(perturbed);
-      TransportationSolver fresh(m, perturbed, maximize);
-      const TransportationResult& reference = fresh.Solve();
-      const TransportationResult& scratch_result =
-          ScratchSolve(scratch, m, perturbed, maximize);
-      EXPECT_EQ(warm.column_of_row, reference.column_of_row);
-      EXPECT_EQ(warm.total, reference.total);
-      EXPECT_EQ(scratch_result.column_of_row, reference.column_of_row);
-      EXPECT_EQ(scratch_result.total, reference.total);
+      expect_fresh(perturbed);
     }
   });
 }
@@ -463,23 +396,6 @@ TEST(Transportation, ScratchValidatesInputs) {
   EXPECT_THROW(scratch.Solve(scarce, false), std::invalid_argument);
   const std::vector<int> capacity = {1, 1};
   EXPECT_EQ(scratch.Solve(capacity, false).total, 2.0);
-}
-
-TEST(Transportation, ResolveRequiresSolveAndRecording) {
-  const WeightMatrix m(3, 2, 1.0);
-  const std::vector<int> capacity = {2, 1};
-
-  TransportationSolver unsolved(m, capacity, /*maximize=*/true);
-  EXPECT_THROW(unsolved.Resolve(capacity), std::logic_error);
-
-  TransportationSolver solver(m, capacity, /*maximize=*/true);
-  solver.Solve();
-  const std::vector<int> wrong_size = {3};
-  const std::vector<int> negative = {4, -1};
-  const std::vector<int> scarce = {1, 1};
-  EXPECT_THROW(solver.Resolve(wrong_size), std::invalid_argument);
-  EXPECT_THROW(solver.Resolve(negative), std::invalid_argument);
-  EXPECT_THROW(solver.Resolve(scarce), std::invalid_argument);
 }
 
 }  // namespace

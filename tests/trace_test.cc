@@ -240,11 +240,27 @@ TEST(TraceIo, RejectsMalformedInput) {
       "request_id,user_id,session_id,url_id,page_type,arrival_ms,"
       "external_delay_ms,server_delay_ms,time_on_site_sec\n1,2,3\n");
   EXPECT_THROW(ReadTraceCsv(bad_fields), std::runtime_error);
-  std::stringstream bad_page(
-      "request_id,user_id,session_id,url_id,page_type,arrival_ms,"
-      "external_delay_ms,server_delay_ms,time_on_site_sec\n"
-      "1,2,3,4,9,5.0,6.0,7.0,8.0\n");
-  EXPECT_THROW(ReadTraceCsv(bad_page), std::runtime_error);
+  // One well-formed header, then one bad row: a page type out of range, a
+  // partial number, a negative or out-of-range id, a non-finite value, or a
+  // negative delay or time on site.
+  for (const char* row : {"1,2,3,4,9,5.0,6.0,7.0,8.0",
+                          "12abc,2,3,4,1,5.0,6.0,7.0,8.0",
+                          "1,2,3,4,1,5.0,6.0x,7.0,8.0",
+                          "1,-1,3,4,1,5.0,6.0,7.0,8.0",
+                          "1,2,3,4294967296,1,5.0,6.0,7.0,8.0",
+                          "1,2,3,4,1,nan,6.0,7.0,8.0",
+                          "1,2,3,4,1,5.0,inf,7.0,8.0",
+                          "1,2,3,4,1,5.0,6.0,-inf,8.0",
+                          "1,2,3,4,1,5.0,-6.0,7.0,8.0",
+                          "1,2,3,4,1,5.0,6.0,-7.0,8.0",
+                          "1,2,3,4,1,5.0,6.0,7.0,-8.0"}) {
+    std::stringstream bad_row(
+        std::string("request_id,user_id,session_id,url_id,page_type,"
+                    "arrival_ms,external_delay_ms,server_delay_ms,"
+                    "time_on_site_sec\n") +
+        row + "\n");
+    EXPECT_THROW(ReadTraceCsv(bad_row), std::runtime_error) << row;
+  }
 }
 
 TEST(Replay, CompressesTime) {
