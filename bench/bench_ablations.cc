@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   using namespace e2e;
   using namespace e2e::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {});
   (void)flags;
 
   PrintHeader("Ablations — which mechanisms carry the gains",

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace e2e;
   using namespace e2e::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {});
   (void)flags;
 
   PrintHeader("Extension — Mechanistic external-delay estimation (Sec 9)",

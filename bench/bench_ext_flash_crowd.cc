@@ -43,7 +43,7 @@ std::vector<TraceRecord> FlashCrowdWorkload() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {});
   (void)flags;
 
   PrintHeader("Extension — Flash crowd vs temporal coarsening (Sec 5)",

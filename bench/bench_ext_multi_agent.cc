@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace e2e;
   using namespace e2e::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"rps", "metrics_out"});
   const double rps = flags.GetDouble("rps", 195.0);
 
   PrintHeader("Extension — Multi-agent deployment (Sec 9)",

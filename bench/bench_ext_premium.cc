@@ -165,7 +165,7 @@ ExperimentResult RunClassAware(const std::vector<TraceRecord>& records,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"rps"});
   const double rps = flags.GetDouble("rps", 88.0);
 
   PrintHeader("Extension — E2E composed with premium/basic tiers (Sec 9)",

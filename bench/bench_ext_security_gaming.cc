@@ -65,7 +65,7 @@ double MeanQoeOf(const ExperimentResult& result,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"attackers"});
   const double attacker_fraction = flags.GetDouble("attackers", 0.3);
 
   PrintHeader("Extension — Gaming and attacks (Sec 9, Appendix A)",

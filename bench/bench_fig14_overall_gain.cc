@@ -26,7 +26,9 @@ double IdealizedQoe(std::span<const TraceRecord> records,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv,
+                    {"window_ms", "db_speedup", "broker_speedup", "metrics_out",
+                     "resilience"});
   const double window_ms = flags.GetDouble("window_ms", kWindowMs);
   const double db_speedup = flags.GetDouble("db_speedup", kDbReferenceSpeedup);
   const double broker_speedup =

@@ -33,7 +33,7 @@ double TestbedStateBytes(const DbExperimentConfig& config) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {});
   (void)flags;
 
   PrintHeader("Figure 16 — E2E overhead vs testbed overhead",

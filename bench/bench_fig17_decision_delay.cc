@@ -26,7 +26,7 @@ double WallMs(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"window"});
   const int window_requests = flags.GetInt("window", 300);
 
   PrintHeader("Figure 17 — Decision-delay reduction from coarsening",

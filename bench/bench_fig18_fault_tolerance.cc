@@ -40,7 +40,9 @@ std::map<int, double> QoePerBucket(const ExperimentResult& result,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv,
+                    {"fail_at_ms", "election_ms", "bucket_ms", "fault_plan",
+                     "metrics_out", "resilience"});
   double fail_at = flags.GetDouble("fail_at_ms", 25000.0);
   double election = flags.GetDouble("election_ms", 25000.0);
   const double bucket_ms = flags.GetDouble("bucket_ms", 10000.0);

@@ -49,7 +49,7 @@ SyntheticWorkloadParams Defaults() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {});
   (void)flags;
 
   PrintHeader("Figure 19 — Operational regime",

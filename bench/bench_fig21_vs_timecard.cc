@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace e2e;
   using namespace e2e::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {});
   (void)flags;
 
   PrintHeader("Figure 21 — E2E vs deadline-driven scheduling (Timecard)",

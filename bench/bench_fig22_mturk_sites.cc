@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace e2e;
   using namespace e2e::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"raters"});
   const int raters = flags.GetInt("raters", 50);
 
   PrintHeader("Figure 22 — MTurk QoE curves for four popular sites",

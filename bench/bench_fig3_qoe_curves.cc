@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace e2e;
   using namespace e2e::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"raters"});
 
   PrintHeader("Figure 3 — QoE vs page load time",
               "sigmoid curve; sensitive region ~[2.0 s, 5.8 s]; QoE keeps "

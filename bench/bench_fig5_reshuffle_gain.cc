@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace e2e;
   using namespace e2e::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"window_ms"});
   const double window_ms = flags.GetDouble("window_ms", kWindowMs);
 
   PrintHeader("Figure 5 — Per-request QoE gain from reshuffling",

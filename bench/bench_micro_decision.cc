@@ -148,9 +148,11 @@ BENCHMARK(BM_MappingSolve)
     ->Unit(benchmark::kMillisecond);
 
 // The full policy computation at n=256 per-request buckets, D=8 decisions:
-// mapping 0 = transportation (default), 1 = expanded Hungarian; workers is
-// PolicyConfig::parallel_workers. The hill climb is bounded so the
-// Hungarian reference stays tractable; the speedup ratio is unaffected.
+// mapping 0 = transportation (default), 1 = expanded Hungarian. Every solve
+// is serial; the `workers:1` argument only keeps the names the committed
+// baseline (bench/BENCH_policy.json) and the perf gate key on. The hill
+// climb is bounded so the Hungarian reference stays tractable; the speedup
+// ratio is unaffected.
 void BM_PolicyFullSolve(benchmark::State& state) {
   const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
   const WideModel g;
@@ -160,16 +162,14 @@ void BM_PolicyFullSolve(benchmark::State& state) {
   config.max_hill_climb_steps = 2;
   config.mapping = state.range(0) == 0 ? MappingAlgorithm::kTransportation
                                        : MappingAlgorithm::kOptimalMatching;
-  config.parallel_workers = static_cast<int>(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ComputePolicy(qoe, g, externals, 90.0, config));
   }
 }
 BENCHMARK(BM_PolicyFullSolve)
     ->ArgNames({"mapping", "workers"})
-    ->Args({0, 1})   // Transportation, serial sweep.
-    ->Args({0, 0})   // Transportation, default worker pool.
-    ->Args({1, 1})   // Hungarian reference, serial sweep.
+    ->Args({0, 1})   // Transportation.
+    ->Args({1, 1})   // Hungarian reference.
     ->Unit(benchmark::kMillisecond);
 
 // The live controller's D = 8 recompute: ComputePolicy with the 8-level

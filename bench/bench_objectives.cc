@@ -59,7 +59,7 @@ double HistogramPercentile(const std::vector<std::uint64_t>& bins, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"window_ms"});
   // The paper's 10 s analysis windows: the slice below is full scale.
   const double window_ms = flags.GetDouble("window_ms", 10000.0);
 

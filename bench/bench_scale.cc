@@ -149,7 +149,7 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
 }
 
 int Main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"volume", "shards", "json_out"});
   const std::string volume_arg = flags.GetString("volume", "all");
   const int shards = flags.GetInt("shards", 0);
 

@@ -8,7 +8,7 @@
 int main(int argc, char** argv) {
   using namespace e2e;
   using namespace e2e::bench;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"scale"});
   const double scale = flags.GetDouble("scale", kTraceScale);
 
   PrintHeader(

@@ -32,7 +32,7 @@ BrokerExperimentConfig DemoConfig(BrokerPolicy policy) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"rps", "requests"});
   SyntheticWorkloadParams workload;
   workload.rps = flags.GetDouble("rps", 82.0);
   workload.num_requests =

@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace e2e;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"requests"});
   const int requests = flags.GetInt("requests", 500);
 
   // 1. A QoE model: the paper's sigmoid time-on-site curve (Fig. 3a).

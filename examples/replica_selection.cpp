@@ -42,7 +42,7 @@ DbExperimentConfig DemoConfig(DbPolicy policy) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"rps", "requests"});
   SyntheticWorkloadParams workload;
   workload.rps = flags.GetDouble("rps", 135.0);
   workload.num_requests =

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace e2e;
-  const Flags flags(argc, argv);
+  const Flags flags(argc, argv, {"scale", "csv"});
   const double scale = flags.GetDouble("scale", 0.02);
   const std::string csv = flags.GetString("csv", "");
 

@@ -61,8 +61,6 @@ void Controller::AttachTelemetry(obs::MetricsRegistry& registry,
   metric_decisions_ = &registry.AddCounter(prefix + ".decisions");
   metric_transport_solves_ =
       &registry.AddCounter(prefix + ".policy.transport_solves");
-  metric_parallel_evals_ =
-      &registry.AddCounter(prefix + ".policy.parallel_evals");
   metric_recompute_us_ = &registry.AddHistogram(
       prefix + ".recompute_us",
       {10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0, 10000.0, 50000.0, 100000.0,
@@ -125,8 +123,6 @@ bool Controller::Tick(double now_ms) {
     metric_recompute_us_->Observe(cost_us);
     metric_transport_solves_->Increment(
         static_cast<std::uint64_t>(result.stats.transport_solves));
-    metric_parallel_evals_->Increment(
-        static_cast<std::uint64_t>(result.stats.parallel_evals));
   }
 
   if (LogEnabled(LogLevel::kDebug)) {

@@ -38,10 +38,10 @@ struct ControllerConfig {
   /// type × analysis window groups are partitioned across this many shards,
   /// each owning its buckets, tables, and telemetry, and re-merged in
   /// (window, page) index order — byte-identical output at any shard count.
-  /// Same convention as PolicyConfig::parallel_workers: 0 picks
-  /// ThreadPool::DefaultWorkers(), 1 forces the serial path, N > 1 uses N
-  /// shards. Negative values throw. The live Controller itself serves one
-  /// stream and ignores this; testbed::ReplayTraceSharded consumes it.
+  /// testbed::ReplayTraceSharded consumes it (0 = one shard per core; its
+  /// header has the convention), and its shard threads are the only
+  /// threads a policy solve ever runs on; each solve itself is serial. The
+  /// live Controller serves one stream and ignores this.
   int shards = 1;
 };
 
@@ -140,9 +140,9 @@ class Controller {
   void AdoptStateFrom(const Controller& other);
 
   /// Attaches telemetry (docs/OBSERVABILITY.md) under `prefix` (e.g.
-  /// "ctrl.primary"): ticks/recomputes/decisions counters,
-  /// <prefix>.policy.transport_solves and <prefix>.policy.parallel_evals
-  /// counters (the optimizer work each rebuild performed), a
+  /// "ctrl.primary"): ticks/recomputes/decisions counters, a
+  /// <prefix>.policy.transport_solves counter (the optimizer work each
+  /// rebuild performed), a
   /// <prefix>.recompute_us histogram (profile-clock cost of ComputePolicy,
   /// same reading as stats()), a <prefix>.table_staleness_ms histogram
   /// (age of the installed table observed at each tick), and — when
@@ -172,7 +172,6 @@ class Controller {
   obs::Counter* metric_recomputes_ = nullptr;
   obs::Counter* metric_decisions_ = nullptr;
   obs::Counter* metric_transport_solves_ = nullptr;
-  obs::Counter* metric_parallel_evals_ = nullptr;
   obs::Histogram* metric_recompute_us_ = nullptr;
   obs::Histogram* metric_staleness_ = nullptr;
 };

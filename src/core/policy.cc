@@ -7,7 +7,6 @@
 #include <cstring>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
@@ -16,7 +15,6 @@
 #include "matching/assignment.h"
 #include "matching/transportation.h"
 #include "stats/bucketizer.h"
-#include "util/thread_pool.h"
 
 namespace e2e {
 namespace {
@@ -109,43 +107,27 @@ class AllocationEvaluator {
   AllocationEvaluator(const QoeModel& qoe, const ServerDelayModel& g,
                       const Objective& objective,
                       std::span<const PolicyBucket> buckets, double total_rps,
-                      const PolicyConfig& config, PolicyStats& stats,
-                      ThreadPool* pool)
+                      const PolicyConfig& config, PolicyStats& stats)
       : qoe_(qoe),
         g_(g),
         objective_(objective),
         buckets_(buckets),
         total_rps_(total_rps),
         config_(config),
-        stats_(stats),
-        pool_(pool) {}
+        stats_(stats) {}
 
   // Evaluates the allocation `units` (buckets per decision, summing to
-  // buckets_.size()), caching by allocation vector. Safe to call
-  // concurrently from the parallel neighbor sweep: the caches and the stats
-  // are mutex-guarded, the computation itself runs outside the lock, and
-  // std::map nodes are reference-stable under insertion. Racing threads
-  // computing the same key produce identical Evaluations (the computation
-  // is a pure function of the inputs), and only the inserting thread
-  // counts it, so PolicyStats stays independent of the worker count.
+  // buckets_.size()), caching by allocation vector; std::map nodes are
+  // reference-stable under insertion. Only a cache miss counts toward the
+  // stats.
   const Evaluation& Evaluate(const std::vector<int>& units) {
-    return EvaluateImpl(units, /*base=*/false);
-  }
-
-  // Evaluation of a hill-climb start. Must be called from the thread that
-  // owns the pool (never from inside a sweep): it may fan the per-decision
-  // expected-QoE column fills out across the pool. Results are
-  // byte-identical to Evaluate() — the fan-out is a pure acceleration.
-  const Evaluation& EvaluateBase(const std::vector<int>& units) {
-    return EvaluateImpl(units, /*base=*/true);
+    const auto it = cache_.find(units);
+    if (it != cache_.end()) return it->second;
+    ++stats_.allocations_evaluated;
+    return cache_.emplace(units, EvaluateUncached(units)).first->second;
   }
 
  private:
-  struct SolveCounts {
-    int matchings = 0;
-    int transports = 0;
-  };
-
   // What G says about one split at one rate: each decision's delay
   // distribution and its expected-QoE column (an entry of qoe_columns_;
   // null until fetched).
@@ -162,24 +144,6 @@ class AllocationEvaluator {
     std::vector<double> column;
   };
 
-  const Evaluation& EvaluateImpl(const std::vector<int>& units, bool base) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      const auto it = cache_.find(units);
-      if (it != cache_.end()) return it->second;
-    }
-    SolveCounts counts;
-    Evaluation eval = EvaluateUncached(units, counts, base);
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto [it, inserted] = cache_.emplace(units, std::move(eval));
-    if (inserted) {
-      ++stats_.allocations_evaluated;
-      stats_.matchings_solved += counts.matchings;
-      stats_.transport_solves += counts.transports;
-    }
-    return it->second;
-  }
-
   // Each evaluation is a small fixed point between the two subproblems
   // ("E2E solves the two subproblems iteratively", §4.2): the mapping is
   // solved against G at some load split, and the split implied by the
@@ -188,8 +152,7 @@ class AllocationEvaluator {
   // splits buckets unevenly) is fed back into G until it stops moving. The
   // reported QoE is therefore consistent with the load the installed table
   // would actually create.
-  Evaluation EvaluateUncached(const std::vector<int>& units,
-                              SolveCounts& counts, bool base) {
+  Evaluation EvaluateUncached(const std::vector<int>& units) {
     // Seed split: unit share (exact when buckets are equal-population).
     const double total_units = static_cast<double>(buckets_.size());
     std::vector<double> fractions(units.size());
@@ -199,7 +162,7 @@ class AllocationEvaluator {
 
     Evaluation eval;
     GOutputs at_split;  // G's outputs at the split of the last solve.
-    SolveWithFractions(units, fractions, counts, base, eval, at_split);
+    SolveWithFractions(units, fractions, eval, at_split);
     std::vector<double> actual;
     SplitOf(eval.decision_of_bucket, units.size(), actual);
     const int max_rounds = config_.refine_fractions ? 3 : 0;
@@ -210,7 +173,7 @@ class AllocationEvaluator {
       }
       if (moved < 0.02) break;  // Converged.
       fractions.swap(actual);
-      SolveWithFractions(units, fractions, counts, base, eval, at_split);
+      SolveWithFractions(units, fractions, eval, at_split);
       SplitOf(eval.decision_of_bucket, units.size(), actual);
     }
     // Score at the split the final mapping actually creates, docked by the
@@ -219,19 +182,8 @@ class AllocationEvaluator {
     // ran at (moved == 0). G is a pure function of its arguments, so the
     // solve's distributions and columns are then exactly what scoring would
     // fetch again; only a split that moved asks G anew.
-    if (!SameBytes(actual, fractions)) {
-      QueryG(actual, /*rate_factor=*/1.0, at_split);
-    }
-    eval.objective_value =
-        ScoreMapping(eval.decision_of_bucket, at_split, base);
-    if (config_.stress_weight > 0.0 && config_.stress_factor > 1.0) {
-      GOutputs stressed;
-      QueryG(actual, config_.stress_factor, stressed);
-      eval.objective_value =
-          (1.0 - config_.stress_weight) * eval.objective_value +
-          config_.stress_weight *
-              ScoreMapping(eval.decision_of_bucket, stressed, base);
-    }
+    if (!SameBytes(actual, fractions)) QueryG(actual, at_split);
+    eval.objective_value = ScoreMapping(eval.decision_of_bucket, at_split);
     if (config_.instability_penalty > 0.0) {
       // IsOverloaded depends only on (decision, fractions, rate), so ask
       // once per decision instead of once per bucket; the per-bucket mass
@@ -239,10 +191,7 @@ class AllocationEvaluator {
       std::vector<char> overloaded(units.size(), 0);
       for (std::size_t d = 0; d < units.size(); ++d) {
         overloaded[d] =
-            g_.IsOverloaded(static_cast<int>(d), actual,
-                            total_rps_ * config_.overload_headroom)
-                ? 1
-                : 0;
+            g_.IsOverloaded(static_cast<int>(d), actual, total_rps_) ? 1 : 0;
       }
       double overloaded_mass = 0.0;
       for (std::size_t b = 0; b < buckets_.size(); ++b) {
@@ -268,16 +217,14 @@ class AllocationEvaluator {
   }
 
   // Asks G for every decision's delay distribution when the load splits as
-  // `fractions` at `rate_factor` times the planned rate. Columns start
-  // unfetched.
-  void QueryG(const std::vector<double>& fractions, double rate_factor,
-              GOutputs& out) const {
+  // `fractions` at the planned rate. Columns start unfetched.
+  void QueryG(const std::vector<double>& fractions, GOutputs& out) const {
     const int num_decisions = g_.NumDecisions();
     out.delay_of_decision.clear();
     out.delay_of_decision.reserve(static_cast<std::size_t>(num_decisions));
     for (int d = 0; d < num_decisions; ++d) {
       out.delay_of_decision.push_back(
-          g_.DelayDistribution(d, fractions, total_rps_ * rate_factor));
+          g_.DelayDistribution(d, fractions, total_rps_));
     }
     out.columns.assign(static_cast<std::size_t>(num_decisions), nullptr);
   }
@@ -289,52 +236,27 @@ class AllocationEvaluator {
   // same grid points, and each column is a pure function of that content.
   // A probe hashes the content's bits and compares the full content of
   // each entry under that hash; only an insert copies the content. Entries
-  // are mutex-guarded and node-stable (the map is only ever looked up,
-  // never iterated); racing threads computing the same content produce
-  // bitwise identical columns (same accumulation, per-slot writes), and the
-  // first insert wins. When `allow_parallel` (base evaluations only — never
-  // from inside the pool) the per-bucket fills fan out over the pool into
-  // disjoint index slots.
-  const std::vector<double>& QoeColumn(const DiscreteDistribution& f,
-                                       bool allow_parallel) {
+  // are node-stable (the map is only ever looked up, never iterated).
+  const std::vector<double>& QoeColumn(const DiscreteDistribution& f) {
     const auto values = f.values();
     const auto probs = f.probabilities();
     const std::uint64_t hash = ContentHash(values, probs);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (const auto* hit = FindColumn(hash, values, probs)) return *hit;
-    }
-    std::vector<double> column(buckets_.size());
-    const auto fill = [&](std::size_t b) {
-      column[b] = ExpectedQoe(qoe_, buckets_[b].representative, f);
-    };
-    if (allow_parallel && pool_ != nullptr) {
-      pool_->ParallelFor(column.size(), fill);
-    } else {
-      for (std::size_t b = 0; b < column.size(); ++b) fill(b);
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const auto* hit = FindColumn(hash, values, probs)) return *hit;
-    CachedColumn entry{std::vector<double>(values.begin(), values.end()),
-                       std::move(column)};
-    entry.content.insert(entry.content.end(), probs.begin(), probs.end());
-    return qoe_columns_.emplace(hash, std::move(entry))->second.column;
-  }
-
-  // The cached column for this content, or null. Caller holds mu_.
-  const std::vector<double>* FindColumn(std::uint64_t hash,
-                                        std::span<const double> values,
-                                        std::span<const double> probs) const {
     const auto [first, last] = qoe_columns_.equal_range(hash);
     for (auto it = first; it != last; ++it) {
       const std::vector<double>& content = it->second.content;
       if (content.size() == values.size() + probs.size() &&
           SameBytes(std::span(content).first(values.size()), values) &&
           SameBytes(std::span(content).subspan(values.size()), probs)) {
-        return &it->second.column;
+        return it->second.column;
       }
     }
-    return nullptr;
+    CachedColumn entry{std::vector<double>(values.begin(), values.end()),
+                       std::vector<double>(buckets_.size())};
+    entry.content.insert(entry.content.end(), probs.begin(), probs.end());
+    for (std::size_t b = 0; b < entry.column.size(); ++b) {
+      entry.column[b] = ExpectedQoe(qoe_, buckets_[b].representative, f);
+    }
+    return qoe_columns_.emplace(hash, std::move(entry))->second.column;
   }
 
   // Objective score of a fixed mapping under G's outputs `g_out`. Builds one
@@ -346,7 +268,7 @@ class AllocationEvaluator {
   // cache). Columns `g_out` lacks are fetched lazily, so decisions no bucket
   // routed to cost nothing.
   double ScoreMapping(const std::vector<int>& decision_of_bucket,
-                      GOutputs& g_out, bool allow_parallel) {
+                      GOutputs& g_out) {
     const bool need_distribution = objective_.NeedsDistribution();
     std::vector<QoeBucketView> views(buckets_.size());
     // Owns the per-bucket Q(rep + s) vectors the views alias; must outlive
@@ -377,7 +299,7 @@ class AllocationEvaluator {
         view.probabilities = probs;
       } else {
         if (g_out.columns[d] == nullptr) {
-          g_out.columns[d] = &QoeColumn(f, allow_parallel);
+          g_out.columns[d] = &QoeColumn(f);
         }
         view.expected_qoe = (*g_out.columns[d])[b];
       }
@@ -390,7 +312,6 @@ class AllocationEvaluator {
   // into `g_out`.
   void SolveWithFractions(const std::vector<int>& units,
                           const std::vector<double>& fractions,
-                          SolveCounts& counts, bool allow_parallel,
                           Evaluation& eval, GOutputs& g_out) {
     const std::size_t n = buckets_.size();
     std::size_t assigned = 0;
@@ -402,12 +323,12 @@ class AllocationEvaluator {
     // Per-decision delay distributions under this allocation. Edge weights
     // depend only on (bucket, decision) — all slots of one decision share a
     // byte-identical weight column, fetched through the content-keyed
-    // column cache (and filled in parallel on base evaluations).
-    QueryG(fractions, /*rate_factor=*/1.0, g_out);
+    // column cache.
+    QueryG(fractions, g_out);
     const std::vector<DiscreteDistribution>& delay_of_decision =
         g_out.delay_of_decision;
     for (std::size_t d = 0; d < g_out.columns.size(); ++d) {
-      g_out.columns[d] = &QoeColumn(delay_of_decision[d], allow_parallel);
+      g_out.columns[d] = &QoeColumn(delay_of_decision[d]);
     }
     const std::vector<const std::vector<double>*>& qoe_col = g_out.columns;
 
@@ -415,7 +336,7 @@ class AllocationEvaluator {
     eval.expected_qoe_of_bucket.resize(n);
 
     if (config_.mapping == MappingAlgorithm::kTransportation) {
-      SolveTransport(units, qoe_col, counts, eval);
+      SolveTransport(units, qoe_col, eval);
     } else if (config_.mapping == MappingAlgorithm::kOptimalMatching) {
       // Expanded mapping kept for cross-checks: units[d] slots per
       // decision, one column per slot.
@@ -435,7 +356,7 @@ class AllocationEvaluator {
         }
       }
       const AssignmentResult matching = SolveMaxWeightAssignment(weights);
-      ++counts.matchings;
+      ++stats_.matchings_solved;
       for (std::size_t b = 0; b < n; ++b) {
         const int d = decision_of_slot[matching.column_of_row[b]];
         eval.decision_of_bucket[b] = d;
@@ -490,12 +411,12 @@ class AllocationEvaluator {
   // O(n²·D) instead of Hungarian's O(n³) over the expanded slot matrix
   // (matching/transportation.h). Edge weight (b, d) is bucket b's weight
   // times entry b of decision d's column; the negated weights go straight
-  // into this thread's scratch (the sweep may run on the pool).
+  // into this thread's scratch (replay shards solve concurrently).
   void SolveTransport(const std::vector<int>& units,
                       const std::vector<const std::vector<double>*>& qoe_col,
-                      SolveCounts& counts, Evaluation& eval) {
+                      Evaluation& eval) {
     const std::size_t n = buckets_.size();
-    ++counts.transports;
+    ++stats_.transport_solves;
     thread_local TransportationScratch scratch;
     const std::span<double> cost = scratch.Costs(n, units.size());
     for (std::size_t d = 0; d < units.size(); ++d) {
@@ -519,8 +440,6 @@ class AllocationEvaluator {
   double total_rps_;
   const PolicyConfig& config_;
   PolicyStats& stats_;
-  ThreadPool* pool_;  // May be null (serial config); not owned.
-  mutable std::mutex mu_;  // Guards cache_, qoe_columns_, and stats_.
   std::map<std::vector<int>, Evaluation> cache_;
   // Content-keyed expected-QoE columns by ContentHash (see QoeColumn).
   std::unordered_multimap<std::uint64_t, CachedColumn> qoe_columns_;
@@ -532,6 +451,9 @@ PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
   if (total_rps <= 0.0) {
     throw std::invalid_argument("ComputePolicy: total_rps <= 0");
   }
+  if (config.parallel_workers != 1) {
+    throw std::invalid_argument("ComputePolicy: parallel_workers != 1");
+  }
   PolicyResult result;
   result.stats.buckets = static_cast<int>(buckets.size());
 
@@ -539,59 +461,40 @@ PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
   const std::unique_ptr<const Objective> objective =
       MakeObjective(config.objective);
 
-  // Neighbor evaluations are independent given the shared (mutex-guarded)
-  // cache, so the best-improvement sweep fans out across a small pool; base
-  // evaluations reuse the same pool for their expected-QoE column fills.
-  // A pool of 1 (the default) spawns no threads and runs serially.
-  const int workers =
-      std::max(1, config.parallel_workers == 0 ? ThreadPool::DefaultWorkers()
-                                               : config.parallel_workers);
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) pool = std::make_unique<ThreadPool>(workers);
-
   AllocationEvaluator evaluator(qoe, g, *objective, buckets, total_rps,
-                                config, result.stats, pool.get());
+                                config, result.stats);
 
   // Best-improvement hill climbing over single-unit transfers.
   auto climb = [&](std::vector<int> start) {
-    double qoe_now = evaluator.EvaluateBase(start).objective_value;
+    double qoe_now = evaluator.Evaluate(start).objective_value;
     for (int step = 0; step < config.max_hill_climb_steps; ++step) {
-      // Deterministic neighbor enumeration: single-unit transfers in
-      // (from, to) lexicographic order.
-      std::vector<std::pair<std::size_t, std::size_t>> moves;
+      // Deterministic sweep: single-unit transfers in (from, to)
+      // lexicographic order with a strict improvement test, so the first of
+      // equally good neighbors wins.
+      std::vector<int> neighbor = start;
+      std::size_t best_from = 0;
+      std::size_t best_to = 0;
+      double best_neighbor_qoe = qoe_now;
       for (std::size_t from = 0; from < start.size(); ++from) {
         if (start[from] == 0) continue;
         for (std::size_t to = 0; to < start.size(); ++to) {
-          if (to != from) moves.emplace_back(from, to);
+          if (to == from) continue;
+          --neighbor[from];
+          ++neighbor[to];
+          const double neighbor_qoe =
+              evaluator.Evaluate(neighbor).objective_value;
+          ++neighbor[from];
+          --neighbor[to];
+          if (neighbor_qoe > best_neighbor_qoe) {
+            best_neighbor_qoe = neighbor_qoe;
+            best_from = from;
+            best_to = to;
+          }
         }
       }
-      std::vector<double> neighbor_qoe(moves.size());
-      const auto evaluate_move = [&](std::size_t i) {
-        std::vector<int> neighbor = start;
-        --neighbor[moves[i].first];
-        ++neighbor[moves[i].second];
-        neighbor_qoe[i] = evaluator.Evaluate(neighbor).objective_value;
-      };
-      if (pool != nullptr) {
-        pool->ParallelFor(moves.size(), evaluate_move);
-        result.stats.parallel_evals += static_cast<int>(moves.size());
-      } else {
-        for (std::size_t i = 0; i < moves.size(); ++i) evaluate_move(i);
-      }
-      // Merge in neighbor-index order with a strict improvement test:
-      // byte-for-byte the pick the serial sweep makes, independent of the
-      // order the pool executed the evaluations in.
-      std::size_t best_move = moves.size();
-      double best_neighbor_qoe = qoe_now;
-      for (std::size_t i = 0; i < moves.size(); ++i) {
-        if (neighbor_qoe[i] > best_neighbor_qoe) {
-          best_neighbor_qoe = neighbor_qoe[i];
-          best_move = i;
-        }
-      }
-      if (best_move == moves.size()) break;  // Local optimum.
-      --start[moves[best_move].first];
-      ++start[moves[best_move].second];
+      if (best_from == best_to) break;  // Local optimum.
+      --start[best_from];
+      ++start[best_to];
       qoe_now = best_neighbor_qoe;
       ++result.stats.hill_climb_steps;
     }
@@ -691,13 +594,6 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
   }
   return RunPolicy(qoe, g, BuildBuckets(external_delays, config), total_rps,
                    config);
-}
-
-PolicyResult ComputeSlopePolicy(const QoeModel& qoe, const ServerDelayModel& g,
-                                std::span<const DelayMs> external_delays,
-                                double total_rps, PolicyConfig config) {
-  config.mapping = MappingAlgorithm::kSlopeBased;
-  return ComputePolicy(qoe, g, external_delays, total_rps, config);
 }
 
 }  // namespace e2e

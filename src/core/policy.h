@@ -53,14 +53,10 @@ struct PolicyConfig {
   /// Hill-climbing bound; the search almost always converges much earlier.
   int max_hill_climb_steps = 512;
 
-  /// Worker threads for the best-improvement neighbor sweep and for the
-  /// per-bucket expected-QoE column precompute on base evaluations: 0 picks
-  /// ThreadPool::DefaultWorkers() for this machine, 1 forces the serial
-  /// path, N > 1 uses N threads. Any value produces byte-identical tables
-  /// and stats: neighbor evaluations are independent given the shared
-  /// evaluation cache, results merge in neighbor-index order, and the
-  /// column fills write disjoint index slots (docs/PERFORMANCE.md has the
-  /// determinism argument).
+  /// Vestigial: every policy solve runs on its caller's thread, and
+  /// ComputePolicy throws std::invalid_argument for any value but 1. The
+  /// field stays only because the repository benchmark
+  /// (perfbench/workloads.cc) sets it; it goes when that file next changes.
   int parallel_workers = 1;
 
   /// Refine load fractions once from the matched bucket weights and re-run
@@ -74,20 +70,6 @@ struct PolicyConfig {
   /// allocation that overloads a replica is only chosen when every
   /// allocation must (offered load above total capacity).
   double instability_penalty = 0.15;
-
-  /// Burst headroom used only by the instability check: a decision counts
-  /// as overloaded if it would have no steady state at `overload_headroom`
-  /// times the planned rate. Delay predictions themselves stay at the
-  /// planned rate.
-  double overload_headroom = 1.0;
-
-  /// Robust allocation scoring: the hill-climb objective is a mix of the
-  /// expected QoE at the planned rate and at `stress_factor` times it
-  /// (weight `stress_weight` on the stressed term). Offered load in a real
-  /// window swings well above its mean at minute scale; an allocation that
-  /// only works at the mean is fragile.
-  double stress_factor = 1.3;
-  double stress_weight = 0.0;
 
   /// What the top-level allocation search maximizes (qoe/objective.h). The
   /// default mean-QoE objective scores bit-identically to the historical
@@ -113,8 +95,8 @@ struct DecisionTable {
   std::vector<DecisionTableRow> rows;   ///< Sorted by lo.
   std::vector<double> load_fractions;   ///< Resulting per-decision split.
   /// Score of this table under the configured objective (weighted mean
-  /// E[Q] for the default mean objective), including any stress mix and
-  /// instability dock applied by the allocation search. (The pre-objective
+  /// E[Q] for the default mean objective), including the instability dock
+  /// applied by the allocation search. (The pre-objective
   /// `expected_mean_qoe` accessor rode through one release as a deprecated
   /// alias and is gone; this is the only name.)
   double objective_value = 0.0;
@@ -129,9 +111,8 @@ struct DecisionTable {
 };
 
 /// Bookkeeping from one policy computation. All counts are deterministic
-/// for a given input and config, independent of `parallel_workers`: the
-/// evaluation cache admits each distinct allocation once, so racing
-/// threads cannot double-count.
+/// for a given input and config: the evaluation cache admits each distinct
+/// allocation once.
 struct PolicyStats {
   int buckets = 0;
   int hill_climb_steps = 0;
@@ -145,9 +126,6 @@ struct PolicyStats {
   /// its `core.policy.warm_resolves` and `warm_ratio` ledger entries; it
   /// goes when those entries do.
   int warm_resolves = 0;
-  /// Neighbor evaluations dispatched through the thread pool (0 on the
-  /// serial path).
-  int parallel_evals = 0;
 };
 
 /// Result of one policy computation.
@@ -178,12 +156,5 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
 PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            const Bucketizer& external_delays, double total_rps,
                            const PolicyConfig& config);
-
-/// Builds the slope-based baseline's table directly (§7.1): the request
-/// bucket with the steepest QoE slope gets the decision with the smallest
-/// expected delay. Shares the top-level allocation search with E2E.
-PolicyResult ComputeSlopePolicy(const QoeModel& qoe, const ServerDelayModel& g,
-                                std::span<const DelayMs> external_delays,
-                                double total_rps, PolicyConfig config);
 
 }  // namespace e2e

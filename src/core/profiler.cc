@@ -1,36 +1,29 @@
 #include "core/profiler.h"
 
 #include <cstddef>
-#include <optional>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "sim/event_loop.h"
 #include "sim/server.h"
-#include "util/thread_pool.h"
 
 namespace e2e {
 namespace {
 
-// Everything one load level contributes to the profile, computed
-// independently of every other level.
+// What one load level contributes to the profile.
 struct LevelOutcome {
-  double rps = 0.0;
-  std::optional<DiscreteDistribution> delays;
+  DiscreteDistribution delays;
   // True when the level's steady-window delays kept climbing (no steady
-  // state); the serial merge below turns this into max_stable_rps.
+  // state).
   bool unstable = false;
 };
 
 // Simulates one load level. Pure function of (config, rps, the two RNG
-// streams) — levels share no state, which is what makes the parallel sweep
-// byte-identical to the serial one.
+// streams).
 LevelOutcome RunLevel(const ProfilerConfig& config, double rps,
                       Rng server_rng, Rng arrival_rng) {
-  LevelOutcome out;
-  out.rps = rps;
-
   EventLoop loop;
   SimServer server(
       "profilee", loop, config.concurrency,
@@ -66,11 +59,10 @@ LevelOutcome RunLevel(const ProfilerConfig& config, double rps,
   if (steady.empty()) {
     steady.push_back(config.base_service_ms);
   }
-  out.delays =
-      DiscreteDistribution::FromSamples(steady, config.distribution_points);
 
   // Stationarity check: a level whose delays keep climbing through the
   // window has no steady state (the server is overloaded there).
+  bool unstable = false;
   if (steady.size() >= 40) {
     const std::size_t half = steady.size() / 2;
     double first = 0.0, second = 0.0;
@@ -78,66 +70,39 @@ LevelOutcome RunLevel(const ProfilerConfig& config, double rps,
     for (std::size_t i = half; i < steady.size(); ++i) second += steady[i];
     first /= static_cast<double>(half);
     second /= static_cast<double>(steady.size() - half);
-    out.unstable = second > first * 1.4;
+    unstable = second > first * 1.4;
   }
-  return out;
+  return LevelOutcome{
+      DiscreteDistribution::FromSamples(steady, config.distribution_points),
+      unstable};
 }
 
 }  // namespace
 
 LoadProfile ProfileServerOffline(const ProfilerConfig& config) {
   if (config.levels < 1 || config.max_rps <= 0.0 ||
-      config.duration_ms <= 0.0 || config.distribution_points < 1 ||
-      config.parallel_workers < 0) {
+      config.duration_ms <= 0.0 || config.distribution_points < 1) {
     throw std::invalid_argument("ProfileServerOffline: bad config");
   }
-  const std::size_t levels = static_cast<std::size_t>(config.levels);
-
-  // Fork every level's streams up front, serially, in the exact order the
-  // historical serial loop forked them (Rng::Fork advances the parent, so
-  // the order is semantic). The parallel sweep then only touches pre-forked
-  // copies.
   Rng root(config.seed);
-  std::vector<Rng> server_rngs;
-  std::vector<Rng> arrival_rngs;
-  server_rngs.reserve(levels);
-  arrival_rngs.reserve(levels);
-  for (std::size_t idx = 0; idx < levels; ++idx) {
-    const auto level = static_cast<std::uint64_t>(idx + 1);
-    server_rngs.push_back(root.Fork(level));
-    arrival_rngs.push_back(root.Fork(1000 + level));
-  }
-
-  // Per-level sweep: each index writes only its own slot.
-  std::vector<LevelOutcome> slots(levels);
-  const auto run_level = [&](std::size_t idx) {
-    const double rps = config.max_rps * static_cast<double>(idx + 1) /
-                       static_cast<double>(config.levels);
-    slots[idx] = RunLevel(config, rps, server_rngs[idx], arrival_rngs[idx]);
-  };
-  const int workers = config.parallel_workers == 0
-                          ? ThreadPool::DefaultWorkers()
-                          : config.parallel_workers;
-  if (workers > 1 && levels > 1) {
-    ThreadPool pool(workers);
-    pool.ParallelFor(levels, run_level);
-  } else {
-    for (std::size_t idx = 0; idx < levels; ++idx) run_level(idx);
-  }
-
-  // Serial merge in ascending level order — byte-identical to the
-  // historical in-loop bookkeeping. Only the first unstable level can pass
-  // the max_stable_rps guard (later levels have strictly larger rps), and
-  // it backs the ceiling off to the last level before instability showed.
   LoadProfile profile;
   profile.max_rps = config.max_rps;
-  for (std::size_t idx = 0; idx < levels; ++idx) {
-    LevelOutcome& out = slots[idx];
-    profile.level_rps.push_back(out.rps);
-    profile.delays.push_back(std::move(*out.delays));
-    if (out.unstable &&
-        profile.max_stable_rps >
-            profile.level_rps[profile.level_rps.size() - 1]) {
+  for (int level = 1; level <= config.levels; ++level) {
+    const double rps = config.max_rps * static_cast<double>(level) /
+                       static_cast<double>(config.levels);
+    // Rng::Fork advances the parent, so the fork order is part of the
+    // profile's bytes; two statements fix it (function arguments are
+    // evaluated in an unspecified order).
+    Rng server_rng = root.Fork(static_cast<std::uint64_t>(level));
+    Rng arrival_rng = root.Fork(1000 + static_cast<std::uint64_t>(level));
+    LevelOutcome out = RunLevel(config, rps, std::move(server_rng),
+                                std::move(arrival_rng));
+    profile.level_rps.push_back(rps);
+    profile.delays.push_back(std::move(out.delays));
+    // Only the first unstable level can pass this guard (later levels have
+    // strictly larger rps), and it backs the ceiling off to the last level
+    // before instability showed.
+    if (out.unstable && profile.max_stable_rps > rps) {
       const std::size_t count = profile.level_rps.size();
       profile.max_stable_rps =
           count >= 2 ? profile.level_rps[count - 2] : profile.level_rps[0];

@@ -32,14 +32,6 @@ struct ProfilerConfig {
   /// Number of quantile points kept per level's distribution.
   int distribution_points = 12;
 
-  /// Worker threads for the per-level sweep: 0 picks
-  /// ThreadPool::DefaultWorkers(), 1 forces the serial path, N > 1 uses N
-  /// threads. Any value yields a byte-identical profile: every level
-  /// simulates with its own pre-forked RNG streams (forked serially, in the
-  /// historical order) into its own output slot, and the stationarity merge
-  /// consumes the slots serially in level order.
-  int parallel_workers = 1;
-
   std::uint64_t seed = 7;
 };
 

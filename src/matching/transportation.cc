@@ -20,7 +20,8 @@ struct Arrival {
 // One solve's working state. Each solve starts by resetting it, and every
 // buffer entry a row search reads it first writes, so nothing carries
 // between solves; the vectors only keep their capacity. Per thread,
-// because the policy's neighbor solves run concurrently on its worker pool.
+// because the sharded replay's shards solve concurrently (a policy solve
+// itself is serial).
 struct SolveState {
   // Between row searches: the column potentials, the per-column assigned-row
   // lists, and the row→column map. Column c's list is

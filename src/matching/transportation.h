@@ -43,7 +43,8 @@ struct TransportationResult {
 /// WeightMatrix and no copy of the costs. The search state is per-thread
 /// working memory whose per-column row lists share one flat rows×cols
 /// array, so a solve allocates nothing once the buffers have grown to the
-/// largest instance seen. One scratch serves one thread at a time.
+/// largest instance seen. One scratch serves one thread at a time; the
+/// threads are the sharded replay's shards, since a policy solve is serial.
 class TransportationScratch {
  public:
   /// Sizes the cost buffer for a rows×cols instance and returns it for the

@@ -74,7 +74,6 @@ class ReplayEngine {
         config_(config),
         ctrl_(config.common.controller),
         window_ms_(ctrl_.external.window_ms),
-        policy_(ctrl_.policy),
         abandonment_(config.common.abandonment),
         // Telemetry on the frozen virtual clock: counters are bumped only
         // on the serial routing/merge paths, so exports are shard-count-
@@ -86,10 +85,6 @@ class ReplayEngine {
         metric_windows_(
             telemetry_.metrics.AddCounter("controller.windows_streamed")) {
     RequireNoFaultPlan(config.common, caller);
-    // Groups are the unit of parallelism here; the per-group hill climb
-    // runs serially on its shard's thread (nesting pools would
-    // oversubscribe and buys nothing at this granularity).
-    policy_.parallel_workers = 1;
     // Session abandonment (qoe/abandonment.h). The global session set is
     // read on the serial routing path (membership only — never iterated)
     // and written on the serial merge path, so shard threads never touch
@@ -127,7 +122,7 @@ class ReplayEngine {
   }
 
   double window_ms() const { return window_ms_; }
-  const PolicyConfig& policy() const { return policy_; }
+  const PolicyConfig& policy() const { return ctrl_.policy; }
   bool abandonment_on() const { return abandonment_on_; }
   void set_shards(int shards) { out_.stats.shards = shards; }
 
@@ -176,7 +171,7 @@ class ReplayEngine {
     const double rps = static_cast<double>(live) / (window_ms_ / 1000.0) *
                        ctrl_.rps_planning_factor;
     PolicyResult pr =
-        ComputePolicy(qoe, g_, pg.group.externals, rps, policy_);
+        ComputePolicy(qoe, g_, pg.group.externals, rps, ctrl_.policy);
     sg.policy_stats = pr.stats;
     // Per-decision mean server delay under the installed split, computed
     // once per decision actually used.
@@ -368,7 +363,6 @@ class ReplayEngine {
   const ShardedReplayConfig& config_;
   const ControllerConfig& ctrl_;
   double window_ms_;
-  PolicyConfig policy_;
   AbandonmentModel abandonment_;
   bool abandonment_on_ = false;
   std::unordered_set<std::uint64_t> abandoned_sessions_;

@@ -25,7 +25,9 @@ auto ParseWhole(const std::string& key, const std::string& value,
 
 }  // namespace
 
-Flags::Flags(int argc, const char* const* argv) {
+Flags::Flags(int argc, const char* const* argv,
+             std::initializer_list<std::string_view> accepted)
+    : accepted_(accepted.begin(), accepted.end()) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     if (!arg.starts_with("--")) {
@@ -34,44 +36,58 @@ Flags::Flags(int argc, const char* const* argv) {
     }
     const std::string_view body = arg.substr(2);
     const auto eq = body.find('=');
-    if (eq == std::string_view::npos) {
-      values_[std::string(body)] = "true";
-    } else {
-      values_[std::string(body.substr(0, eq))] = std::string(body.substr(eq + 1));
+    const std::string key(body.substr(0, eq));
+    if (!accepted_.contains(key)) {
+      std::string known;
+      for (const std::string& k : accepted_) known += " --" + k;
+      throw std::invalid_argument("Flags: unknown flag --" + key +
+                                  " (accepted:" +
+                                  (known.empty() ? " none" : known) + ")");
     }
+    values_[key] = eq == std::string_view::npos
+                       ? "true"
+                       : std::string(body.substr(eq + 1));
   }
+}
+
+const std::string* Flags::Find(const std::string& key) const {
+  if (!accepted_.contains(key)) {
+    throw std::logic_error("Flags: --" + key + " read but not accepted");
+  }
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
 }
 
 std::string Flags::GetString(const std::string& key,
                              const std::string& fallback) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* value = Find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 double Flags::GetDouble(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return ParseWhole(key, it->second, "a number",
+  const std::string* value = Find(key);
+  if (value == nullptr) return fallback;
+  return ParseWhole(key, *value, "a number",
                     [](const std::string& s, std::size_t* used) {
                       return std::stod(s, used);
                     });
 }
 
 int Flags::GetInt(const std::string& key, int fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return ParseWhole(key, it->second, "an int",
+  const std::string* value = Find(key);
+  if (value == nullptr) return fallback;
+  return ParseWhole(key, *value, "an int",
                     [](const std::string& s, std::size_t* used) {
                       return std::stoi(s, used);
                     });
 }
 
 bool Flags::GetBool(const std::string& key, bool fallback) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second != "false" && it->second != "0";
+  const std::string* value = Find(key);
+  if (value == nullptr) return fallback;
+  return *value != "false" && *value != "0";
 }
 
-bool Flags::Has(const std::string& key) const { return values_.contains(key); }
+bool Flags::Has(const std::string& key) const { return Find(key) != nullptr; }
 
 }  // namespace e2e

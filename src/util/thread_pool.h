@@ -1,5 +1,5 @@
-// Deterministic fork/join worker pool (docs/PERFORMANCE.md, "parallel
-// sweep").
+// Deterministic fork/join worker pool: the sharded replay's fan-out
+// (docs/SCALE.md), the one place the solve path runs threads.
 //
 // The repo's replay guarantee is byte-exact output for identical seeds, so
 // parallelism is only admissible when the *result* is independent of thread

@@ -351,30 +351,26 @@ TEST(ObjectiveReplay, MeanObjectiveInvariantAcrossWorkersAndShards) {
   base.common.controller.policy.objective.kind = ObjectiveKind::kMeanQoe;
   const std::string reference = Replay(base).result.Serialize();
   for (const int shards : {2, 4}) {
-    for (const int workers : {1, 4}) {
-      ShardedReplayConfig config = BaseReplayConfig(shards);
-      config.common.controller.policy.objective.kind = ObjectiveKind::kMeanQoe;
-      config.common.controller.policy.parallel_workers = workers;
-      EXPECT_EQ(Replay(config).result.Serialize(), reference)
-          << "shards=" << shards << " workers=" << workers;
-    }
+    ShardedReplayConfig config = BaseReplayConfig(shards);
+    config.common.controller.policy.objective.kind = ObjectiveKind::kMeanQoe;
+    EXPECT_EQ(Replay(config).result.Serialize(), reference)
+        << "shards=" << shards;
   }
 }
 
 TEST(ObjectiveReplay, DistributionObjectiveInvariantAcrossWorkersAndShards) {
   // kMeanMinusStdev exercises the NeedsDistribution() evaluator path; it
-  // must be just as shard- and worker-invariant as the mean fast path.
-  auto configure = [](int shards, int workers) {
+  // must be just as shard-invariant as the mean fast path.
+  auto configure = [](int shards) {
     ShardedReplayConfig config = BaseReplayConfig(shards);
     config.common.controller.policy.objective.kind =
         ObjectiveKind::kMeanMinusStdev;
     config.common.controller.policy.objective.stdev_lambda = 0.5;
-    config.common.controller.policy.parallel_workers = workers;
     return config;
   };
-  const std::string reference = Replay(configure(1, 1)).result.Serialize();
-  EXPECT_EQ(Replay(configure(4, 1)).result.Serialize(), reference);
-  EXPECT_EQ(Replay(configure(2, 4)).result.Serialize(), reference);
+  const std::string reference = Replay(configure(1)).result.Serialize();
+  EXPECT_EQ(Replay(configure(4)).result.Serialize(), reference);
+  EXPECT_EQ(Replay(configure(2)).result.Serialize(), reference);
 }
 
 // ---- Abandonment through the sharded replay ---------------------------------

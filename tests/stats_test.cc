@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -284,11 +285,15 @@ TEST(Correlation, IndependentNearZero) {
 
 // --- Bucketizer property sweep ------------------------------------------
 
+// Every field is 8 bytes wide so the struct has no padding: gtest names each
+// case by printing the param's raw bytes, and padding bytes are indeterminate,
+// which would give the same case a different test name on every build.
 struct BucketizerCase {
-  int target_buckets;
+  std::int64_t target_buckets;
   double max_span;
   std::uint64_t seed;
 };
+static_assert(sizeof(BucketizerCase) == 24);
 
 class BucketizerProperty : public ::testing::TestWithParam<BucketizerCase> {};
 
@@ -299,7 +304,8 @@ TEST_P(BucketizerProperty, InvariantsHold) {
   for (int i = 0; i < 3000; ++i) {
     samples.push_back(rng.LogNormal(8.0, 0.8));
   }
-  const Bucketizer bucketizer(samples, param.target_buckets, param.max_span);
+  const Bucketizer bucketizer(
+      samples, static_cast<int>(param.target_buckets), param.max_span);
   ASSERT_GE(bucketizer.size(), 1u);
 
   // Populations sum to the sample count; weights sum to 1.

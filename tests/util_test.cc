@@ -112,7 +112,7 @@ TEST(Rng, ForkedStreamsDiffer) {
 TEST(Flags, ParsesKeyValueAndBare) {
   const char* argv[] = {"prog", "--alpha=1.5", "--name=abc", "--verbose",
                         "--count=7"};
-  const Flags flags(5, argv);
+  const Flags flags(5, argv, {"alpha", "name", "verbose", "count", "missing"});
   EXPECT_DOUBLE_EQ(flags.GetDouble("alpha", 0.0), 1.5);
   EXPECT_EQ(flags.GetString("name", ""), "abc");
   EXPECT_TRUE(flags.GetBool("verbose", false));
@@ -124,7 +124,7 @@ TEST(Flags, ParsesKeyValueAndBare) {
 
 TEST(Flags, BoolFalseValues) {
   const char* argv[] = {"prog", "--a=false", "--b=0", "--c=yes"};
-  const Flags flags(4, argv);
+  const Flags flags(4, argv, {"a", "b", "c"});
   EXPECT_FALSE(flags.GetBool("a", true));
   EXPECT_FALSE(flags.GetBool("b", true));
   EXPECT_TRUE(flags.GetBool("c", false));
@@ -132,7 +132,7 @@ TEST(Flags, BoolFalseValues) {
 
 TEST(Flags, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "positional"};
-  EXPECT_THROW(Flags(2, argv), std::invalid_argument);
+  EXPECT_THROW(Flags(2, argv, {}), std::invalid_argument);
 }
 
 // The message of the std::invalid_argument `get` throws, or "" when it does
@@ -152,7 +152,8 @@ TEST(Flags, NumbersMustParseWhole) {
                         "--empty=",    "--big=99999999999",
                         "--huge=1e999", "--space=4 ",  "--neg=-3",
                         "--exp=2.5e-3"};
-  const Flags flags(9, argv);
+  const Flags flags(9, argv, {"shards", "rate", "empty", "big", "huge", "space",
+                              "neg", "exp"});
   // A partial parse is an error naming the flag, not the prefix's value.
   EXPECT_NE(ParseError([&] { flags.GetInt("shards", 1); }).find("--shards"),
             std::string::npos);
@@ -176,6 +177,27 @@ TEST(Flags, NumbersMustParseWhole) {
   EXPECT_EQ(flags.GetInt("neg", 0), -3);
   EXPECT_DOUBLE_EQ(flags.GetDouble("exp", 0.0), 2.5e-3);
   EXPECT_DOUBLE_EQ(flags.GetDouble("neg", 0.0), -3.0);
+}
+
+TEST(Flags, RejectsUnknownKeysNamingThem) {
+  // A typo fails loudly instead of running with defaults: `--shard=4`
+  // where the binary accepts `shards` is an error naming `--shard`.
+  const char* typo[] = {"prog", "--shard=4"};
+  EXPECT_NE(ParseError([&] { Flags(2, typo, {"shards", "volume"}); })
+                .find("--shard "),
+            std::string::npos);
+  // Bare flags are checked the same way, and a binary that takes no flags
+  // rejects every one.
+  const char* bare[] = {"prog", "--verbose"};
+  EXPECT_THROW(Flags(2, bare, {"shards"}), std::invalid_argument);
+  EXPECT_THROW(Flags(2, typo, {}), std::invalid_argument);
+  // Accepted keys parse as before.
+  const char* ok[] = {"prog", "--shards=4"};
+  const Flags flags(2, ok, {"shards", "volume"});
+  EXPECT_EQ(flags.GetInt("shards", 1), 4);
+  EXPECT_FALSE(flags.Has("volume"));
+  // Reading a key the binary never accepted is a bug in the binary.
+  EXPECT_THROW(flags.Has("shard"), std::logic_error);
 }
 
 // ---- TextTable ---------------------------------------------------------------
