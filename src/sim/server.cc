@@ -81,6 +81,10 @@ ServiceTimeFn MakeConvexLoadProfile(double base_ms, double capacity,
   if (base_ms <= 0.0 || capacity <= 0.0) {
     throw std::invalid_argument("MakeConvexLoadProfile: bad parameters");
   }
+  if (!std::isfinite(jitter_sigma) || jitter_sigma < 0.0) {
+    throw std::invalid_argument(
+        "MakeConvexLoadProfile: jitter_sigma not finite and >= 0");
+  }
   return [=](int in_service, Rng& rng) {
     // Contention saturates at `capacity` concurrent jobs: a fully busy
     // server serves at base * (1 + alpha); overload beyond that shows up
@@ -88,8 +92,13 @@ ServiceTimeFn MakeConvexLoadProfile(double base_ms, double capacity,
     const double utilization = std::min(
         1.0, std::max(0.0, static_cast<double>(in_service)) / capacity);
     const double inflation = 1.0 + alpha * std::pow(utilization, beta);
+    // Zero jitter draws nothing: std::normal_distribution requires a
+    // positive stddev.
     const double jitter =
-        std::exp(rng.Normal(-0.5 * jitter_sigma * jitter_sigma, jitter_sigma));
+        jitter_sigma == 0.0
+            ? 1.0
+            : std::exp(rng.Normal(-0.5 * jitter_sigma * jitter_sigma,
+                                  jitter_sigma));
     return base_ms * inflation * jitter;
   };
 }

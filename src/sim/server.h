@@ -108,6 +108,8 @@ class SimServer {
 /// (typically the server's concurrency); total delay under offered load then
 /// rises through queueing, giving the convex load→delay curves the paper
 /// profiles offline at {5%,...,100%} of a server's maximum request rate.
+/// `jitter_sigma` is the jitter's log-space sigma: finite and >= 0, else
+/// std::invalid_argument; 0 means no jitter and no RNG draw.
 ServiceTimeFn MakeConvexLoadProfile(double base_ms, double capacity,
                                     double alpha = 1.0, double beta = 1.6,
                                     double jitter_sigma = 0.35);

@@ -1,6 +1,7 @@
 #include "testbed/workloads.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace e2e {
 
@@ -13,15 +14,18 @@ Trace MakeStandardTrace(double scale, std::uint64_t seed) {
 
 std::vector<TraceRecord> HourSlice(const Trace& trace, PageType page,
                                    int begin_hour, int end_hour) {
-  std::vector<TraceRecord> out;
   const double begin_ms = begin_hour * 3600.0 * 1000.0;
   const double end_ms = end_hour * 3600.0 * 1000.0;
-  for (const auto& r : trace.records) {
-    if (r.page_type == page && r.arrival_ms >= begin_ms &&
-        r.arrival_ms < end_ms) {
-      out.push_back(r);
-    }
-  }
+  const auto in_slice = [&](const TraceRecord& r) {
+    return r.page_type == page && r.arrival_ms >= begin_ms &&
+           r.arrival_ms < end_ms;
+  };
+  // Counted first, so the slice is allocated once at its exact size.
+  std::vector<TraceRecord> out;
+  out.reserve(static_cast<std::size_t>(std::count_if(
+      trace.records.begin(), trace.records.end(), in_slice)));
+  std::copy_if(trace.records.begin(), trace.records.end(),
+               std::back_inserter(out), in_slice);
   return out;
 }
 

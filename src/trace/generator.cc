@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 
 #include "qoe/sigmoid_model.h"
@@ -86,27 +85,53 @@ const std::array<double, 24>& DiurnalLoadFactors() {
 
 TraceGenerator::TraceGenerator(TraceGenParams params)
     : params_(std::move(params)) {
-  if (params_.scale <= 0.0) {
-    throw std::invalid_argument("TraceGenerator: scale <= 0");
+  if (!std::isfinite(params_.scale) || params_.scale <= 0.0) {
+    throw std::invalid_argument("TraceGenerator: scale not finite and > 0");
   }
 }
 
 Trace TraceGenerator::Generate() const {
+  const auto session_count = [this](const PageTypeParams& page) {
+    return static_cast<std::size_t>(
+        std::llround(page.sessions_at_full_scale * params_.scale));
+  };
+
+  // Each session is 1 + Poisson(extra) loads. The expected count plus 1%
+  // (tens of standard deviations at full scale) means the vector never
+  // doubles; an undershoot costs one reallocation. The double is clamped
+  // to [0, 1e10] first: converting a NaN, negative or huge one to a size
+  // is undefined.
+  double expected = 0.0;
+  for (const PageTypeParams& page : params_.pages) {
+    expected += static_cast<double>(session_count(page)) *
+                (1.0 + page.extra_loads_per_session);
+  }
+  const double capacity = expected * 1.01 + 64.0;
   Trace trace;
+  trace.records.reserve(
+      capacity > 0.0 ? static_cast<std::size_t>(std::min(capacity, 1e10))
+                     : 0);
+
   Rng root(params_.seed);
   RequestId next_request = 1;
   std::uint64_t next_session = 1;
   UserId next_user = 1;
 
+  // Per-hour constants: the diurnal sum (also the hour draw's validated
+  // total) and the hour's server-delay inflation.
   const auto& diurnal = DiurnalLoadFactors();
-  const double diurnal_total =
-      std::accumulate(diurnal.begin(), diurnal.end(), 0.0);
+  const double diurnal_total = Rng::CategoricalTotal(diurnal);
+  std::array<double, 24> inflation{};
+  for (std::size_t h = 0; h < inflation.size(); ++h) {
+    const double load_factor = diurnal[h] / (diurnal_total / 24.0);
+    inflation[h] = std::max(
+        0.2, 1.0 + params_.server_load_coupling * (load_factor - 1.0));
+  }
 
   for (int p = 0; p < kNumPageTypes; ++p) {
     const PageTypeParams& page = params_.pages[static_cast<std::size_t>(p)];
     Rng rng = root.Fork(static_cast<std::uint64_t>(p));
-    const auto sessions = static_cast<std::size_t>(
-        std::llround(page.sessions_at_full_scale * params_.scale));
+    const std::size_t sessions = session_count(page);
     const auto url_pool = std::max<std::uint32_t>(
         4, static_cast<std::uint32_t>(page.urls_at_full_scale * params_.scale));
 
@@ -116,39 +141,40 @@ Trace TraceGenerator::Generate() const {
         SigmoidQoeModel::ForPageType(PageTypeFromIndex(p)));
     const SessionModel session_model(qoe, SessionModelParams{});
 
-    std::vector<UserId> seen_users;
-    seen_users.reserve(sessions);
+    // This page's users are exactly [first_user, next_user): a repeat
+    // session picks one of them uniformly.
+    const UserId first_user = next_user;
 
     // Minute-scale burstiness: real web traffic is doubly stochastic, with
     // some minutes ~2x busier than others. Weight each minute of the day
     // by an independent lognormal factor; testbed replays then see the
     // transient queue build-ups that make load-aware allocation matter.
-    std::array<std::vector<double>, 24> minute_weights;
-    for (auto& weights : minute_weights) {
-      weights.resize(60);
-      for (double& w : weights) w = rng.LogNormal(0.0, 0.3);
+    std::array<std::array<double, 60>, 24> minute_weights{};
+    std::array<double, 24> minute_totals{};
+    for (std::size_t h = 0; h < minute_weights.size(); ++h) {
+      for (double& w : minute_weights[h]) w = rng.LogNormal(0.0, 0.3);
+      minute_totals[h] = Rng::CategoricalTotal(minute_weights[h]);
     }
+    const double no_extra_load = std::exp(-page.extra_loads_per_session);
 
     for (std::size_t s = 0; s < sessions; ++s) {
       // Arrival hour drawn from the diurnal profile; minute from the
       // burst weights; uniform within the minute.
-      const auto hour = rng.Categorical(
-          std::span<const double>(diurnal.data(), diurnal.size()));
-      const auto minute = rng.Categorical(minute_weights[hour]);
+      const auto hour = rng.Categorical(diurnal, diurnal_total);
+      const auto minute =
+          rng.Categorical(minute_weights[hour], minute_totals[hour]);
       const double arrival_base =
           (static_cast<double>(hour) * 60.0 + static_cast<double>(minute) +
            rng.Uniform(0.0, 1.0)) *
           60.0 * 1000.0;
-      const double load_factor = diurnal[hour] / (diurnal_total / 24.0);
 
       // User identity: mostly fresh users, some repeats (Table 1 ratios).
       UserId user;
-      if (!seen_users.empty() && rng.Bernoulli(page.repeat_user_fraction)) {
-        user = seen_users[static_cast<std::size_t>(rng.UniformInt(
-            0, static_cast<std::int64_t>(seen_users.size()) - 1))];
+      if (next_user > first_user && rng.Bernoulli(page.repeat_user_fraction)) {
+        const auto known = static_cast<std::int64_t>(next_user - first_user);
+        user = first_user + static_cast<UserId>(rng.UniformInt(0, known - 1));
       } else {
         user = next_user++;
-        seen_users.push_back(user);
       }
       const std::uint64_t session_id = next_session++;
 
@@ -156,7 +182,7 @@ Trace TraceGenerator::Generate() const {
       int loads = 1;
       {
         const double lambda = page.extra_loads_per_session;
-        double acc = std::exp(-lambda);
+        double acc = no_extra_load;
         double u = rng.Uniform(0.0, 1.0);
         double cdf = acc;
         int k = 0;
@@ -174,7 +200,6 @@ Trace TraceGenerator::Generate() const {
       const double session_external =
           rng.LogNormal(page.external_mu, page.external_sigma);
 
-      DelayMs first_total = 0.0;
       double session_time_on_site = 0.0;
       for (int l = 0; l < loads; ++l) {
         TraceRecord rec;
@@ -190,16 +215,13 @@ Trace TraceGenerator::Generate() const {
             std::max(50.0, session_external * std::exp(rng.Normal(0.0, 0.12)));
 
         // Server delay: independent of external delay, load-coupled.
-        const double load_inflation =
-            1.0 + params_.server_load_coupling * (load_factor - 1.0);
         rec.server_delay_ms = std::max(
             1.0, rng.LogNormal(page.server_mu, page.server_sigma) *
-                     std::max(0.2, load_inflation));
+                     inflation[hour]);
 
         if (l == 0) {
-          first_total = rec.TotalDelayMs();
           session_time_on_site =
-              session_model.SampleTimeOnSiteSec(first_total, rng);
+              session_model.SampleTimeOnSiteSec(rec.TotalDelayMs(), rng);
         }
         rec.time_on_site_sec = session_time_on_site;
         trace.records.push_back(rec);
@@ -207,9 +229,14 @@ Trace TraceGenerator::Generate() const {
     }
   }
 
-  std::stable_sort(trace.records.begin(), trace.records.end(),
+  // Ties in arrival keep request-id order. Ids are unique and grow in
+  // generation order, so this total order is exactly what a stable sort
+  // by arrival gives, without its merge buffer.
+  std::sort(trace.records.begin(), trace.records.end(),
             [](const TraceRecord& a, const TraceRecord& b) {
-              return a.arrival_ms < b.arrival_ms;
+              return a.arrival_ms < b.arrival_ms ||
+                     (a.arrival_ms == b.arrival_ms &&
+                      a.request_id < b.request_id);
             });
   return trace;
 }

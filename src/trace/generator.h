@@ -68,9 +68,12 @@ const std::array<double, 24>& DiurnalLoadFactors();
 /// Generates one synthetic day of traffic.
 class TraceGenerator {
  public:
+  /// Throws std::invalid_argument unless `params.scale` is finite and > 0.
   explicit TraceGenerator(TraceGenParams params);
 
-  /// Produces the trace (sorted by arrival time). Deterministic in the seed.
+  /// Produces the trace, sorted by arrival time; records that arrive at
+  /// the same time keep request-id (generation) order. Deterministic in
+  /// the seed.
   Trace Generate() const;
 
  private:

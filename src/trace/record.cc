@@ -1,25 +1,38 @@
 #include "trace/record.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 namespace e2e {
 
-std::vector<TraceRecord> Trace::FilterByPage(PageType type) const {
+namespace {
+
+// Counts the matches before copying, so the result is allocated once at
+// its exact size instead of doubling through the copy.
+template <typename Pred>
+std::vector<TraceRecord> CopyMatching(const std::vector<TraceRecord>& records,
+                                      Pred pred) {
   std::vector<TraceRecord> out;
-  for (const auto& r : records) {
-    if (r.page_type == type) out.push_back(r);
-  }
+  out.reserve(static_cast<std::size_t>(
+      std::count_if(records.begin(), records.end(), pred)));
+  std::copy_if(records.begin(), records.end(), std::back_inserter(out), pred);
   return out;
+}
+
+}  // namespace
+
+std::vector<TraceRecord> Trace::FilterByPage(PageType type) const {
+  return CopyMatching(records, [type](const TraceRecord& r) {
+    return r.page_type == type;
+  });
 }
 
 std::vector<TraceRecord> Trace::FilterByTime(double begin_ms,
                                              double end_ms) const {
-  std::vector<TraceRecord> out;
-  for (const auto& r : records) {
-    if (r.arrival_ms >= begin_ms && r.arrival_ms < end_ms) out.push_back(r);
-  }
-  return out;
+  return CopyMatching(records, [begin_ms, end_ms](const TraceRecord& r) {
+    return r.arrival_ms >= begin_ms && r.arrival_ms < end_ms;
+  });
 }
 
 TraceSummary Summarize(const Trace& trace) {

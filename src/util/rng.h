@@ -70,6 +70,13 @@ class Rng {
   /// Index drawn from the categorical distribution given by `weights`.
   /// Weights must be non-negative with a positive sum.
   std::size_t Categorical(std::span<const double> weights) {
+    return Categorical(weights, CategoricalTotal(weights));
+  }
+
+  /// Sum of `weights` in index order; throws std::invalid_argument on a
+  /// negative weight or a sum that is not positive. Computed once, it lets
+  /// repeated draws from fixed weights skip the re-validation.
+  static double CategoricalTotal(std::span<const double> weights) {
     double total = 0.0;
     for (double w : weights) {
       if (w < 0.0) throw std::invalid_argument("Categorical: negative weight");
@@ -78,6 +85,12 @@ class Rng {
     if (total <= 0.0) {
       throw std::invalid_argument("Categorical: weights sum to zero");
     }
+    return total;
+  }
+
+  /// Categorical draw with `total` = CategoricalTotal(weights); the same
+  /// index, from the same engine state, as the one-argument form.
+  std::size_t Categorical(std::span<const double> weights, double total) {
     double x = Uniform(0.0, total);
     for (std::size_t i = 0; i < weights.size(); ++i) {
       x -= weights[i];

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -310,6 +311,20 @@ TEST(ConvexLoadProfile, JitterHasUnitMean) {
 TEST(ConvexLoadProfile, InvalidParamsThrow) {
   EXPECT_THROW(MakeConvexLoadProfile(0.0, 10.0), std::invalid_argument);
   EXPECT_THROW(MakeConvexLoadProfile(10.0, 0.0), std::invalid_argument);
+  for (const double sigma : {-0.1, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(MakeConvexLoadProfile(10.0, 4.0, 1.0, 1.6, sigma),
+                 std::invalid_argument)
+        << sigma;
+  }
+}
+
+TEST(ConvexLoadProfile, ZeroJitterDrawsNothing) {
+  auto profile = MakeConvexLoadProfile(40.0, 8.0, 1.0, 1.6, 0.0);
+  Rng used(3);
+  Rng untouched(3);
+  EXPECT_EQ(profile(8, used), 80.0);
+  EXPECT_EQ(used.NextU64(), untouched.NextU64());
 }
 
 TEST(Determinism, SameSeedSameSchedule) {

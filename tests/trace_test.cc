@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -155,10 +157,49 @@ TEST(TraceGenerator, SessionsShareExternalDelayBase) {
   EXPECT_GT(multi, 10);  // Poisson extra loads produce multi-load sessions.
 }
 
+// Byte-wise FNV-1a-64 over each field's 8-byte little-endian image, in
+// record order; integers are widened to 64 bits, doubles hashed by bits.
+std::uint64_t RecordHash(const Trace& trace) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const TraceRecord& r : trace.records) {
+    mix(r.request_id);
+    mix(r.user_id);
+    mix(r.session_id);
+    mix(r.url_id);
+    mix(static_cast<std::uint64_t>(r.page_type));
+    mix(std::bit_cast<std::uint64_t>(r.arrival_ms));
+    mix(std::bit_cast<std::uint64_t>(r.external_delay_ms));
+    mix(std::bit_cast<std::uint64_t>(r.server_delay_ms));
+    mix(std::bit_cast<std::uint64_t>(r.time_on_site_sec));
+  }
+  return h;
+}
+
+// Pins every byte the generator emits, so a faster Generate() must keep
+// the same records in the same order.
+TEST(TraceGenerator, RecordBytesArePinned) {
+  const Trace day = SmallTrace(0.1, 20190819);
+  EXPECT_EQ(day.records.size(), 159614u);
+  EXPECT_EQ(RecordHash(day), 0xc08505901e047f2cULL);
+  const Trace small = SmallTrace(0.002, 7);
+  EXPECT_EQ(small.records.size(), 3159u);
+  EXPECT_EQ(RecordHash(small), 0xc0b433f25eab988dULL);
+}
+
 TEST(TraceGenerator, InvalidScaleThrows) {
   TraceGenParams params;
-  params.scale = 0.0;
-  EXPECT_THROW(TraceGenerator{params}, std::invalid_argument);
+  for (const double scale :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    params.scale = scale;
+    EXPECT_THROW(TraceGenerator{params}, std::invalid_argument) << scale;
+  }
 }
 
 TEST(TraceRecord, TotalDelayIsSum) {

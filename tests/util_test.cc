@@ -90,6 +90,45 @@ TEST(Rng, CategoricalFollowsWeights) {
                std::invalid_argument);
 }
 
+// The pre-summed form draws what the one-argument form draws, and
+// validating a total throws what the one-argument form throws.
+TEST(Rng, PresummedCategoricalMatchesOneArgumentForm) {
+  Rng weights_rng(11);
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::vector<double> weights(
+        static_cast<std::size_t>(weights_rng.UniformInt(2, 64)));
+    for (double& w : weights) w = weights_rng.LogNormal(0.0, 1.0);
+    weights[0] = 0.0;  // A zero weight is valid and never drawn.
+    const double total = Rng::CategoricalTotal(weights);
+    Rng a(seed);
+    Rng b(seed);
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(a.Categorical(weights), b.Categorical(weights, total))
+          << "seed " << seed << " draw " << i;
+    }
+    EXPECT_EQ(a.NextU64(), b.NextU64());
+  }
+
+  Rng rng(12);
+  for (const std::vector<double>& bad :
+       {std::vector<double>{-1.0, 2.0}, std::vector<double>{0.0, 0.0}}) {
+    std::string from_draw;
+    std::string from_total;
+    try {
+      rng.Categorical(bad);
+    } catch (const std::invalid_argument& e) {
+      from_draw = e.what();
+    }
+    try {
+      Rng::CategoricalTotal(bad);
+    } catch (const std::invalid_argument& e) {
+      from_total = e.what();
+    }
+    EXPECT_FALSE(from_total.empty());
+    EXPECT_EQ(from_total, from_draw);
+  }
+}
+
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(5);
   std::vector<int> items = {1, 2, 3, 4, 5, 6, 7};
