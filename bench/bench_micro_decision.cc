@@ -185,9 +185,11 @@ void BM_BrokerRecompute(benchmark::State& state) {
   params.seed = 20190819;
   params.scale = 0.1;
   const Trace trace = TraceGenerator(params).Generate();
+  // Named, so the map outlives the loop: a range-for over a member of a
+  // temporary would read freed memory.
+  const auto groups = GroupByWindow(trace.records, 600000.0);
   std::vector<double> externals;
-  for (const TraceRecord& r : GroupByWindow(trace.records, 600000.0)
-                                  .at(WindowKey{PageType::kType1, 16 * 6})) {
+  for (const TraceRecord& r : groups.at(WindowKey{PageType::kType1, 16 * 6})) {
     externals.push_back(r.external_delay_ms);
   }
   const auto qoe = SigmoidQoeModel::TraceTimeOnSite();

@@ -34,12 +34,13 @@ struct ControllerConfig {
   /// overload.
   double rps_planning_factor = 1.0;
 
-  /// Shard count for the sharded full-trace replayer (docs/SCALE.md): page
-  /// type × analysis window groups are partitioned across this many shards,
-  /// each owning its buckets, tables, and telemetry, and re-merged in
-  /// (window, page) index order — byte-identical output at any shard count.
-  /// testbed::ReplayTraceSharded consumes it (0 = one shard per core; its
-  /// header has the convention), and its shard threads are the only
+  /// Shard count for the full-trace replayer (docs/SCALE.md):
+  /// testbed::ReplayTraceSharded solves its (page type × analysis window)
+  /// groups on a pool of min(shards, ThreadPool::DefaultWorkers()) workers
+  /// and flushes closed groups in batches of max(4, 2 · shards), merging
+  /// them in (window, page) order — byte-identical output at any shard
+  /// count. Groups are not partitioned by it. 0 = one worker per core (the
+  /// replay's header has the convention). The pool's workers are the only
   /// threads a policy solve ever runs on; each solve itself is serial. The
   /// live Controller serves one stream and ignores this.
   int shards = 1;

@@ -1,12 +1,10 @@
 #include "testbed/sharded_replay.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <optional>
 #include <stdexcept>
-#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -37,38 +35,34 @@ struct OpenGroup {
   std::vector<std::uint8_t> pre_abandoned;
 };
 
-// A closed group queued on its shard, waiting for the next flush.
+// A closed group waiting for the next flush.
 struct PendingGroup {
   std::int64_t window_index = 0;
   int page_index = 0;
   OpenGroup group;
 };
 
-// A solved group: the shard's output slot, merged serially in
-// (window_index, page_index) order.
+// A solved group: the output slot of its pending group's index, merged
+// serially in index order.
 struct SolvedGroup {
   std::int64_t window_index = 0;
-  int page_index = 0;
   std::vector<RequestOutcome> outcomes;
   PolicyStats policy_stats;
   /// Page model's MaxQoe(), for per-page histogram normalization.
   double max_qoe = 1.0;
   /// Sessions that quit inside this group, in record order. Applied to the
-  /// global abandoned-session set only during the serial merge, so solve()
-  /// stays a pure function and shards never race on shared state.
+  /// global abandoned-session set only during the serial merge, so Solve()
+  /// stays a pure function and workers never race on shared state.
   std::vector<std::uint64_t> newly_abandoned;
 };
 
-// Everything the batch and sharded replayers share: config validation, the
-// pure per-group solve, and the serial merge that owns the abandonment
-// session set, the model-driven metering, and the result aggregates. The
-// two entry points differ only in how groups are *built* — streamed into
-// per-shard maps vs. grouped up front — which the batch-vs-shard parity
-// test (tests/scale_test.cc) pins as unobservable in the output bytes.
+// The replay's config validation, its pure per-group solve, and the serial
+// merge that owns the abandonment session set, the model-driven metering,
+// and the result aggregates.
 class ReplayEngine {
  public:
   ReplayEngine(const QoeModelSelector& qoe_of_page, const ServerDelayModel& g,
-               const ShardedReplayConfig& config, const char* caller)
+               const ShardedReplayConfig& config)
       : qoe_of_page_(qoe_of_page),
         g_(g),
         config_(config),
@@ -77,17 +71,16 @@ class ReplayEngine {
         abandonment_(config.common.abandonment),
         // Telemetry on the frozen virtual clock: counters are bumped only
         // on the serial routing/merge paths, so exports are shard-count-
-        // invariant. The batch path registers the same metric names so its
-        // exports byte-match the sharded ones (the parity contract).
+        // invariant.
         telemetry_(config.common.collect_telemetry, &VirtualClock::Frozen()),
         metric_merges_(
             telemetry_.metrics.AddCounter("controller.shard_merges")),
         metric_windows_(
             telemetry_.metrics.AddCounter("controller.windows_streamed")) {
-    RequireNoFaultPlan(config.common, caller);
+    RequireNoFaultPlan(config.common, "ReplayTraceSharded");
     // Session abandonment (qoe/abandonment.h). The global session set is
     // read on the serial routing path (membership only — never iterated)
-    // and written on the serial merge path, so shard threads never touch
+    // and written on the serial merge path, so pool workers never touch
     // it. The counter is registered only when the model is live, keeping
     // stock runs' telemetry exports byte-identical.
     abandonment_on_ = abandonment_.enabled();
@@ -141,11 +134,10 @@ class ReplayEngine {
   }
 
   // Solves one closed group: a pure function of (records, config), so any
-  // shard may run it in any order without touching the merged bytes.
+  // worker may run it in any order without touching the merged bytes.
   SolvedGroup Solve(const PendingGroup& pg) const {
     SolvedGroup sg;
     sg.window_index = pg.window_index;
-    sg.page_index = pg.page_index;
     const QoeModel& qoe = qoe_of_page_(PageTypeFromIndex(pg.page_index));
     sg.max_qoe = qoe.MaxQoe();
     sg.outcomes.reserve(pg.group.records.size());
@@ -224,7 +216,7 @@ class ReplayEngine {
   // Folds one solved group into the result. Serial path only, and callers
   // must present groups in ascending (window_index, page_index) order —
   // that ordering is what makes the abandonment set, the model metering,
-  // and the aggregates shard-count- and path-invariant.
+  // and the aggregates shard-count-invariant.
   void Merge(SolvedGroup& sg) {
     AdvanceModel(static_cast<double>(sg.window_index) * window_ms_);
     ++out_.stats.groups_merged;
@@ -414,57 +406,30 @@ ShardedReplayResult ReplayTraceSharded(std::span<const TraceRecord> records,
   const int shards =
       ctrl.shards == 0 ? ThreadPool::DefaultWorkers() : ctrl.shards;
 
-  ReplayEngine engine(qoe_of_page, g, config, "ReplayTraceSharded");
+  ReplayEngine engine(qoe_of_page, g, config);
   engine.set_shards(shards);
+  // A one-worker pool spawns no thread, so a serial replay leaves the
+  // process in libstdc++'s single-threaded mode (DESIGN.md §6).
+  ThreadPool pool(std::min(shards, ThreadPool::DefaultWorkers()));
 
-  // Per-shard state, touched only by the owning shard during a flush and by
-  // the (serial) router between flushes.
-  std::vector<std::map<std::pair<std::int64_t, int>, OpenGroup>> open(
-      static_cast<std::size_t>(shards));
-  std::vector<std::vector<PendingGroup>> pending(
-      static_cast<std::size_t>(shards));
-  std::vector<std::vector<SolvedGroup>> solved(
-      static_cast<std::size_t>(shards));
+  // Records arrive sorted by arrival and StreamByWindow closes windows in
+  // ascending order, so only one window is ever open: one slot per page.
+  std::array<std::optional<OpenGroup>, kNumPageTypes> open;
+  // Closed groups, appended in page order at each window close, so the
+  // list is already in ascending (window, page) order.
+  std::vector<PendingGroup> pending;
 
-  std::unique_ptr<ThreadPool> pool;
-  if (shards > 1) {
-    pool = std::make_unique<ThreadPool>(
-        std::min(shards, ThreadPool::DefaultWorkers()));
-  }
-
-  // Solves every pending group (fanned out one shard per index) and merges
-  // the results serially in ascending (window, page) order. Closes arrive
-  // in ascending window order and a window's groups close atomically, so
-  // per-flush sorted merges concatenate into the globally sorted order —
-  // flush batching cannot reach the output bytes (docs/SCALE.md).
+  // Solves every pending group (fanned out one index per group) and merges
+  // the results serially in index order, which is (window, page) order.
+  // Flush batching therefore cannot reach the output bytes
+  // (docs/SCALE.md).
   const auto flush = [&] {
-    std::size_t total = 0;
-    for (const auto& p : pending) total += p.size();
-    if (total == 0) return;
-    const auto run_shard = [&](std::size_t s) {
-      solved[s].clear();
-      solved[s].reserve(pending[s].size());
-      for (const PendingGroup& pg : pending[s]) {
-        solved[s].push_back(engine.Solve(pg));
-      }
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(static_cast<std::size_t>(shards), run_shard);
-    } else {
-      run_shard(0);
-    }
-    std::vector<SolvedGroup*> order;
-    order.reserve(total);
-    for (auto& shard_solved : solved) {
-      for (SolvedGroup& sg : shard_solved) order.push_back(&sg);
-    }
-    std::sort(order.begin(), order.end(),
-              [](const SolvedGroup* a, const SolvedGroup* b) {
-                return std::tie(a->window_index, a->page_index) <
-                       std::tie(b->window_index, b->page_index);
-              });
-    for (SolvedGroup* sg : order) engine.Merge(*sg);
-    for (auto& p : pending) p.clear();
+    std::vector<SolvedGroup> solved(pending.size());
+    pool.ParallelFor(pending.size(), [&](std::size_t i) {
+      solved[i] = engine.Solve(pending[i]);
+    });
+    for (SolvedGroup& sg : solved) engine.Merge(sg);
+    pending.clear();
   };
 
   // Abandonment requires every window's quits to be merged into the global
@@ -480,86 +445,36 @@ ShardedReplayResult ReplayTraceSharded(std::span<const TraceRecord> records,
   StreamByWindow(
       records, engine.window_ms(),
       [&](const WindowKey& key, const TraceRecord& r) {
-        const int page = Index(key.page_type);
-        const auto shard = static_cast<std::size_t>(
-            (key.window_index * kNumPageTypes + page) %
-            static_cast<std::int64_t>(shards));
-        const auto [it, inserted] = open[shard].try_emplace(
-            std::pair<std::int64_t, int>(key.window_index, page),
-            engine.policy().target_buckets,
-            engine.policy().max_bucket_span_ms);
+        std::optional<OpenGroup>& group =
+            open[static_cast<std::size_t>(Index(key.page_type))];
+        if (!group) {
+          group.emplace(engine.policy().target_buckets,
+                        engine.policy().max_bucket_span_ms);
+        }
         // A session that abandoned in an earlier window contributes no
         // load: its record is routed (for the conservation count and its
         // kAbandoned outcome) but kept out of the group's bucketizer.
         const bool gone = engine.SessionGone(r.session_id);
-        if (!gone) it->second.externals.Add(r.external_delay_ms);
-        it->second.records.push_back(&r);
-        it->second.pre_abandoned.push_back(gone ? 1 : 0);
+        if (!gone) group->externals.Add(r.external_delay_ms);
+        group->records.push_back(&r);
+        group->pre_abandoned.push_back(gone ? 1 : 0);
         engine.RecordRouted();
       },
-      [&](std::int64_t) {
+      [&](std::int64_t window_index) {
         engine.WindowClosed();
-        // Every group still open belongs to the index being closed (records
-        // are sorted and all earlier indices were closed already); hand them
-        // to their shards' pending queues.
-        for (std::size_t s = 0; s < open.size(); ++s) {
-          for (auto it = open[s].begin(); it != open[s].end();
-               it = open[s].erase(it)) {
-            pending[s].push_back(PendingGroup{it->first.first,
-                                              it->first.second,
-                                              std::move(it->second)});
-          }
+        // Every open group belongs to the window being closed (records are
+        // sorted and all earlier windows were closed already).
+        for (int page = 0; page < kNumPageTypes; ++page) {
+          std::optional<OpenGroup>& group =
+              open[static_cast<std::size_t>(page)];
+          if (!group) continue;
+          pending.push_back(
+              PendingGroup{window_index, page, std::move(*group)});
+          group.reset();
         }
-        std::size_t total = 0;
-        for (const auto& p : pending) total += p.size();
-        if (total >= flush_threshold) flush();
+        if (pending.size() >= flush_threshold) flush();
       });
   flush();
-  return engine.Finish(records.size());
-}
-
-ShardedReplayResult ReplayTrace(std::span<const TraceRecord> records,
-                                const QoeModelSelector& qoe_of_page,
-                                const ServerDelayModel& g,
-                                const ShardedReplayConfig& config) {
-  ReplayEngine engine(qoe_of_page, g, config, "ReplayTrace");
-  engine.set_shards(1);  // The batch path is inherently serial.
-
-  // Batch grouping: the whole day's (window, page) record lists are built
-  // up front — peak memory O(day), the bound the sharded path exists to
-  // beat. Only record *pointers* are grouped here; each group's bucketizer
-  // and pre-abandoned flags are built when its window comes up below, after
-  // every earlier window's quits merged — the same visibility the sharded
-  // router has, where all earlier windows flushed before a record routes.
-  std::map<std::int64_t, std::map<int, std::vector<const TraceRecord*>>> day;
-  StreamByWindow(
-      records, engine.window_ms(),
-      [&](const WindowKey& key, const TraceRecord& r) {
-        day[key.window_index][Index(key.page_type)].push_back(&r);
-        engine.RecordRouted();
-      },
-      [&](std::int64_t) { engine.WindowClosed(); });
-
-  for (auto& [window_index, pages] : day) {
-    // Build and solve every group of this window before merging any of
-    // them: a quit inside (w, p0) must not reach (w, p1)'s load — quits
-    // take effect from the next analysis window on.
-    std::vector<SolvedGroup> solved;
-    solved.reserve(pages.size());
-    for (auto& [page, group_records] : pages) {
-      PendingGroup pg{window_index, page,
-                      OpenGroup(engine.policy().target_buckets,
-                                engine.policy().max_bucket_span_ms)};
-      for (const TraceRecord* r : group_records) {
-        const bool gone = engine.SessionGone(r->session_id);
-        if (!gone) pg.group.externals.Add(r->external_delay_ms);
-        pg.group.records.push_back(r);
-        pg.group.pre_abandoned.push_back(gone ? 1 : 0);
-      }
-      solved.push_back(engine.Solve(pg));
-    }
-    for (SolvedGroup& sg : solved) engine.Merge(sg);
-  }
   return engine.Finish(records.size());
 }
 

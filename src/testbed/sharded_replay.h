@@ -1,21 +1,22 @@
-// Sharded full-trace controller replay (docs/SCALE.md).
+// Full-trace controller replay (docs/SCALE.md).
 //
 // Replays a whole recorded day through the E2E policy at full volume by
 // streaming the arrival-sorted trace once and solving each (page type ×
 // analysis window) group independently: the group's external delays
 // accumulate into a streaming Bucketizer as records arrive, and when the
 // window closes the group's decision table is computed and applied to its
-// records. Groups are partitioned across `ControllerConfig::shards` shards
-// — each shard owns its open windows, bucketizers, and solved tables — and
-// solved groups are re-merged in ascending (window, page type) order, so
-// the output byte stream is identical at any shard count (the scale test
-// tier proves shards ∈ {1, 2, 4, 7} byte-equal).
+// records. Because the trace is sorted, only one window is open at a time.
+// Closed groups queue in (window, page) order; each flush solves them on a
+// pool of `ControllerConfig::shards` workers, one index per group, and
+// merges the solved groups serially in index order, so the output byte
+// stream is identical at any shard count (the scale test tier proves
+// shards ∈ {1, 2, 4, 7} byte-equal).
 //
-// Peak memory is O(window × shards), not O(day): only the currently open
-// windows hold records, and with `keep_outcomes == false` per-request
-// outcomes are folded into running aggregates at each merge instead of
-// being retained (bench/bench_scale.cc replays the paper's full 1.6M-load
-// day this way).
+// Peak memory is O(window × flush batch), not O(day): only the open window
+// and the groups awaiting a flush hold records, and with
+// `keep_outcomes == false` per-request outcomes are folded into running
+// aggregates at each merge instead of being retained (perfbench's
+// `replay_day` workload replays the paper's full 1.6M-load day this way).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,7 @@
 
 namespace e2e {
 
-/// Configuration for one sharded replay. The shard count, analysis window
+/// Configuration for one replay. The shard count, analysis window
 /// (`controller.external.window_ms`), and policy knobs come from
 /// `common.controller`; `common.seed` only labels the run (the replay is
 /// seed-free — every step is a pure function of the trace and config).
@@ -89,8 +90,9 @@ struct ShardedReplayResult {
 /// the mean of that decision's delay distribution under the planned split.
 /// The shard count is `config.common.controller.shards`
 /// (ControllerConfig::shards): 0 picks ThreadPool::DefaultWorkers(), 1 is
-/// serial, N > 1 uses N shards (negative throws). Fault plans are not
-/// supported (RequireNoFaultPlan).
+/// serial, N > 1 solves on min(N, DefaultWorkers()) pool workers and
+/// flushes every max(4, 2N) closed groups (negative throws). Fault plans
+/// are not supported (RequireNoFaultPlan).
 ///
 /// When `common.abandonment.enabled`, a session whose total delay
 /// (external + planned mean server delay) exceeds its seeded patience quits:
@@ -102,26 +104,11 @@ struct ShardedReplayResult {
 /// routes, so results stay byte-identical at any shard count
 /// (docs/OBJECTIVES.md has the full semantics).
 /// `qoe_of_page` (and the models it returns) must be safe to call from
-/// several shard threads at once — the standard selectors return immutable
+/// several pool workers at once — the standard selectors return immutable
 /// models and are.
 ShardedReplayResult ReplayTraceSharded(std::span<const TraceRecord> records,
                                        const QoeModelSelector& qoe_of_page,
                                        const ServerDelayModel& g,
                                        const ShardedReplayConfig& config);
-
-/// Batch counterpart of ReplayTraceSharded: groups the whole trace by
-/// (window, page type) up front — peak memory O(day), the historical
-/// pre-sharding behavior docs/SCALE.md describes — then solves and merges
-/// the groups serially in ascending (window, page) order. Shares the
-/// per-group solve and serial merge with the sharded path, including the
-/// abandonment semantics and the model-driven gate metering, so its output
-/// (ExperimentResult::Serialize(), telemetry exports, qoe_summary,
-/// qoe_histogram) byte-matches ReplayTraceSharded at any shard count; the
-/// batch-vs-shard abandonment-parity test (tests/scale_test.cc) pins this.
-/// `ControllerConfig::shards` is ignored (the batch path is serial).
-ShardedReplayResult ReplayTrace(std::span<const TraceRecord> records,
-                                const QoeModelSelector& qoe_of_page,
-                                const ServerDelayModel& g,
-                                const ShardedReplayConfig& config);
 
 }  // namespace e2e

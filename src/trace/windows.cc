@@ -7,7 +7,7 @@ namespace e2e {
 
 std::map<WindowKey, std::vector<TraceRecord>> GroupByWindow(
     std::span<const TraceRecord> records, double window_ms) {
-  if (window_ms <= 0.0) {
+  if (!(window_ms > 0.0)) {  // NaN fails too.
     throw std::invalid_argument("GroupByWindow: window_ms <= 0");
   }
   std::map<WindowKey, std::vector<TraceRecord>> groups;
@@ -24,7 +24,7 @@ void StreamByWindow(
     std::span<const TraceRecord> records, double window_ms,
     const std::function<void(const WindowKey&, const TraceRecord&)>& on_record,
     const std::function<void(std::int64_t)>& on_close) {
-  if (window_ms <= 0.0) {
+  if (!(window_ms > 0.0)) {  // NaN fails too.
     throw std::invalid_argument("StreamByWindow: window_ms <= 0");
   }
   bool open = false;

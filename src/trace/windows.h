@@ -25,8 +25,8 @@ struct WindowKey {
 };
 
 /// Groups records by page type and fixed-size arrival window.
-/// `window_ms` must be positive. Record order within a group follows the
-/// input order.
+/// `window_ms` must be positive (NaN throws). Record order within a group
+/// follows the input order.
 std::map<WindowKey, std::vector<TraceRecord>> GroupByWindow(
     std::span<const TraceRecord> records, double window_ms);
 
@@ -38,7 +38,8 @@ std::map<WindowKey, std::vector<TraceRecord>> GroupByWindow(
 /// complete at that point), and once more for the final window after the
 /// last record. A close for index i is emitted even when i held no records,
 /// so consumers can rely on one close per index in [first, last]. Throws
-/// when `window_ms <= 0` or the records are not sorted by arrival_ms.
+/// when `window_ms` is not positive (NaN included) or the records are not
+/// sorted by arrival_ms.
 void StreamByWindow(
     std::span<const TraceRecord> records, double window_ms,
     const std::function<void(const WindowKey&, const TraceRecord&)>& on_record,

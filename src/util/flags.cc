@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string_view>
 
@@ -8,7 +9,8 @@ namespace {
 
 // Parses the whole of `--key`'s value with `parse` (a std::sto* call taking
 // the end-position out-parameter). A partial parse ("4x"), an empty value
-// and an out-of-range one all throw std::invalid_argument naming the flag.
+// and an out-of-range one (`parse` throwing std::out_of_range) all throw
+// std::invalid_argument naming the flag.
 template <typename Parse>
 auto ParseWhole(const std::string& key, const std::string& value,
                 const char* what, Parse parse) {
@@ -69,7 +71,13 @@ double Flags::GetDouble(const std::string& key, double fallback) const {
   if (value == nullptr) return fallback;
   return ParseWhole(key, *value, "a number",
                     [](const std::string& s, std::size_t* used) {
-                      return std::stod(s, used);
+                      // std::stod parses "nan" and "inf" whole; no flag
+                      // takes a non-finite setting.
+                      const double parsed = std::stod(s, used);
+                      if (!std::isfinite(parsed)) {
+                        throw std::out_of_range("non-finite");
+                      }
+                      return parsed;
                     });
 }
 

@@ -6,8 +6,7 @@
 
 namespace e2e {
 
-ThreadPool::ThreadPool(int workers)
-    : workers_(std::min(workers, OversubscriptionCap())) {
+ThreadPool::ThreadPool(int workers) : workers_(workers) {
   if (workers < 1) {
     throw std::invalid_argument("ThreadPool: workers < 1");
   }
@@ -30,10 +29,6 @@ int ThreadPool::DefaultWorkers() {
   const unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) return 1;
   return static_cast<int>(std::min(hw, 16u));
-}
-
-int ThreadPool::OversubscriptionCap() {
-  return std::max(4, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 bool ThreadPool::DrainCurrentJob(std::unique_lock<std::mutex>& lock) {

@@ -32,10 +32,6 @@ class ThreadPool {
  public:
   /// Creates a pool that runs work on `workers` threads total (the caller
   /// plus `workers - 1` background threads). `workers < 1` throws.
-  /// Requests beyond OversubscriptionCap() are clamped to the cap: extra
-  /// threads past hardware concurrency only add contention on the job
-  /// mutex, and because ParallelFor merges in index order the clamp cannot
-  /// change any output bytes — only how many threads compute them.
   explicit ThreadPool(int workers);
 
   /// Joins the background threads. ParallelFor blocks until its job is
@@ -60,14 +56,6 @@ class ThreadPool {
   /// Sensible default worker count for this machine: hardware concurrency
   /// clamped to [1, 16]. 1 (serial) when the hardware reports nothing.
   static int DefaultWorkers();
-
-  /// Hard ceiling the constructor clamps `workers` to:
-  /// max(4, hardware concurrency). The floor of 4 keeps small explicit
-  /// worker counts honest (tests assert pool.workers() == requested) even
-  /// on single-core machines, where a couple of extra threads are harmless;
-  /// far larger requests (e.g. a shard count leaked into a worker count)
-  /// are the silent-degradation case the clamp exists for.
-  static int OversubscriptionCap();
 
  private:
   // One fork/join batch. Workers claim indices from `next`; the last

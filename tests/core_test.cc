@@ -495,7 +495,7 @@ TEST(ComputePolicy, TransportationMatchesHungarianByteForByte) {
   EXPECT_EQ(fast.stats.transport_solves, reference.stats.matchings_solved);
 }
 
-TEST(ComputePolicy, WarmResolvesFireAndMatchHungarianByteForByte) {
+TEST(ComputePolicy, TieredModelMatchesHungarianByteForByte) {
   // With a fraction-insensitive delay model the weight matrix is bitwise
   // identical across every allocation and only the capacities differ
   // between solves — the regime a warm-started re-solve would target. No

@@ -10,12 +10,15 @@
 //  * StreamByWindow: the O(window)-memory router visits exactly the groups
 //    GroupByWindow builds, closing window indices in ascending order.
 //  * ReplayTraceSharded: shard counts {1, 2, 4, 7} produce byte-for-byte
-//    identical ExperimentResult::Serialize() and telemetry exports.
+//    identical ExperimentResult::Serialize() and telemetry exports, and
+//    every outcome matches an oracle built from public headers only.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <span>
 #include <stdexcept>
@@ -438,6 +441,11 @@ TEST(ScaleStream, StreamByWindowValidatesInput) {
                std::invalid_argument);
   EXPECT_THROW(StreamByWindow(unsorted, 0.0, sink_record, sink_close),
                std::invalid_argument);
+  // A sorted one-record trace, so only the NaN window can throw.
+  EXPECT_THROW(StreamByWindow(std::span<const TraceRecord>(unsorted).first(1),
+                              std::numeric_limits<double>::quiet_NaN(),
+                              sink_record, sink_close),
+               std::invalid_argument);
   // An empty trace streams nothing and closes nothing.
   bool called = false;
   StreamByWindow(std::span<const TraceRecord>{}, 10.0,
@@ -553,52 +561,113 @@ TEST(ScaleReplay, InvalidConfigsThrow) {
       std::invalid_argument);
 }
 
-// ---- Batch vs sharded parity ----------------------------------------------
+// ---- Independent oracle and shard-count parity ----------------------------
 //
-// The batch ReplayTrace and the sharded replay share their per-group solve
-// and serial merge; these tests pin that the grouping difference (up-front
-// O(day) vs streamed O(window × shards)) never reaches the output bytes —
-// in particular through the abandonment session set, whose visibility rules
-// (quits land at window close, affect the *next* window's load) are exactly
-// where the two paths could diverge.
+// The oracle rebuilds the replay from public headers only: StreamByWindow
+// groups the day, each closed (window, page) group feeds a Bucketizer and
+// ComputePolicy, and each record takes the LookupRow decision and is charged
+// Q(external + that decision's planned mean delay). It shares no code with
+// ReplayTraceSharded's routing, queueing or merge, so it checks them
+// independently. The stock config has no abandonment or metering; those
+// paths are pinned by shard-count parity below.
 
-void ExpectReplayParity(const ShardedReplayResult& batch,
-                        const ShardedReplayResult& sharded,
-                        const char* context) {
-  EXPECT_EQ(batch.result.Serialize(), sharded.result.Serialize()) << context;
-  EXPECT_EQ(batch.result.telemetry.SerializeText(),
-            sharded.result.telemetry.SerializeText())
-      << context;
-  EXPECT_EQ(batch.result.telemetry.SerializeJson(),
-            sharded.result.telemetry.SerializeJson())
-      << context;
-  EXPECT_EQ(batch.stats.records, sharded.stats.records) << context;
-  EXPECT_EQ(batch.stats.windows_streamed, sharded.stats.windows_streamed)
-      << context;
-  EXPECT_EQ(batch.stats.groups_merged, sharded.stats.groups_merged) << context;
-  EXPECT_EQ(batch.qoe_summary.count(), sharded.qoe_summary.count()) << context;
-  EXPECT_EQ(batch.qoe_summary.mean(), sharded.qoe_summary.mean()) << context;
-  EXPECT_EQ(batch.qoe_summary.variance(), sharded.qoe_summary.variance())
-      << context;
-  ASSERT_EQ(batch.qoe_histogram.size(), sharded.qoe_histogram.size());
-  for (std::size_t i = 0; i < batch.qoe_histogram.size(); ++i) {
-    EXPECT_EQ(batch.qoe_histogram[i], sharded.qoe_histogram[i])
-        << context << " bin " << i;
+struct OracleReplay {
+  std::vector<RequestOutcome> outcomes;  // In (window, page, record) order.
+  std::uint64_t groups = 0;
+};
+
+OracleReplay ReplayOracle(std::span<const TraceRecord> records,
+                          const QoeModelSelector& qoe_of_page,
+                          const ServerDelayModel& g,
+                          const ControllerConfig& ctrl) {
+  const double window_ms = ctrl.external.window_ms;
+  OracleReplay out;
+  std::map<PageType, std::vector<const TraceRecord*>> open;
+  StreamByWindow(
+      records, window_ms,
+      [&](const WindowKey& key, const TraceRecord& r) {
+        open[key.page_type].push_back(&r);
+      },
+      [&](std::int64_t) {
+        for (const auto& [page, group] : open) {
+          const QoeModel& qoe = qoe_of_page(page);
+          Bucketizer externals(ctrl.policy.target_buckets,
+                               ctrl.policy.max_bucket_span_ms);
+          for (const TraceRecord* r : group) {
+            externals.Add(r->external_delay_ms);
+          }
+          const double rps = static_cast<double>(group.size()) /
+                             (window_ms / 1000.0) * ctrl.rps_planning_factor;
+          const PolicyResult pr =
+              ComputePolicy(qoe, g, externals, rps, ctrl.policy);
+          for (const TraceRecord* r : group) {
+            RequestOutcome o;
+            o.id = r->request_id;
+            o.decision = pr.table.LookupRow(r->external_delay_ms).decision;
+            o.server_delay_ms =
+                g.DelayDistribution(o.decision, pr.table.load_fractions, rps)
+                    .Mean();
+            o.qoe = qoe.Qoe(r->external_delay_ms + o.server_delay_ms);
+            out.outcomes.push_back(o);
+          }
+          ++out.groups;
+        }
+        open.clear();
+      });
+  return out;
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(ScaleReplay, OracleMatchesShardedStock) {
+  const auto& records = TestTrace().records;
+  const OracleReplay oracle =
+      ReplayOracle(records, TestSelector(), TestServerModel(),
+                   BaseReplayConfig(1).common.controller);
+  ASSERT_GT(oracle.groups, 0u);
+  for (const int shards : {1, 4}) {
+    const ShardedReplayResult replay =
+        ReplayTraceSharded(records, TestSelector(), TestServerModel(),
+                           BaseReplayConfig(shards));
+    EXPECT_EQ(replay.stats.groups_merged, oracle.groups) << "shards=" << shards;
+    ASSERT_EQ(replay.result.outcomes.size(), oracle.outcomes.size())
+        << "shards=" << shards;
+    for (std::size_t i = 0; i < oracle.outcomes.size(); ++i) {
+      const RequestOutcome& want = oracle.outcomes[i];
+      const RequestOutcome& got = replay.result.outcomes[i];
+      ASSERT_TRUE(got.id == want.id && got.decision == want.decision &&
+                  Bits(got.server_delay_ms) == Bits(want.server_delay_ms) &&
+                  Bits(got.qoe) == Bits(want.qoe) && got.status == want.status)
+          << "shards=" << shards << ": outcome " << i << " (request "
+          << want.id << ") differs from the oracle";
+    }
   }
 }
 
-TEST(ScaleReplay, BatchReplayMatchesShardedStock) {
-  const auto& records = TestTrace().records;
-  const ShardedReplayResult batch = ReplayTrace(
-      records, TestSelector(), TestServerModel(), BaseReplayConfig(1));
-  EXPECT_EQ(batch.stats.shards, 1);
-  ASSERT_GT(batch.stats.groups_merged, 0u);
-  for (const int shards : {1, 4}) {
-    const ShardedReplayResult sharded =
-        ReplayTraceSharded(records, TestSelector(), TestServerModel(),
-                           BaseReplayConfig(shards));
-    ExpectReplayParity(batch, sharded,
-                       shards == 1 ? "stock shards=1" : "stock shards=4");
+void ExpectReplayParity(const ShardedReplayResult& serial,
+                        const ShardedReplayResult& sharded,
+                        const std::string& context) {
+  EXPECT_EQ(serial.result.Serialize(), sharded.result.Serialize()) << context;
+  EXPECT_EQ(serial.result.telemetry.SerializeText(),
+            sharded.result.telemetry.SerializeText())
+      << context;
+  EXPECT_EQ(serial.result.telemetry.SerializeJson(),
+            sharded.result.telemetry.SerializeJson())
+      << context;
+  EXPECT_EQ(serial.stats.records, sharded.stats.records) << context;
+  EXPECT_EQ(serial.stats.windows_streamed, sharded.stats.windows_streamed)
+      << context;
+  EXPECT_EQ(serial.stats.groups_merged, sharded.stats.groups_merged)
+      << context;
+  EXPECT_EQ(serial.qoe_summary.count(), sharded.qoe_summary.count())
+      << context;
+  EXPECT_EQ(serial.qoe_summary.mean(), sharded.qoe_summary.mean()) << context;
+  EXPECT_EQ(serial.qoe_summary.variance(), sharded.qoe_summary.variance())
+      << context;
+  ASSERT_EQ(serial.qoe_histogram.size(), sharded.qoe_histogram.size());
+  for (std::size_t i = 0; i < serial.qoe_histogram.size(); ++i) {
+    EXPECT_EQ(serial.qoe_histogram[i], sharded.qoe_histogram[i])
+        << context << " bin " << i;
   }
 }
 
@@ -614,29 +683,30 @@ ShardedReplayConfig AbandonmentReplayConfig(int shards) {
   return config;
 }
 
-TEST(ScaleReplay, BatchReplayMatchesShardedWithAbandonment) {
+// Quits land at window close and affect the *next* window's load, so the
+// abandonment session set is where a shard count could leak into the bytes.
+TEST(ScaleReplay, ReplayMatchesShardedWithAbandonment) {
   const auto& records = TestTrace().records;
-  const ShardedReplayResult batch = ReplayTrace(
+  const ShardedReplayResult serial = ReplayTraceSharded(
       records, TestSelector(), TestServerModel(), AbandonmentReplayConfig(1));
-  ASSERT_GT(batch.result.abandoned, 0u);
-  ASSERT_GT(batch.result.completed, 0u);
-  EXPECT_EQ(batch.result.abandoned + batch.result.completed,
-            batch.result.arrivals);  // Conservation with quits.
-  for (const int shards : {1, 4}) {
+  ASSERT_GT(serial.result.abandoned, 0u);
+  ASSERT_GT(serial.result.completed, 0u);
+  EXPECT_EQ(serial.result.abandoned + serial.result.completed,
+            serial.result.arrivals);  // Conservation with quits.
+  for (const int shards : {2, 4, 7}) {
     const ShardedReplayResult sharded = ReplayTraceSharded(
         records, TestSelector(), TestServerModel(),
         AbandonmentReplayConfig(shards));
-    EXPECT_EQ(sharded.result.abandoned, batch.result.abandoned);
-    ExpectReplayParity(batch, sharded,
-                       shards == 1 ? "abandonment shards=1"
-                                   : "abandonment shards=4");
+    EXPECT_EQ(sharded.result.abandoned, serial.result.abandoned);
+    ExpectReplayParity(serial, sharded,
+                       "abandonment shards=" + std::to_string(shards));
   }
 }
 
-// Model-driven mode must meter identically on both paths too: the gate
-// rederives ride the serial merge, so batch and any shard count agree on
-// every recompute and on the final derived gates.
-TEST(ScaleReplay, BatchReplayMatchesShardedModelDriven) {
+// Model-driven mode must meter identically at any shard count: the gate
+// rederives ride the serial merge, so every shard count agrees on every
+// recompute and on the final derived gates.
+TEST(ScaleReplay, ReplayMatchesShardedModelDriven) {
   const auto& records = TestTrace().records;
   const std::span<const TraceRecord> slice(records.data(),
                                            std::min<std::size_t>(
@@ -648,22 +718,29 @@ TEST(ScaleReplay, BatchReplayMatchesShardedModelDriven) {
   config.common.resilience.hedge.model.window_ms =
       config.common.controller.external.window_ms;
   config.common.resilience.hedge.model.min_samples = 16;
-  const ShardedReplayResult batch =
-      ReplayTrace(slice, TestSelector(), TestServerModel(), config);
-  ASSERT_GT(batch.result.resilience.model_recomputes, 0u);
-  EXPECT_GT(batch.model_prediction.mean_service_ms, 0.0);
-  config.common.controller.shards = 4;
-  const ShardedReplayResult sharded =
+  const ShardedReplayResult serial =
       ReplayTraceSharded(slice, TestSelector(), TestServerModel(), config);
-  EXPECT_EQ(sharded.result.resilience.model_recomputes,
-            batch.result.resilience.model_recomputes);
-  EXPECT_EQ(sharded.model_prediction.max_hedge_fraction,
-            batch.model_prediction.max_hedge_fraction);
-  EXPECT_EQ(sharded.model_prediction.max_target_load,
-            batch.model_prediction.max_target_load);
-  EXPECT_EQ(sharded.model_prediction.predicted_gain_ms,
-            batch.model_prediction.predicted_gain_ms);
-  ExpectReplayParity(batch, sharded, "model-driven shards=4");
+  ASSERT_GT(serial.result.resilience.model_recomputes, 0u);
+  EXPECT_GT(serial.model_prediction.mean_service_ms, 0.0);
+  for (const int shards : {2, 4, 7}) {
+    config.common.controller.shards = shards;
+    const ShardedReplayResult sharded =
+        ReplayTraceSharded(slice, TestSelector(), TestServerModel(), config);
+    const std::string context = "model-driven shards=" + std::to_string(shards);
+    EXPECT_EQ(sharded.result.resilience.model_recomputes,
+              serial.result.resilience.model_recomputes)
+        << context;
+    EXPECT_EQ(sharded.model_prediction.max_hedge_fraction,
+              serial.model_prediction.max_hedge_fraction)
+        << context;
+    EXPECT_EQ(sharded.model_prediction.max_target_load,
+              serial.model_prediction.max_target_load)
+        << context;
+    EXPECT_EQ(sharded.model_prediction.predicted_gain_ms,
+              serial.model_prediction.predicted_gain_ms)
+        << context;
+    ExpectReplayParity(serial, sharded, context);
+  }
 }
 
 TEST(ScaleReplay, EmptyTraceYieldsEmptyResult) {

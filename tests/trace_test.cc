@@ -237,6 +237,9 @@ TEST(Windows, GroupByWindowPartitions) {
   }
   EXPECT_EQ(total, trace.records.size());
   EXPECT_THROW(GroupByWindow(trace.records, 0.0), std::invalid_argument);
+  EXPECT_THROW(GroupByWindow(trace.records,
+                             std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(Windows, SampleWindowsPerTenMinutes) {

@@ -187,12 +187,13 @@ std::string ParseError(Get get) {
 }
 
 TEST(Flags, NumbersMustParseWhole) {
-  const char* argv[] = {"prog",        "--shards=4x", "--rate=1.5ms",
-                        "--empty=",    "--big=99999999999",
+  const char* argv[] = {"prog",         "--shards=4x", "--rate=1.5ms",
+                        "--empty=",     "--big=99999999999",
                         "--huge=1e999", "--space=4 ",  "--neg=-3",
-                        "--exp=2.5e-3"};
-  const Flags flags(9, argv, {"shards", "rate", "empty", "big", "huge", "space",
-                              "neg", "exp"});
+                        "--exp=2.5e-3", "--nan=nan",   "--inf=inf",
+                        "--ninf=-inf"};
+  const Flags flags(12, argv, {"shards", "rate", "empty", "big", "huge",
+                               "space", "neg", "exp", "nan", "inf", "ninf"});
   // A partial parse is an error naming the flag, not the prefix's value.
   EXPECT_NE(ParseError([&] { flags.GetInt("shards", 1); }).find("--shards"),
             std::string::npos);
@@ -212,6 +213,13 @@ TEST(Flags, NumbersMustParseWhole) {
             std::string::npos);
   EXPECT_NE(ParseError([&] { flags.GetDouble("huge", 0.0); }).find("--huge"),
             std::string::npos);
+  // std::stod parses these whole, but no flag takes a non-finite value.
+  for (const char* key : {"nan", "inf", "ninf"}) {
+    EXPECT_NE(ParseError([&] { flags.GetDouble(key, 0.0); })
+                  .find("--" + std::string(key)),
+              std::string::npos)
+        << key;
+  }
   // Whole values still parse, signs and exponents included.
   EXPECT_EQ(flags.GetInt("neg", 0), -3);
   EXPECT_DOUBLE_EQ(flags.GetDouble("exp", 0.0), 2.5e-3);
@@ -372,26 +380,6 @@ TEST(ThreadPool, InvalidWorkerCountThrows) {
   EXPECT_THROW(ThreadPool(-2), std::invalid_argument);
   EXPECT_GE(ThreadPool::DefaultWorkers(), 1);
   EXPECT_LE(ThreadPool::DefaultWorkers(), 16);
-}
-
-TEST(ThreadPool, ClampsOversubscribedWorkerCounts) {
-  const int cap = ThreadPool::OversubscriptionCap();
-  // Floor of 4 so small explicit counts stay honest even on tiny machines.
-  EXPECT_GE(cap, 4);
-  // A request far past any hardware is clamped to the cap, not honored by
-  // silently spawning hundreds of contending threads.
-  ThreadPool oversubscribed(10 * cap);
-  EXPECT_EQ(oversubscribed.workers(), cap);
-  // Requests at or under the cap are honored exactly.
-  ThreadPool at_cap(cap);
-  EXPECT_EQ(at_cap.workers(), cap);
-  ThreadPool under(2);
-  EXPECT_EQ(under.workers(), 2);
-  // The clamp must not change what ParallelFor computes.
-  std::vector<int> hits(123, 0);
-  oversubscribed.ParallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
-                          [](int h) { return h == 1; }));
 }
 
 }  // namespace
