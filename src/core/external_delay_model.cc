@@ -8,7 +8,7 @@ namespace e2e {
 
 ExternalDelayModel::ExternalDelayModel(ExternalDelayModelParams params)
     : params_(params) {
-  if (params_.window_ms <= 0.0) {
+  if (!(params_.window_ms > 0.0)) {  // NaN fails too.
     throw std::invalid_argument("ExternalDelayModel: window_ms <= 0");
   }
 }
@@ -56,15 +56,17 @@ double ExternalDelayModel::PredictedRps(Rng& rng) const {
 }
 
 void ExternalDelayModel::SetExternalDelayError(double relative_error) {
-  if (relative_error < 0.0) {
-    throw std::invalid_argument("SetExternalDelayError: negative error");
+  // An infinite bound would make the noise draw NaN.
+  if (!(std::isfinite(relative_error) && relative_error >= 0.0)) {
+    throw std::invalid_argument(
+        "SetExternalDelayError: error not finite and >= 0");
   }
   external_error_ = relative_error;
 }
 
 void ExternalDelayModel::SetRpsError(double relative_error) {
-  if (relative_error < 0.0) {
-    throw std::invalid_argument("SetRpsError: negative error");
+  if (!(std::isfinite(relative_error) && relative_error >= 0.0)) {
+    throw std::invalid_argument("SetRpsError: error not finite and >= 0");
   }
   rps_error_ = relative_error;
 }

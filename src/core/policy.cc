@@ -173,6 +173,8 @@ class AllocationEvaluator {
       }
       if (moved < 0.02) break;  // Converged.
       fractions.swap(actual);
+      // Where G's columns did not move, the mapping stands, this SplitOf
+      // reproduces `fractions` bitwise, and the next round stops.
       SolveWithFractions(units, fractions, eval, at_split);
       SplitOf(eval.decision_of_bucket, units.size(), actual);
     }
@@ -309,7 +311,10 @@ class AllocationEvaluator {
 
   // Solves the mapping for allocation `units` against G at `fractions`,
   // writing the mapping into `eval` and G's outputs (every column fetched)
-  // into `g_out`.
+  // into `g_out`. On a refine round `g_out` still holds the columns of the
+  // solve just run (an evaluation's first solve gets an empty `g_out`), and
+  // when G's columns at `fractions` are those same columns the mapping
+  // problem is bitwise that solve's, so `eval` keeps its mapping.
   void SolveWithFractions(const std::vector<int>& units,
                           const std::vector<double>& fractions,
                           Evaluation& eval, GOutputs& g_out) {
@@ -323,7 +328,9 @@ class AllocationEvaluator {
     // Per-decision delay distributions under this allocation. Edge weights
     // depend only on (bucket, decision) — all slots of one decision share a
     // byte-identical weight column, fetched through the content-keyed
-    // column cache.
+    // column cache, so two column pointers are equal exactly when their
+    // contents are.
+    solved_columns_.assign(g_out.columns.begin(), g_out.columns.end());
     QueryG(fractions, g_out);
     const std::vector<DiscreteDistribution>& delay_of_decision =
         g_out.delay_of_decision;
@@ -331,6 +338,9 @@ class AllocationEvaluator {
       g_out.columns[d] = &QoeColumn(delay_of_decision[d]);
     }
     const std::vector<const std::vector<double>*>& qoe_col = g_out.columns;
+    // Compare every column, not only those the allocation uses, so the
+    // problem is the last one whatever a mapping algorithm reads.
+    if (qoe_col == solved_columns_) return;
 
     eval.decision_of_bucket.resize(n);
     eval.expected_qoe_of_bucket.resize(n);
@@ -443,6 +453,9 @@ class AllocationEvaluator {
   std::map<std::vector<int>, Evaluation> cache_;
   // Content-keyed expected-QoE columns by ContentHash (see QoeColumn).
   std::unordered_multimap<std::uint64_t, CachedColumn> qoe_columns_;
+  // The columns of the solve before the current one (SolveWithFractions);
+  // a member so a refine round reuses its storage.
+  std::vector<const std::vector<double>*> solved_columns_;
 };
 
 PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,

@@ -9,8 +9,10 @@ namespace e2e {
 
 DecisionTableCache::DecisionTableCache(TableCacheParams params)
     : params_(params) {
-  if (params_.js_threshold < 0.0 || params_.js_bins < 1 ||
-      params_.support_lo_ms >= params_.support_hi_ms) {
+  // Written so that a NaN fails every test.
+  if (!(params_.js_threshold >= 0.0) || params_.js_bins < 1 ||
+      !(params_.support_lo_ms < params_.support_hi_ms) ||
+      !(params_.rps_change_threshold >= 0.0)) {
     throw std::invalid_argument("DecisionTableCache: bad params");
   }
 }

@@ -384,12 +384,17 @@ void FaultPlan::Validate() const {
         spec.end_ms == kOpenEndMs) {
       Fail(text, "crash ctrl needs a finite election window");
     }
+    // The value tests are written so that a NaN fails them.
     if (spec.kind == FaultKind::kDropMessages &&
-        (spec.probability < 0.0 || spec.probability > 1.0)) {
+        !(spec.probability >= 0.0 && spec.probability <= 1.0)) {
       Fail(text, "p must be in [0, 1]");
     }
-    if (spec.delta_ms < 0.0) Fail(text, "negative delay");
-    if (spec.error < 0.0) Fail(text, "negative error");
+    if (!(std::isfinite(spec.delta_ms) && spec.delta_ms >= 0.0)) {
+      Fail(text, "delay must be finite and >= 0");
+    }
+    if (!(std::isfinite(spec.error) && spec.error >= 0.0)) {
+      Fail(text, "err must be finite and >= 0");
+    }
     if ((spec.kind == FaultKind::kOverloadReplica ||
          spec.kind == FaultKind::kOverloadBroker) &&
         !(spec.factor >= 1.0)) {

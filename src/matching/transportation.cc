@@ -1,7 +1,9 @@
 #include "matching/transportation.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -193,6 +195,45 @@ void RunRows(std::span<const double> cost, std::size_t rows, std::size_t cols,
   }
 }
 
+// True when every column with positive capacity holds bitwise the same
+// finite costs: one memcmp per such column against the first, then one
+// finiteness pass over the first. Zero-capacity columns may hold anything.
+bool UsableColumnsIdentical(std::span<const double> cost, std::size_t rows,
+                            std::size_t cols, std::span<const int> capacity) {
+  const double* first = nullptr;
+  for (std::size_t c = 0; c < cols; ++c) {
+    if (capacity[c] == 0) continue;
+    const double* const col = cost.data() + c * rows;
+    if (first == nullptr) {
+      first = col;
+    } else if (std::memcmp(col, first, rows * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return std::all_of(first, first + rows,
+                     [](double x) { return std::isfinite(x); });
+}
+
+// RunRows' answer when UsableColumnsIdentical holds: rows 0..n−1 in order,
+// each to the lowest-index column with spare capacity. Every usable column
+// starts a row search at the same label x_r; a relaxation through a full
+// column offers dist_cur + ((x_a − 0) − (x_a − 0)) = dist_cur, never
+// strictly less; and each dual update adds x_r − x_r = +0, so the
+// potentials stay 0. The search therefore finalizes the usable columns in
+// ascending index order and stops at the first with spare capacity, with no
+// augment chain. A zero-capacity column may be finalized, but it never
+// relaxes a column and never takes a row. Leaves `state`'s row lists and
+// occupancy as RunRows would.
+void FillInIndexOrder(std::size_t rows, std::span<const int> capacity,
+                      SolveState& state) {
+  std::size_t c = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    while (state.occupancy[c] == static_cast<std::size_t>(capacity[c])) ++c;
+    state.rows_of_col[c * rows + state.occupancy[c]++] = r;
+    state.column_of_row[r] = c;
+  }
+}
+
 // Writes `state`'s assignment and the total of its entries of `cost` into
 // `result`, reusing the result's storage. The total is reported in the
 // caller's objective: negated back to a weight when `maximize`.
@@ -237,7 +278,11 @@ const TransportationResult& TransportationScratch::Solve(
     std::span<const int> capacity, bool maximize) {
   ValidateCapacity(capacity, rows_, cols_);
   SolveState& state = ThreadSolveState(rows_, cols_);
-  RunRows(cost_, rows_, cols_, capacity, state);
+  if (UsableColumnsIdentical(cost_, rows_, cols_, capacity)) {
+    FillInIndexOrder(rows_, capacity, state);
+  } else {
+    RunRows(cost_, rows_, cols_, capacity, state);
+  }
   FillResult(cost_, rows_, state, maximize, result_);
   return result_;
 }

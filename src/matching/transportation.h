@@ -18,6 +18,14 @@
 // smallest index. Two runs on the same input produce identical assignments,
 // and tests/matching_test.cc checks the objective is always exactly the
 // optimum the expanded Hungarian solve finds.
+//
+// Identical columns: when every column with positive capacity holds bitwise
+// the same finite costs (a flat G hands every decision one delay
+// distribution), no relaxation is ever strict and the potentials stay 0, so
+// the search's answer is fixed in advance: rows 0..n−1 in order, each to the
+// lowest-index column with spare capacity. Solve() detects that input and
+// fills it directly. Any non-finite cost keeps the search, so an infinite
+// entry still fails with "no augmenting path".
 #pragma once
 
 #include <cstddef>

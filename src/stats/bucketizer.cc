@@ -22,7 +22,7 @@ Bucketizer::Bucketizer(int target_buckets, double max_span)
   if (target_buckets < 1) {
     throw std::invalid_argument("Bucketizer: target_buckets < 1");
   }
-  if (max_span <= 0.0) {
+  if (!(max_span > 0.0)) {  // NaN fails too.
     throw std::invalid_argument("Bucketizer: max_span <= 0");
   }
 }

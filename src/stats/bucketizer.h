@@ -45,12 +45,12 @@ class Bucketizer {
   /// empty intervals are absorbed into the bucket below them, so a bucket's
   /// *boundary* span can exceed `max_span` across sample-free regions — the
   /// span of its member samples never does. Throws when samples are empty,
-  /// target_buckets < 1, or max_span <= 0.
+  /// target_buckets < 1, or max_span is not > 0 (NaN included).
   Bucketizer(std::span<const double> samples, int target_buckets,
              double max_span);
 
   /// Streaming mode: starts empty; feed samples with Add/Merge. Throws when
-  /// target_buckets < 1 or max_span <= 0.
+  /// target_buckets < 1 or max_span is not > 0 (NaN included).
   Bucketizer(int target_buckets, double max_span);
 
   /// Adds one sample. Amortized O(1); the bucket view is rebuilt lazily on

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -126,6 +127,17 @@ TEST(ExternalDelayModel, ErrorInjectionBounds) {
   }
   EXPECT_THROW(model.SetExternalDelayError(-0.1), std::invalid_argument);
   EXPECT_THROW(model.SetRpsError(-0.1), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    EXPECT_THROW(model.SetExternalDelayError(bad), std::invalid_argument);
+    EXPECT_THROW(model.SetRpsError(bad), std::invalid_argument);
+  }
+  // A rejected error leaves the configured one in place.
+  const double est = model.EstimateForRequest(1000.0, rng);
+  EXPECT_GE(est, 800.0 - 1e-9);
+  EXPECT_LE(est, 1200.0 + 1e-9);
+  EXPECT_THROW(ExternalDelayModel({.window_ms = nan}), std::invalid_argument);
 }
 
 TEST(ExternalDelayModel, NoErrorMeansExact) {
@@ -597,6 +609,46 @@ TEST(ComputePolicy, ConvergedEvaluationsScoreFromTheSolvesOwnG) {
                          ComputePolicy(qoe, broker, externals, 150.0, config));
 }
 
+TEST(ComputePolicy, FlatModelSolvesEachEvaluationOnce) {
+  // The full-day replay's G: three replicas sharing an 8-level profile whose
+  // first level is 15 rps. Planned at 6 rps, no replica passes that level at
+  // any split, so G hands every decision the first level's distribution and
+  // its columns never move with the split. The max-span rule cuts the sparse
+  // tail into light buckets, so an evaluation's weight split differs from
+  // its unit split and the refine loop runs a round; that round finds G's
+  // columns unchanged and keeps the mapping instead of solving it again.
+  LoadProfile profile;
+  profile.max_rps = 120.0;
+  for (int level = 1; level <= 8; ++level) {
+    profile.level_rps.push_back(15.0 * static_cast<double>(level));
+    const double base = 40.0 + 12.0 * static_cast<double>(level);
+    profile.delays.emplace_back(
+        std::vector<double>{0.6 * base, base, 1.9 * base},
+        std::vector<double>{0.25, 0.5, 0.25});
+  }
+  profile.max_stable_rps = 105.0;
+  const ProfiledReplicaModel g(3, profile);
+  const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
+  Rng rng(43);
+  const auto externals = SensitiveHeavyExternals(300, rng);
+  PolicyConfig config;
+  const auto refined = ComputePolicy(qoe, g, externals, 6.0, config);
+  // The degenerate start's neighbour (n − 1, 1, 0) routes the last bucket
+  // alone, so its refine runs when that bucket's weight is 0.01 or more from
+  // a unit share.
+  const std::size_t n = refined.table.rows.size();
+  ASSERT_GT(n, 1u);
+  EXPECT_GE(std::abs(refined.table.rows.back().weight -
+                     1.0 / static_cast<double>(n)),
+            0.01);
+  EXPECT_EQ(refined.stats.transport_solves,
+            refined.stats.allocations_evaluated);
+  // Keeping the mapping changes no byte of the table.
+  config.refine_fractions = false;
+  const auto unrefined = ComputePolicy(qoe, g, externals, 6.0, config);
+  ExpectIdenticalResults(refined, unrefined);
+}
+
 TEST(ComputePolicy, BrokerWindowGoldenLock) {
   // The live controller's D = 8 recompute, pinned bit for bit: the 8-level
   // broker G (one 5 ms consumer) at 16 target buckets, over page type 1's
@@ -763,7 +815,17 @@ TEST(DecisionTableCache, RpsJumpInvalidates) {
 }
 
 TEST(DecisionTableCache, InvalidInputs) {
-  EXPECT_THROW(DecisionTableCache(TableCacheParams{.js_threshold = -1.0}),
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-1.0, nan}) {
+    EXPECT_THROW(DecisionTableCache(TableCacheParams{.js_threshold = bad}),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        DecisionTableCache(TableCacheParams{.rps_change_threshold = bad}),
+        std::invalid_argument);
+  }
+  EXPECT_THROW(DecisionTableCache(TableCacheParams{.support_lo_ms = nan}),
+               std::invalid_argument);
+  EXPECT_THROW(DecisionTableCache(TableCacheParams{.support_hi_ms = nan}),
                std::invalid_argument);
   DecisionTableCache cache(TableCacheParams{});
   EXPECT_THROW(cache.Install(DecisionTable{}, {}, 0.0),

@@ -129,6 +129,13 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
                std::invalid_argument);
   EXPECT_THROW(FaultPlan::Parse("delay db +5ms err=0.5"),
                std::invalid_argument);
+  // Non-finite values parse as numbers and must still be rejected.
+  for (const char* spec :
+       {"skew est err=nan t=1s for=1s", "skew est err=inf t=1s for=1s",
+        "delay broker +nan t=1s for=1s", "delay db +inf t=1s for=1s",
+        "drop broker p=nan"}) {
+    EXPECT_THROW(FaultPlan::Parse(spec), std::invalid_argument) << spec;
+  }
   // Bad tokens.
   EXPECT_THROW(FaultPlan::Parse("drop broker p=abc"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::Parse("delay db +5parsecs"), std::invalid_argument);

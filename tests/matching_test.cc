@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -285,6 +287,53 @@ TEST(Transportation, AllTiedWeightsAreDeterministic) {
     const auto second = SolveMaxWeightTransportation(m, capacity);
     EXPECT_EQ(first.column_of_row, second.column_of_row);
   });
+  // Every column with capacity holds the same per-row values, bit for bit;
+  // zero-capacity columns hold anything, and capacity may be in surplus.
+  // Every assignment then ties, and the search settles each row, in order,
+  // on the lowest-index column with room; the total is the row-order sum.
+  proptest::Check("transportation-identical-columns", [](Rng& rng) {
+    const auto rows = static_cast<std::size_t>(rng.UniformInt(1, 24));
+    const auto cols = static_cast<std::size_t>(rng.UniformInt(1, 6));
+    const auto random_col = [&] {
+      return static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(cols) - 1));
+    };
+    std::vector<int> capacity(cols, 0);
+    for (std::size_t r = 0; r < rows; ++r) ++capacity[random_col()];
+    const auto surplus = rng.UniformInt(0, 3);
+    for (std::int64_t s = 0; s < surplus; ++s) ++capacity[random_col()];
+    std::vector<double> value(rows);
+    for (double& v : value) v = rng.Uniform(-10.0, 10.0);
+    WeightMatrix m = RandomMatrix(rows, cols, rng);
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (capacity[c] == 0) continue;
+      for (std::size_t r = 0; r < rows; ++r) m.At(r, c) = value[r];
+    }
+    std::vector<std::size_t> fill(rows);
+    std::vector<int> room = capacity;
+    std::size_t col = 0;
+    double total = 0.0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      while (room[col] == 0) ++col;
+      --room[col];
+      fill[r] = col;
+      total += value[r];
+    }
+    const auto max_side = SolveMaxWeightTransportation(m, capacity);
+    EXPECT_EQ(max_side.column_of_row, fill);
+    EXPECT_EQ(max_side.total, total);
+    const auto min_side = SolveMinCostTransportation(m, capacity);
+    EXPECT_EQ(min_side.column_of_row, fill);
+    EXPECT_EQ(min_side.total, total);
+  });
+  // Only finite identical columns settle without the search: a row that
+  // every column prices at infinity still has no augmenting path.
+  const double inf = std::numeric_limits<double>::infinity();
+  WeightMatrix cost(3, 2, 1.0);
+  cost.At(1, 0) = inf;
+  cost.At(1, 1) = inf;
+  const std::vector<int> capacity = {2, 1};
+  EXPECT_THROW(SolveMinCostTransportation(cost, capacity), std::logic_error);
 }
 
 TEST(Transportation, MinAndMaxSolversMirror) {

@@ -392,6 +392,9 @@ TEST(Bucketizer, InvalidInputsThrow) {
   EXPECT_THROW(Bucketizer({}, 4, 1.0), std::invalid_argument);
   EXPECT_THROW(Bucketizer(xs, 0, 1.0), std::invalid_argument);
   EXPECT_THROW(Bucketizer(xs, 4, 0.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Bucketizer(xs, 4, nan), std::invalid_argument);
+  EXPECT_THROW(Bucketizer(4, nan), std::invalid_argument);
 }
 
 TEST(Bucketizer, IdenticalSamples) {
