@@ -75,7 +75,7 @@ class ReplicaGroup {
 
 /// Result of a range read.
 struct ReadResult {
-  std::vector<Row> rows;
+  RowSet rows;
   int replica = 0;
   JobTiming timing;
   /// True when the selected replica was partitioned and the request was

@@ -38,80 +38,111 @@ std::optional<std::string> StorageEngine::Get(Key key) const {
   return **v;
 }
 
-std::vector<Row> StorageEngine::RangeQuery(Key start,
-                                           std::size_t count) const {
-  std::vector<Row> out;
+RowSet StorageEngine::RangeQuery(Key start, std::size_t count) const {
+  RowSet out;
   if (count == 0) return out;
 
-  // Cursors over memtable and each run, all positioned at >= start; at each
-  // step take the smallest key, resolving the newest version across sources.
+  // One cursor per source holding entries at or after `start`, sitting on
+  // its current entry. Each step takes the smallest key, resolves its
+  // newest version across the cursors on it and advances them; a cursor
+  // leaves the merge when its source runs out.
   struct Cursor {
-    // Newer sources get higher priority; memtable is newest.
-    int priority;
-    std::size_t pos;
-    const Run* run;                                 // null for memtable
-    std::map<Key, Versioned>::const_iterator mem_it;  // memtable only
+    int priority;    // Newer sources get higher priority; memtable is newest.
+    const Run* run;  // Null for the memtable.
+    std::size_t pos;                                  // Runs only.
+    std::map<Key, Versioned>::const_iterator mem_it;  // Memtable only.
+    Key key;
+    const Versioned* value;
+  };
+  // Loads the entry `c` sits on; false when its source has run out.
+  const auto load = [this](Cursor& c) {
+    if (c.run == nullptr) {
+      if (c.mem_it == memtable_.end()) return false;
+      c.key = c.mem_it->first;
+      c.value = &c.mem_it->second;
+    } else {
+      if (c.pos == c.run->size()) return false;
+      c.key = (*c.run)[c.pos].first;
+      c.value = &(*c.run)[c.pos].second;
+    }
+    return true;
   };
 
+  // `held` counts the entries the sources hold at or after `start` (the
+  // memtable's walk stops at `count`). No read returns more rows than
+  // min(count, held), so that sizes the buffers, whatever `count` asks.
   std::vector<Cursor> cursors;
+  cursors.reserve(runs_.size() + 1);
+  std::size_t held = 0;
   Cursor mem{.priority = static_cast<int>(runs_.size()),
-             .pos = 0,
              .run = nullptr,
-             .mem_it = memtable_.lower_bound(start)};
-  cursors.push_back(mem);
+             .pos = 0,
+             .mem_it = memtable_.lower_bound(start),
+             .key = 0,
+             .value = nullptr};
+  for (auto it = mem.mem_it; it != memtable_.end() && held < count; ++it) {
+    ++held;
+  }
+  if (load(mem)) cursors.push_back(mem);
   for (std::size_t i = 0; i < runs_.size(); ++i) {
     const Run& run = runs_[i];
     const auto it = std::lower_bound(
         run.begin(), run.end(), start,
         [](const auto& entry, Key k) { return entry.first < k; });
-    cursors.push_back(Cursor{.priority = static_cast<int>(i),
-                             .pos = static_cast<std::size_t>(it - run.begin()),
-                             .run = &run,
-                             .mem_it = {}});
+    held += static_cast<std::size_t>(run.end() - it);
+    Cursor c{.priority = static_cast<int>(i),
+             .run = &run,
+             .pos = static_cast<std::size_t>(it - run.begin()),
+             .mem_it = {},
+             .key = 0,
+             .value = nullptr};
+    if (load(c)) cursors.push_back(c);
   }
 
-  auto current_key = [&](const Cursor& c) -> std::optional<Key> {
-    if (c.run == nullptr) {
-      if (c.mem_it == memtable_.end()) return std::nullopt;
-      return c.mem_it->first;
-    }
-    if (c.pos >= c.run->size()) return std::nullopt;
-    return (*c.run)[c.pos].first;
-  };
-  auto current_value = [&](const Cursor& c) -> const Versioned& {
-    return c.run == nullptr ? c.mem_it->second : (*c.run)[c.pos].second;
-  };
-  auto advance = [&](Cursor& c) {
-    if (c.run == nullptr) {
-      ++c.mem_it;
-    } else {
-      ++c.pos;
-    }
-  };
-
-  while (out.size() < count) {
-    std::optional<Key> next;
-    for (const Cursor& c : cursors) {
-      const auto k = current_key(c);
-      if (k.has_value() && (!next.has_value() || *k < *next)) next = k;
-    }
-    if (!next.has_value()) break;
-
-    // Resolve newest version of `next` and advance every cursor sitting on it.
+  // The merge collects the winning values; their bytes are copied after it
+  // into one buffer of exactly their total size.
+  const std::size_t max_rows = std::min(count, held);
+  std::vector<const std::string*> values;
+  values.reserve(max_rows);
+  out.keys_.reserve(max_rows);
+  while (!cursors.empty() && out.keys_.size() < count) {
+    Key next = cursors.front().key;
+    for (const Cursor& c : cursors) next = std::min(next, c.key);
     const Versioned* winner = nullptr;
     int best_priority = -1;
-    for (Cursor& c : cursors) {
-      const auto k = current_key(c);
-      if (!k.has_value() || *k != *next) continue;
-      if (c.priority > best_priority) {
-        best_priority = c.priority;
-        winner = &current_value(c);
+    for (std::size_t i = 0; i < cursors.size();) {
+      Cursor& c = cursors[i];
+      if (c.key == next) {
+        if (c.priority > best_priority) {
+          best_priority = c.priority;
+          winner = c.value;
+        }
+        if (c.run == nullptr) {
+          ++c.mem_it;
+        } else {
+          ++c.pos;
+        }
+        if (!load(c)) {  // Exhausted: the last cursor takes its slot.
+          c = cursors.back();
+          cursors.pop_back();
+          continue;
+        }
       }
-      advance(c);
+      ++i;
     }
-    if (winner != nullptr && winner->has_value()) {
-      out.push_back(Row{*next, **winner});
+    if (winner->has_value()) {  // Tombstones return no row.
+      out.keys_.push_back(next);
+      values.push_back(&**winner);
     }
+  }
+
+  std::size_t bytes = 0;
+  out.ends_.reserve(values.size());
+  for (const std::string* v : values) out.ends_.push_back(bytes += v->size());
+  out.bytes_.resize(bytes);
+  char* dst = out.bytes_.data();
+  for (const std::string* v : values) {
+    dst = std::copy(v->begin(), v->end(), dst);
   }
   return out;
 }

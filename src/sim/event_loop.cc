@@ -5,8 +5,9 @@
 namespace e2e {
 
 EventId EventLoop::Schedule(double at_ms, Callback cb) {
-  if (at_ms < now_ms_) {
-    throw std::invalid_argument("EventLoop::Schedule: time in the past");
+  if (!(at_ms >= now_ms_)) {
+    throw std::invalid_argument(
+        "EventLoop::Schedule: time in the past or NaN");
   }
   if (!cb) {
     throw std::invalid_argument("EventLoop::Schedule: empty callback");
@@ -22,8 +23,9 @@ EventId EventLoop::Schedule(double at_ms, Callback cb) {
 }
 
 EventId EventLoop::ScheduleAfter(double delay_ms, Callback cb) {
-  if (delay_ms < 0.0) {
-    throw std::invalid_argument("EventLoop::ScheduleAfter: negative delay");
+  if (!(delay_ms >= 0.0)) {
+    throw std::invalid_argument(
+        "EventLoop::ScheduleAfter: negative or NaN delay");
   }
   return Schedule(now_ms_ + delay_ms, std::move(cb));
 }
@@ -82,8 +84,9 @@ void EventLoop::AttachMetrics(obs::MetricsRegistry& registry) {
 }
 
 void EventLoop::RunUntil(double until_ms) {
-  if (until_ms < now_ms_) {
-    throw std::invalid_argument("EventLoop::RunUntil: time in the past");
+  if (!(until_ms >= now_ms_)) {
+    throw std::invalid_argument(
+        "EventLoop::RunUntil: time in the past or NaN");
   }
   while (!heap_.empty()) {
     const Entry top = heap_.top();

@@ -25,12 +25,12 @@ class EventLoop {
  public:
   using Callback = std::function<void()>;
 
-  /// Schedules `cb` at absolute virtual time `at_ms` (must be >= Now()).
-  /// Events with equal times run in scheduling order. Returns an id that
-  /// can be passed to Cancel().
+  /// Schedules `cb` at absolute virtual time `at_ms` (must be >= Now();
+  /// NaN throws). Events with equal times run in scheduling order. Returns
+  /// an id that can be passed to Cancel().
   EventId Schedule(double at_ms, Callback cb);
 
-  /// Schedules `cb` after a relative delay (>= 0) from Now().
+  /// Schedules `cb` after a relative delay (>= 0; NaN throws) from Now().
   EventId ScheduleAfter(double delay_ms, Callback cb);
 
   /// Cancels a pending event; returns false when the event already ran,
@@ -45,7 +45,7 @@ class EventLoop {
   void Run();
 
   /// Runs events with time <= `until_ms`, then advances the clock to
-  /// exactly `until_ms`.
+  /// exactly `until_ms`. Throws when `until_ms` is before Now() or NaN.
   void RunUntil(double until_ms);
 
   /// Runs at most one event; returns false when none remain.

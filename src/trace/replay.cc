@@ -1,13 +1,15 @@
 #include "trace/replay.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace e2e {
 
 std::vector<ReplayArrival> BuildReplaySchedule(
     std::span<const TraceRecord> records, double speedup) {
-  if (speedup <= 0.0) {
-    throw std::invalid_argument("BuildReplaySchedule: speedup <= 0");
+  if (!(speedup > 0.0) || !std::isfinite(speedup)) {
+    throw std::invalid_argument(
+        "BuildReplaySchedule: speedup must be finite and > 0");
   }
   std::vector<ReplayArrival> schedule;
   schedule.reserve(records.size());

@@ -20,7 +20,7 @@ struct ReplayArrival {
 
 /// Builds the replay schedule for `records` (must be in arrival order) at
 /// the given speed-up ratio. speedup >= 1 compresses time; 0 < speedup < 1
-/// stretches it. Throws when speedup <= 0.
+/// stretches it. Throws when speedup is not a finite value > 0.
 std::vector<ReplayArrival> BuildReplaySchedule(
     std::span<const TraceRecord> records, double speedup);
 

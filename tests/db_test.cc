@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "db/cluster.h"
@@ -71,12 +75,31 @@ TEST(StorageEngine, RangeQueryMergesSources) {
   store.Flush();
   store.Put(2, "m2");
   store.Put(3, "m3-new");  // Newer version in memtable.
-  const auto rows = store.RangeQuery(1, 10);
-  ASSERT_EQ(rows.size(), 3u);
-  EXPECT_EQ(rows[0].key, 1u);
-  EXPECT_EQ(rows[1].key, 2u);
-  EXPECT_EQ(rows[2].key, 3u);
-  EXPECT_EQ(rows[2].value, "m3-new");
+  const RowSet rows = store.RangeQuery(1, 10);
+  auto expect_original = [&rows] {
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[0].key, 1u);
+    EXPECT_EQ(rows[0].value, "m1");
+    EXPECT_EQ(rows[1].key, 2u);
+    EXPECT_EQ(rows[1].value, "m2");
+    EXPECT_EQ(rows[2].key, 3u);
+    EXPECT_EQ(rows[2].value, "m3-new");
+  };
+  expect_original();
+  // The result owns its bytes: overwriting, deleting, flushing and
+  // compacting the engine's copies afterwards leaves it as it was read.
+  store.Put(1, "overwritten");
+  store.Put(2, std::string(64, 'x'));
+  store.Delete(3);
+  store.Flush();
+  store.Put(4, "m4");
+  store.Compact();
+  expect_original();
+  const RowSet after = store.RangeQuery(1, 10);
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[0].value, "overwritten");
+  EXPECT_EQ(after[1].value, std::string(64, 'x'));
+  EXPECT_EQ(after[2].key, 4u);
 }
 
 TEST(StorageEngine, RangeQuerySkipsTombstones) {
@@ -102,28 +125,66 @@ TEST(StorageEngine, RangeQueryRespectsStartAndCount) {
   EXPECT_EQ(rows.back().key, 49u);
   EXPECT_TRUE(store.RangeQuery(200, 5).empty());
   EXPECT_TRUE(store.RangeQuery(0, 0).empty());
+  // A count past everything the engine holds returns what is there.
+  const auto rest = store.RangeQuery(40, SIZE_MAX);
+  ASSERT_EQ(rest.size(), 60u);
+  EXPECT_EQ(rest.front().key, 40u);
+  EXPECT_EQ(rest.back().key, 99u);
+  EXPECT_EQ(rest.back().value, "v");
 }
 
 TEST(StorageEngine, CompactionPreservesData) {
   StorageEngine store(/*memtable_limit=*/8, /*max_runs=*/100);
   Rng rng(3);
   std::map<Key, std::string> reference;
+  int deletes = 0;
   for (int i = 0; i < 500; ++i) {
     const Key k = static_cast<Key>(rng.UniformInt(0, 99));
     if (rng.Bernoulli(0.2)) {
       store.Delete(k);
       reference.erase(k);
+      ++deletes;
     } else {
       const std::string v = "v" + std::to_string(i);
       store.Put(k, v);
       reference[k] = v;
     }
   }
+  // Differential check of the k-way merge: every range read must return
+  // exactly the reference map's slice, while versions and tombstones are
+  // spread over many runs and the memtable, and again after compaction.
+  ASSERT_GT(store.RunCount(), 1u);
+  ASSERT_GT(store.MemtableSize(), 0u);
+  ASSERT_GT(deletes, 0);
+  std::vector<std::pair<Key, std::size_t>> queries = {
+      {0, 0}, {17, 1}, {90, 50}, {0, SIZE_MAX}, {55, SIZE_MAX},
+      {100, 5}, {250, SIZE_MAX}};
+  for (int i = 0; i < 24; ++i) {
+    queries.emplace_back(static_cast<Key>(rng.UniformInt(0, 110)),
+                         static_cast<std::size_t>(rng.UniformInt(0, 40)));
+  }
+  auto expect_reference_slices = [&] {
+    for (const auto& [start, count] : queries) {
+      SCOPED_TRACE("RangeQuery(" + std::to_string(start) + ", " +
+                   std::to_string(count) + ")");
+      const RowSet rows = store.RangeQuery(start, count);
+      std::size_t i = 0;
+      for (auto it = reference.lower_bound(start);
+           it != reference.end() && i < count; ++it, ++i) {
+        ASSERT_LT(i, rows.size());
+        EXPECT_EQ(rows[i].key, it->first);
+        EXPECT_EQ(rows[i].value, it->second);
+      }
+      EXPECT_EQ(rows.size(), i);
+    }
+  };
+  expect_reference_slices();
   store.Compact();
+  EXPECT_EQ(store.RunCount(), 1u);
+  EXPECT_EQ(store.MemtableSize(), 0u);
   EXPECT_EQ(store.LiveKeyCount(), reference.size());
   for (const auto& [k, v] : reference) EXPECT_EQ(store.Get(k), v);
-  const auto rows = store.RangeQuery(0, 200);
-  EXPECT_EQ(rows.size(), reference.size());
+  expect_reference_slices();
 }
 
 TEST(LoadBalancedSelector, PicksLeastLoaded) {
@@ -203,8 +264,14 @@ TEST(Cluster, RangeReadReturnsRowsAndTiming) {
   loop.Schedule(0.0, [&] {
     cluster.RangeRead(100, 50, 1, [&](ReadResult result) {
       done = true;
-      EXPECT_EQ(result.rows.size(), 50u);
+      // The rows arrive intact after moving through the read's callback.
+      ASSERT_EQ(result.rows.size(), 50u);
       EXPECT_EQ(result.rows.front().key, 100u);
+      EXPECT_EQ(result.rows.back().key, 149u);
+      for (std::size_t i = 0; i < result.rows.size(); ++i) {
+        EXPECT_EQ(result.rows[i].key, 100u + i);
+        EXPECT_EQ(result.rows[i].value, std::string(8, 'v'));
+      }
       EXPECT_EQ(result.replica, 1);
       EXPECT_GT(result.timing.finish_ms, result.timing.start_ms);
     });

@@ -98,6 +98,14 @@ TEST(EventLoop, PastSchedulingThrows) {
   EXPECT_THROW(loop.ScheduleAfter(-1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(loop.Schedule(20.0, nullptr), std::invalid_argument);
   EXPECT_THROW(loop.RunUntil(5.0), std::invalid_argument);
+  // NaN compares false both ways, so it must not slip past the guards into
+  // the heap's ordering or onto the clock.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(loop.Schedule(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(loop.ScheduleAfter(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(loop.RunUntil(nan), std::invalid_argument);
+  EXPECT_EQ(loop.pending_count(), 0u);
+  EXPECT_DOUBLE_EQ(loop.Now(), 10.0);
 }
 
 TEST(EventLoop, StepReturnsFalseWhenEmpty) {

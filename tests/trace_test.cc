@@ -331,6 +331,14 @@ TEST(Replay, OfferedRpsScalesWithSpeedup) {
 TEST(Replay, InvalidInputsThrow) {
   const Trace trace = SmallTrace(0.002);
   EXPECT_THROW(BuildReplaySchedule(trace.records, 0.0), std::invalid_argument);
+  // A NaN speedup would make every testbed time NaN; +inf would put the
+  // whole trace at t = 0.
+  EXPECT_THROW(BuildReplaySchedule(trace.records,
+                                   std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(BuildReplaySchedule(trace.records,
+                                   std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
   std::vector<TraceRecord> unsorted = {trace.records[5], trace.records[1]};
   EXPECT_THROW(BuildReplaySchedule(unsorted, 2.0), std::invalid_argument);
 }
