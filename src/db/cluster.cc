@@ -28,16 +28,26 @@ Cluster::Cluster(EventLoop& loop, ClusterParams params, Rng rng)
 }
 
 void Cluster::LoadDataset(std::size_t num_keys, std::size_t value_bytes) {
-  // Every replica group stores a full copy (the replication strategy the
-  // paper adopts for E2E: choose a replica group per request).
-  const std::string payload(value_bytes, 'v');
-  for (auto& replica : replicas_) {
-    for (std::size_t k = 0; k < num_keys; ++k) {
-      replica->storage().Put(static_cast<Key>(k), payload);
+  for (const auto& replica : replicas_) {
+    const StorageEngine& storage = replica->storage();
+    if (storage.RunCount() != 0 || storage.MemtableSize() != 0) {
+      throw std::logic_error("Cluster::LoadDataset: replica " +
+                             std::to_string(replica->index()) +
+                             " already holds data");
     }
-    replica->storage().Flush();
-    replica->storage().Compact();
   }
+  // Every replica group stores a full copy (the replication strategy the
+  // paper adopts for E2E: choose a replica group per request). The copies
+  // share the one compacted run loaded here; later writes land in each
+  // replica's own memtable.
+  StorageEngine loaded;
+  const std::string payload(value_bytes, 'v');
+  for (std::size_t k = 0; k < num_keys; ++k) {
+    loaded.Put(static_cast<Key>(k), payload);
+  }
+  loaded.Flush();
+  loaded.Compact();
+  for (auto& replica : replicas_) replica->storage() = loaded;
 }
 
 void Cluster::RangeRead(Key start, std::size_t count, int replica,

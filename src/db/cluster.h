@@ -106,6 +106,10 @@ class Cluster {
   Cluster(EventLoop& loop, ClusterParams params, Rng rng);
 
   /// Populates every replica with `num_keys` rows of `value_bytes` payload.
+  /// The dataset is loaded once, into one compacted run, and every replica
+  /// gets a copy of that engine: the copies share the run, and later writes
+  /// land in each replica's own memtable, so each replica stays a full
+  /// logical copy. Throws std::logic_error unless every replica is empty.
   void LoadDataset(std::size_t num_keys, std::size_t value_bytes);
 
   /// Executes a range read on the given replica; `done` fires on the event

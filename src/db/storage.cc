@@ -2,8 +2,36 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <utility>
 
 namespace e2e::db {
+
+// Entries ascending by key, one per key; a nullopt value is a tombstone.
+// A run never changes once built, so engines and RowSets share it.
+struct Run {
+  std::vector<std::pair<Key, std::optional<std::string>>> entries;
+  bool tombstone_free = true;
+};
+
+RowView RowSet::operator[](std::size_t i) const {
+  if (run_ != nullptr) {
+    const auto& [key, value] = run_->entries[first_ + i];
+    return {key, *value};
+  }
+  const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+  return {keys_[i], std::string_view(bytes_.data() + begin, ends_[i] - begin)};
+}
+
+RowView RowSet::front() const {
+  if (empty()) throw std::out_of_range("RowSet::front: empty set");
+  return (*this)[0];
+}
+
+RowView RowSet::back() const {
+  if (empty()) throw std::out_of_range("RowSet::back: empty set");
+  return (*this)[size_ - 1];
+}
 
 StorageEngine::StorageEngine(std::size_t memtable_limit, std::size_t max_runs)
     : memtable_limit_(std::max<std::size_t>(memtable_limit, 1)),
@@ -24,10 +52,11 @@ const StorageEngine::Versioned* StorageEngine::FindNewest(Key key) const {
     return &it->second;
   }
   for (auto run = runs_.rbegin(); run != runs_.rend(); ++run) {
+    const auto& entries = (*run)->entries;
     const auto it = std::lower_bound(
-        run->begin(), run->end(), key,
+        entries.begin(), entries.end(), key,
         [](const auto& entry, Key k) { return entry.first < k; });
-    if (it != run->end() && it->first == key) return &it->second;
+    if (it != entries.end() && it->first == key) return &it->second;
   }
   return nullptr;
 }
@@ -61,9 +90,9 @@ RowSet StorageEngine::RangeQuery(Key start, std::size_t count) const {
       c.key = c.mem_it->first;
       c.value = &c.mem_it->second;
     } else {
-      if (c.pos == c.run->size()) return false;
-      c.key = (*c.run)[c.pos].first;
-      c.value = &(*c.run)[c.pos].second;
+      if (c.pos == c.run->entries.size()) return false;
+      c.key = c.run->entries[c.pos].first;
+      c.value = &c.run->entries[c.pos].second;
     }
     return true;
   };
@@ -85,18 +114,32 @@ RowSet StorageEngine::RangeQuery(Key start, std::size_t count) const {
   }
   if (load(mem)) cursors.push_back(mem);
   for (std::size_t i = 0; i < runs_.size(); ++i) {
-    const Run& run = runs_[i];
+    const Run& run = *runs_[i];
     const auto it = std::lower_bound(
-        run.begin(), run.end(), start,
+        run.entries.begin(), run.entries.end(), start,
         [](const auto& entry, Key k) { return entry.first < k; });
-    held += static_cast<std::size_t>(run.end() - it);
+    held += static_cast<std::size_t>(run.entries.end() - it);
     Cursor c{.priority = static_cast<int>(i),
              .run = &run,
-             .pos = static_cast<std::size_t>(it - run.begin()),
+             .pos = static_cast<std::size_t>(it - run.entries.begin()),
              .mem_it = {},
              .key = 0,
              .value = nullptr};
     if (load(c)) cursors.push_back(c);
+  }
+
+  // When the only source at or after `start` is a tombstone-free run, the
+  // rows are that run's slice from `start`: pin the run and view them, with
+  // no merge and no copy. Memtable entries are mutable, and a tombstone or
+  // a second source needs versions resolved, so every other read merges.
+  if (cursors.size() == 1 && cursors[0].run != nullptr &&
+      cursors[0].run->tombstone_free) {
+    const Cursor& only = cursors[0];
+    // A run's priority is its index in runs_.
+    out.run_ = runs_[static_cast<std::size_t>(only.priority)];
+    out.first_ = only.pos;
+    out.size_ = std::min(count, only.run->entries.size() - only.pos);
+    return out;
   }
 
   // The merge collects the winning values; their bytes are copied after it
@@ -144,15 +187,17 @@ RowSet StorageEngine::RangeQuery(Key start, std::size_t count) const {
   for (const std::string* v : values) {
     dst = std::copy(v->begin(), v->end(), dst);
   }
+  out.size_ = out.keys_.size();
   return out;
 }
 
 void StorageEngine::Flush() {
   if (memtable_.empty()) return;
-  Run run;
-  run.reserve(memtable_.size());
+  auto run = std::make_shared<Run>();
+  run->entries.reserve(memtable_.size());
   for (auto& [key, value] : memtable_) {
-    run.emplace_back(key, std::move(value));
+    run->tombstone_free = run->tombstone_free && value.has_value();
+    run->entries.emplace_back(key, std::move(value));
   }
   memtable_.clear();
   runs_.push_back(std::move(run));
@@ -162,18 +207,20 @@ void StorageEngine::Flush() {
 void StorageEngine::Compact() {
   // Full merge: collect newest versions, drop tombstones.
   std::map<Key, Versioned> merged;
-  for (const Run& run : runs_) {  // oldest first; later writes overwrite.
-    for (const auto& [key, value] : run) merged[key] = value;
+  for (const auto& run : runs_) {  // oldest first; later writes overwrite.
+    for (const auto& [key, value] : run->entries) merged[key] = value;
   }
   for (const auto& [key, value] : memtable_) merged[key] = value;
   memtable_.clear();
   runs_.clear();
-  Run combined;
-  combined.reserve(merged.size());
+  auto combined = std::make_shared<Run>();
+  combined->entries.reserve(merged.size());
   for (auto& [key, value] : merged) {
-    if (value.has_value()) combined.emplace_back(key, std::move(value));
+    if (value.has_value()) {
+      combined->entries.emplace_back(key, std::move(value));
+    }
   }
-  if (!combined.empty()) runs_.push_back(std::move(combined));
+  if (!combined->entries.empty()) runs_.push_back(std::move(combined));
 }
 
 std::size_t StorageEngine::LiveKeyCount() const {
@@ -184,7 +231,7 @@ std::size_t StorageEngine::LiveKeyCount() const {
   };
   for (const auto& [key, value] : memtable_) visit(key, value);
   for (auto run = runs_.rbegin(); run != runs_.rend(); ++run) {
-    for (const auto& [key, value] : *run) visit(key, value);
+    for (const auto& [key, value] : (*run)->entries) visit(key, value);
   }
   return live;
 }

@@ -64,6 +64,14 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
   if (records.empty()) {
     throw std::invalid_argument("RunDbExperiment: no records");
   }
+  // Each request reads from a uniformly drawn key of the table, so an empty
+  // table or a zero-row read would "serve" requests that read nothing.
+  if (config.dataset_keys == 0) {
+    throw std::invalid_argument("RunDbExperiment: dataset_keys must be > 0");
+  }
+  if (config.range_count == 0) {
+    throw std::invalid_argument("RunDbExperiment: range_count must be > 0");
+  }
   Rng root(config.common.seed);
   EventLoop loop;
   // Budget accounting runs on the sim's virtual clock unless the config

@@ -63,7 +63,9 @@ struct DbExperimentConfig {
 };
 
 /// Runs the experiment over `records` (one page type, arrival-ordered)
-/// scored against `qoe`. Deterministic in the seed.
+/// scored against `qoe`. Deterministic in the seed. Throws
+/// std::invalid_argument on empty `records`, `dataset_keys` == 0 or
+/// `range_count` == 0.
 ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
                                  const QoeModel& qoe,
                                  const DbExperimentConfig& config);

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,6 +103,69 @@ TEST(StorageEngine, RangeQueryMergesSources) {
   EXPECT_EQ(after[2].key, 4u);
 }
 
+// True when two live reads of the same rows share their value bytes: only
+// a pinned view of one run does, as each merged read owns its own block.
+bool ReadsSharePinnedBytes(const StorageEngine& store, Key start,
+                           std::size_t count) {
+  const RowSet a = store.RangeQuery(start, count);
+  const RowSet b = store.RangeQuery(start, count);
+  return !a.empty() && a.front().value.data() == b.front().value.data();
+}
+
+TEST(StorageEngine, PinnedViewSharesTheRunAndOutlivesWrites) {
+  StorageEngine store;
+  for (Key k = 0; k < 10; ++k) store.Put(k, "v" + std::to_string(k));
+  store.Flush();
+  store.Compact();
+  const RowSet first = store.RangeQuery(2, 5);
+  const RowSet second = store.RangeQuery(2, 5);
+  ASSERT_EQ(first.size(), 5u);
+  ASSERT_EQ(second.size(), 5u);
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].key, second[i].key);
+    EXPECT_EQ(first[i].value.data(), second[i].value.data());
+  }
+  auto expect_original = [&first] {
+    ASSERT_EQ(first.size(), 5u);
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(first[i].key, 2u + i);
+      EXPECT_EQ(first[i].value, "v" + std::to_string(2 + i));
+    }
+  };
+  // The view pins the run it was read from: overwriting, deleting,
+  // flushing and compacting the engine afterwards leaves it as it was read.
+  store.Put(3, "overwritten");
+  store.Delete(4);
+  store.Flush();
+  store.Put(5, std::string(64, 'x'));
+  store.Compact();
+  expect_original();
+  const RowSet after = store.RangeQuery(2, 5);
+  ASSERT_EQ(after.size(), 5u);
+  EXPECT_EQ(after[0].value, "v2");
+  EXPECT_EQ(after[1].value, "overwritten");
+  EXPECT_EQ(after[2].key, 5u);
+  EXPECT_EQ(after[2].value, std::string(64, 'x'));
+  EXPECT_EQ(after[4].key, 7u);
+}
+
+TEST(RowSet, FrontAndBackOfAnEmptySetThrow) {
+  StorageEngine store;
+  store.Put(1, "a");
+  store.Flush();
+  store.Compact();
+  for (const RowSet& rows :
+       {RowSet{}, store.RangeQuery(0, 0), store.RangeQuery(2, 10)}) {
+    ASSERT_TRUE(rows.empty());
+    EXPECT_THROW(rows.front(), std::out_of_range);
+    EXPECT_THROW(rows.back(), std::out_of_range);
+  }
+  const RowSet one = store.RangeQuery(0, 10);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.front().value, "a");
+  EXPECT_EQ(one.back().value, "a");
+}
+
 TEST(StorageEngine, RangeQuerySkipsTombstones) {
   StorageEngine store;
   for (Key k = 0; k < 10; ++k) store.Put(k, "v");
@@ -158,7 +222,7 @@ TEST(StorageEngine, CompactionPreservesData) {
   ASSERT_GT(deletes, 0);
   std::vector<std::pair<Key, std::size_t>> queries = {
       {0, 0}, {17, 1}, {90, 50}, {0, SIZE_MAX}, {55, SIZE_MAX},
-      {100, 5}, {250, SIZE_MAX}};
+      {100, 5}, {250, SIZE_MAX}, {106, 10}};
   for (int i = 0; i < 24; ++i) {
     queries.emplace_back(static_cast<Key>(rng.UniformInt(0, 110)),
                          static_cast<std::size_t>(rng.UniformInt(0, 40)));
@@ -179,11 +243,41 @@ TEST(StorageEngine, CompactionPreservesData) {
     }
   };
   expect_reference_slices();
+  EXPECT_FALSE(ReadsSharePinnedBytes(store, 0, SIZE_MAX));
   store.Compact();
   EXPECT_EQ(store.RunCount(), 1u);
   EXPECT_EQ(store.MemtableSize(), 0u);
   EXPECT_EQ(store.LiveKeyCount(), reference.size());
   for (const auto& [k, v] : reference) EXPECT_EQ(store.Get(k), v);
+  // One compacted run: every read pins it.
+  expect_reference_slices();
+  EXPECT_TRUE(ReadsSharePinnedBytes(store, 0, SIZE_MAX));
+  EXPECT_TRUE(ReadsSharePinnedBytes(store, 90, 50));
+
+  // Each shape below leaves a read the pinned view cannot serve: it merges
+  // and still returns the reference's slice. A memtable key at or after
+  // `start`:
+  store.Put(105, "m105");
+  reference[105] = "m105";
+  EXPECT_FALSE(ReadsSharePinnedBytes(store, 100, 5));
+  EXPECT_FALSE(ReadsSharePinnedBytes(store, 0, SIZE_MAX));
+  expect_reference_slices();
+  // A second run overlapping the first (the memtable flushed):
+  store.Flush();
+  ASSERT_EQ(store.RunCount(), 2u);
+  ASSERT_EQ(store.MemtableSize(), 0u);
+  EXPECT_FALSE(ReadsSharePinnedBytes(store, 0, SIZE_MAX));
+  EXPECT_TRUE(ReadsSharePinnedBytes(store, 100, 5));  // The new run alone.
+  expect_reference_slices();
+  // A flushed tombstone inside the range of the only run past key 105:
+  store.Compact();
+  store.Delete(110);
+  store.Put(120, "m120");
+  reference[120] = "m120";
+  store.Flush();
+  ASSERT_EQ(store.RunCount(), 2u);
+  ASSERT_EQ(store.MemtableSize(), 0u);
+  EXPECT_FALSE(ReadsSharePinnedBytes(store, 106, 10));
   expect_reference_slices();
 }
 
@@ -253,6 +347,59 @@ TEST(Cluster, ReplicasHoldFullCopies) {
   for (int r = 0; r < cluster.NumReplicas(); ++r) {
     EXPECT_EQ(cluster.replica(r).storage().LiveKeyCount(), 500u);
   }
+}
+
+TEST(Cluster, ReplicasShareTheLoadedRunAndWriteAlone) {
+  EventLoop loop;
+  ClusterParams params;
+  params.replica_groups = 3;
+  Cluster cluster(loop, params, Rng(5));
+  cluster.LoadDataset(100, 16);
+  // The dataset was loaded once: every replica's reads view the same run.
+  const RowSet r0 = cluster.replica(0).storage().RangeQuery(10, 5);
+  const RowSet r2 = cluster.replica(2).storage().RangeQuery(10, 5);
+  ASSERT_EQ(r0.size(), 5u);
+  ASSERT_EQ(r2.size(), 5u);
+  EXPECT_EQ(r0.front().value.data(), r2.front().value.data());
+  // A write to one replica stays there, through flush and compaction too.
+  StorageEngine& written = cluster.replica(0).storage();
+  written.Put(10, "replica-0 only");
+  written.Delete(11);
+  written.Put(500, "new key");
+  for (int pass = 0; pass < 3; ++pass) {
+    if (pass == 1) written.Flush();
+    if (pass == 2) written.Compact();
+    EXPECT_EQ(written.Get(10), "replica-0 only");
+    EXPECT_EQ(written.Get(11), std::nullopt);
+    EXPECT_EQ(written.Get(500), "new key");
+    EXPECT_EQ(written.LiveKeyCount(), 100u);
+    for (int r = 1; r < cluster.NumReplicas(); ++r) {
+      const StorageEngine& other = cluster.replica(r).storage();
+      EXPECT_EQ(other.Get(10), std::string(16, 'v')) << "replica " << r;
+      EXPECT_EQ(other.Get(11), std::string(16, 'v')) << "replica " << r;
+      EXPECT_EQ(other.Get(500), std::nullopt) << "replica " << r;
+      EXPECT_EQ(other.LiveKeyCount(), 100u) << "replica " << r;
+      EXPECT_EQ(other.MemtableSize(), 0u) << "replica " << r;
+    }
+  }
+  // Reads taken before the writes still see the loaded rows.
+  EXPECT_EQ(r0.front().key, 10u);
+  EXPECT_EQ(r0.front().value, std::string(16, 'v'));
+}
+
+TEST(Cluster, LoadDatasetRequiresEmptyReplicas) {
+  EventLoop loop;
+  ClusterParams params;
+  Cluster loaded(loop, params, Rng(5));
+  loaded.LoadDataset(10, 4);
+  EXPECT_THROW(loaded.LoadDataset(10, 4), std::logic_error);
+  // One non-empty replica is enough to refuse, and the refusal loads
+  // nothing anywhere.
+  Cluster written(loop, params, Rng(5));
+  written.replica(2).storage().Put(3, "x");
+  EXPECT_THROW(written.LoadDataset(10, 4), std::logic_error);
+  EXPECT_EQ(written.replica(0).storage().LiveKeyCount(), 0u);
+  EXPECT_EQ(written.replica(2).storage().LiveKeyCount(), 1u);
 }
 
 TEST(Cluster, RangeReadReturnsRowsAndTiming) {

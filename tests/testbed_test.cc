@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "qoe/sigmoid_model.h"
 #include "testbed/broker_experiment.h"
@@ -238,10 +241,68 @@ TEST(DbExperiment, FailoverKeepsServing) {
   EXPECT_GT(result.mean_qoe, 0.0);
 }
 
+// Byte-wise FNV-1a-64.
+std::uint64_t Fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins every byte a small db-testbed run exports (results and both
+// telemetry exports), so a faster read path must keep them as they are.
+// The second run partitions a replica, so failover reads are pinned too.
+TEST(DbExperiment, OutputBytesArePinned) {
+  const auto records = LoadedWorkload(600);
+  auto config = FastDbConfig(DbPolicy::kE2e);
+  config.common.collect_telemetry = true;
+  const auto steady = RunDbExperiment(records, TraceQoe(), config);
+  EXPECT_EQ(steady.failed_over, 0u);
+  EXPECT_EQ(Fnv1a64(steady.Serialize()), 0x62931af484f4a6f6ULL);
+  EXPECT_EQ(Fnv1a64(steady.telemetry.SerializeText()),
+            0x2bc4e830095daf4eULL);
+  EXPECT_EQ(Fnv1a64(steady.telemetry.SerializeJson()),
+            0x8bf53b333da8864bULL);
+
+  config.common.fault_plan =
+      fault::FaultPlan::Parse("partition db r=0 t=[2s,6s]");
+  const auto partitioned = RunDbExperiment(records, TraceQoe(), config);
+  EXPECT_GT(partitioned.failed_over, 0u);
+  EXPECT_EQ(Fnv1a64(partitioned.Serialize()), 0xf8e262b12ab5cd5dULL);
+  EXPECT_EQ(Fnv1a64(partitioned.telemetry.SerializeText()),
+            0xd83c74de7f7da6dcULL);
+  EXPECT_EQ(Fnv1a64(partitioned.telemetry.SerializeJson()),
+            0x2c2e466078644d7dULL);
+}
+
 TEST(DbExperiment, EmptyRecordsThrow) {
   EXPECT_THROW(
       RunDbExperiment({}, TraceQoe(), FastDbConfig(DbPolicy::kDefault)),
       std::invalid_argument);
+}
+
+TEST(DbExperiment, RejectsEmptyTableAndZeroRowReads) {
+  // Either config would "serve" every request with reads of nothing; the
+  // error names the field.
+  const auto records = LoadedWorkload(50);
+  const auto expect_rejected = [&records](const DbExperimentConfig& config,
+                                          const std::string& field) {
+    try {
+      RunDbExperiment(records, TraceQoe(), config);
+      FAIL() << "expected std::invalid_argument for " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  auto config = FastDbConfig(DbPolicy::kDefault);
+  config.dataset_keys = 0;
+  expect_rejected(config, "dataset_keys");
+  config = FastDbConfig(DbPolicy::kE2e);
+  config.range_count = 0;
+  expect_rejected(config, "range_count");
 }
 
 TEST(DbExperiment, SelectorEntriesAreOneHot) {
