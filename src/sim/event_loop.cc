@@ -1,5 +1,6 @@
 #include "sim/event_loop.h"
 
+#include <limits>
 #include <stdexcept>
 
 namespace e2e {
@@ -12,14 +13,33 @@ EventId EventLoop::Schedule(double at_ms, Callback cb) {
   if (!cb) {
     throw std::invalid_argument("EventLoop::Schedule: empty callback");
   }
-  const EventId id = next_id_++;
-  heap_.push(Entry{at_ms, next_seq_++, id});
-  callbacks_.emplace(id, std::move(cb));
+  if (free_slots_.empty()) {
+    if (slots_.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::overflow_error("EventLoop::Schedule: slot index overflow");
+    }
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  Slot& s = slots_[slot];
+  // Generation 0 means the slot's counter wrapped; reissuing the slot could
+  // alias an id handed out 2^32 - 1 events ago.
+  if (s.generation == 0) {
+    throw std::overflow_error("EventLoop::Schedule: generation overflow");
+  }
+  free_slots_.pop_back();
+  s.cb = std::move(cb);
+  const Entry entry{at_ms, next_seq_++, slot, s.generation};
+  if (fifo_.empty() || at_ms >= fifo_.back().at_ms) {
+    fifo_.push_back(entry);
+  } else {
+    heap_.push(entry);
+  }
   ++live_pending_;
   if (metric_timer_lead_ != nullptr) {
     metric_timer_lead_->Observe(at_ms - now_ms_);
   }
-  return id;
+  return (static_cast<EventId>(s.generation) << 32) | slot;
 }
 
 EventId EventLoop::ScheduleAfter(double delay_ms, Callback cb) {
@@ -31,38 +51,63 @@ EventId EventLoop::ScheduleAfter(double delay_ms, Callback cb) {
 }
 
 bool EventLoop::Cancel(EventId id) {
-  const auto erased = callbacks_.erase(id);
-  if (erased > 0) {
-    --live_pending_;
-    if (metric_cancelled_ != nullptr) metric_cancelled_->Increment();
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size()) return false;
+  const Slot& s = slots_[slot];
+  // A free slot already carries the generation of its next event, so an
+  // id that was never issued can match it; only a held callback is live.
+  if (s.generation != static_cast<std::uint32_t>(id >> 32) || !s.cb) {
+    return false;
   }
-  return erased > 0;
+  Release(slot);
+  --live_pending_;
+  if (metric_cancelled_ != nullptr) metric_cancelled_->Increment();
+  return true;
+}
+
+void EventLoop::Release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.cb = nullptr;
+  ++s.generation;
+  free_slots_.push_back(slot);
+}
+
+EventLoop::Store EventLoop::NextStore() {
+  while (!fifo_.empty() && !Live(fifo_.front())) fifo_.pop_front();
+  while (!heap_.empty() && !Live(heap_.top())) heap_.pop();
+  if (heap_.empty()) return fifo_.empty() ? Store::kNone : Store::kFifo;
+  if (fifo_.empty()) return Store::kHeap;
+  return Later{}(fifo_.front(), heap_.top()) ? Store::kHeap : Store::kFifo;
+}
+
+void EventLoop::Fire(Store store) {
+  const Entry next = Head(store);
+  if (store == Store::kFifo) {
+    fifo_.pop_front();
+  } else {
+    heap_.pop();
+  }
+  // Moved out before the call: the callback may schedule, which can grow
+  // slots_ or reuse this slot.
+  Callback cb = std::move(slots_[next.slot].cb);
+  Release(next.slot);
+  if (metric_events_ != nullptr) {
+    metric_events_->Increment();
+    // Depth includes the event about to run (live_pending_ not yet
+    // decremented).
+    metric_queue_depth_->Observe(static_cast<double>(live_pending_));
+  }
+  --live_pending_;
+  now_ms_ = next.at_ms;
+  ++processed_;
+  cb();
 }
 
 bool EventLoop::Step() {
-  while (!heap_.empty()) {
-    const Entry top = heap_.top();
-    const auto it = callbacks_.find(top.id);
-    if (it == callbacks_.end()) {
-      heap_.pop();  // Cancelled; skip lazily.
-      continue;
-    }
-    heap_.pop();
-    Callback cb = std::move(it->second);
-    callbacks_.erase(it);
-    if (metric_events_ != nullptr) {
-      metric_events_->Increment();
-      // Depth includes the event about to run (live_pending_ not yet
-      // decremented).
-      metric_queue_depth_->Observe(static_cast<double>(live_pending_));
-    }
-    --live_pending_;
-    now_ms_ = top.at_ms;
-    ++processed_;
-    cb();
-    return true;
-  }
-  return false;
+  const Store store = NextStore();
+  if (store == Store::kNone) return false;
+  Fire(store);
+  return true;
 }
 
 void EventLoop::Run() {
@@ -88,14 +133,10 @@ void EventLoop::RunUntil(double until_ms) {
     throw std::invalid_argument(
         "EventLoop::RunUntil: time in the past or NaN");
   }
-  while (!heap_.empty()) {
-    const Entry top = heap_.top();
-    if (callbacks_.find(top.id) == callbacks_.end()) {
-      heap_.pop();
-      continue;
-    }
-    if (top.at_ms > until_ms) break;
-    Step();
+  for (Store store = NextStore();
+       store != Store::kNone && Head(store).at_ms <= until_ms;
+       store = NextStore()) {
+    Fire(store);
   }
   now_ms_ = until_ms;
 }

@@ -31,9 +31,9 @@ void SimServer::Submit(Completion done) {
 }
 
 void SimServer::SetExtraServiceDelayMs(double extra_ms) {
-  if (extra_ms < 0.0) {
+  if (!std::isfinite(extra_ms) || extra_ms < 0.0) {
     throw std::invalid_argument(
-        "SimServer::SetExtraServiceDelayMs: negative delay");
+        "SimServer::SetExtraServiceDelayMs: extra_ms not finite and >= 0");
   }
   extra_service_delay_ms_ = extra_ms;
 }
@@ -62,24 +62,48 @@ void SimServer::TryStart() {
     timing.enqueue_ms = job.enqueue_ms;
     timing.start_ms = loop_.Now();
     timing.finish_ms = loop_.Now() + service_ms;
-    loop_.Schedule(timing.finish_ms,
-                   [this, timing, done = std::move(job.done)]() {
-                     AccumulateBusy();
-                     --in_service_;
-                     ++completed_;
-                     total_stats_.Add(timing.TotalDelayMs());
-                     service_stats_.Add(timing.ServiceDelayMs());
-                     done(timing);
-                     TryStart();
-                   });
+    if (free_slots_.empty()) {
+      free_slots_.push_back(in_service_slots_.size());
+      in_service_slots_.emplace_back();
+    }
+    const std::size_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_service_slots_[slot] = InService{std::move(job.done), timing};
+    loop_.Schedule(timing.finish_ms, [this, slot]() { Complete(slot); });
   }
+}
+
+void SimServer::Complete(std::size_t slot) {
+  // Moved out first: `done` may submit, which can reuse or grow the slots.
+  const InService job = std::move(in_service_slots_[slot]);
+  free_slots_.push_back(slot);
+  AccumulateBusy();
+  --in_service_;
+  ++completed_;
+  total_stats_.Add(job.timing.TotalDelayMs());
+  service_stats_.Add(job.timing.ServiceDelayMs());
+  job.done(job.timing);
+  TryStart();
 }
 
 ServiceTimeFn MakeConvexLoadProfile(double base_ms, double capacity,
                                     double alpha, double beta,
                                     double jitter_sigma) {
-  if (base_ms <= 0.0 || capacity <= 0.0) {
-    throw std::invalid_argument("MakeConvexLoadProfile: bad parameters");
+  // NaN passes a plain `<= 0.0` guard, and a NaN service time becomes 0 ms
+  // in TryStart's std::max, so non-finite values are rejected here.
+  if (!std::isfinite(base_ms) || base_ms <= 0.0) {
+    throw std::invalid_argument(
+        "MakeConvexLoadProfile: base_ms not finite and > 0");
+  }
+  if (!std::isfinite(capacity) || capacity <= 0.0) {
+    throw std::invalid_argument(
+        "MakeConvexLoadProfile: capacity not finite and > 0");
+  }
+  if (!std::isfinite(alpha)) {
+    throw std::invalid_argument("MakeConvexLoadProfile: alpha not finite");
+  }
+  if (!std::isfinite(beta)) {
+    throw std::invalid_argument("MakeConvexLoadProfile: beta not finite");
   }
   if (!std::isfinite(jitter_sigma) || jitter_sigma < 0.0) {
     throw std::invalid_argument(

@@ -3,13 +3,16 @@
 // Database replicas (src/db) are built on this: jobs queue FIFO behind a
 // bounded number of service slots, and each job's service time is drawn
 // from a caller-supplied profile of the *current* load, reproducing the
-// convex load→latency curves the paper profiles offline (§6).
+// convex load→latency curves the paper profiles offline (§6). A job in
+// service keeps its completion and timing in a reused slot of the server,
+// so its completion event allocates nothing (docs/PERFORMANCE.md §7).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/event_loop.h"
 #include "stats/summary.h"
@@ -52,8 +55,8 @@ class SimServer {
   int QueueLength() const { return static_cast<int>(queue_.size()); }
 
   /// Fault injection: a fixed extra service delay added to every job that
-  /// starts while set (fault::FaultInjector's "delay db" clause). Throws on
-  /// negative values.
+  /// starts while set (fault::FaultInjector's "delay db" clause). Throws
+  /// std::invalid_argument on negative or non-finite values.
   void SetExtraServiceDelayMs(double extra_ms);
   double extra_service_delay_ms() const { return extra_service_delay_ms_; }
 
@@ -81,8 +84,16 @@ class SimServer {
     Completion done;
     double enqueue_ms;
   };
+  // A job in service. Its completion event captures only (this, slot), so
+  // the closure fits std::function's local buffer and allocates nothing.
+  struct InService {
+    Completion done;
+    JobTiming timing;
+  };
 
   void TryStart();
+  // The completion event of the job in `slot`.
+  void Complete(std::size_t slot);
   // Folds the elapsed span at the current in_service_ level into
   // busy_ms_integral_; call immediately before every in_service_ change.
   void AccumulateBusy();
@@ -93,6 +104,9 @@ class SimServer {
   ServiceTimeFn service_time_;
   Rng rng_;
   std::deque<Pending> queue_;
+  // Reused through free_slots_; never more than `concurrency_` entries.
+  std::vector<InService> in_service_slots_;
+  std::vector<std::size_t> free_slots_;
   double extra_service_delay_ms_ = 0.0;
   int in_service_ = 0;
   double busy_ms_integral_ = 0.0;
@@ -108,8 +122,10 @@ class SimServer {
 /// (typically the server's concurrency); total delay under offered load then
 /// rises through queueing, giving the convex load→delay curves the paper
 /// profiles offline at {5%,...,100%} of a server's maximum request rate.
-/// `jitter_sigma` is the jitter's log-space sigma: finite and >= 0, else
-/// std::invalid_argument; 0 means no jitter and no RNG draw.
+/// `base_ms` and `capacity` must be finite and > 0, `alpha` and `beta`
+/// finite, and `jitter_sigma` (the jitter's log-space sigma) finite and
+/// >= 0; anything else throws std::invalid_argument naming the parameter.
+/// A `jitter_sigma` of 0 means no jitter and no RNG draw.
 ServiceTimeFn MakeConvexLoadProfile(double base_ms, double capacity,
                                     double alpha = 1.0, double beta = 1.6,
                                     double jitter_sigma = 0.35);

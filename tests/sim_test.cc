@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "proptest.h"
@@ -32,6 +39,20 @@ TEST(EventLoop, EqualTimesRunInScheduleOrder) {
   }
   loop.Run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+// Scheduling order breaks ties even when the later event is scheduled after
+// everything ahead of it was cancelled and the loop has advanced.
+TEST(EventLoop, EqualTimesRunInScheduleOrderAcrossCancels) {
+  EventLoop loop;
+  std::vector<int> order;
+  const EventId late = loop.Schedule(10.0, [&] { order.push_back(0); });
+  loop.Schedule(5.0, [&] { order.push_back(1); });
+  EXPECT_TRUE(loop.Cancel(late));
+  loop.RunUntil(3.0);
+  loop.Schedule(5.0, [&] { order.push_back(2); });
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 TEST(EventLoop, NestedScheduling) {
@@ -73,8 +94,8 @@ TEST(EventLoop, RunUntilStopsAtBoundary) {
 
 // Regression: an event scheduled exactly at until_ms *by a callback running
 // at until_ms* must still fire within the same RunUntil call — RunUntil
-// re-reads the heap top after every callback, so boundary-time chains drain
-// before the clock pins to until_ms.
+// re-reads the next event after every callback, so boundary-time chains
+// drain before the clock pins to until_ms.
 TEST(EventLoop, RunUntilFiresBoundaryEventsScheduledByCallbacks) {
   EventLoop loop;
   std::vector<std::string> fired;
@@ -218,6 +239,206 @@ TEST(EventLoopProperties, SegmentedRunUntilMatchesSingleRun) {
   });
 }
 
+// The loop's public contract implemented the obvious way, as the oracle of
+// the differential test below: an ordered map on (time, scheduling
+// sequence), a linear scan to cancel, and ids issued 1, 2, 3, ...
+class OracleLoop {
+ public:
+  EventId Schedule(double at_ms, std::function<void()> cb) {
+    if (!(at_ms >= now_ms_)) throw std::invalid_argument("past or NaN");
+    const EventId id = next_id_++;
+    pending_.emplace(std::make_pair(at_ms, next_seq_++),
+                     std::make_pair(id, std::move(cb)));
+    return id;
+  }
+  bool Cancel(EventId id) {
+    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+      if (it->second.first == id) {
+        pending_.erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
+  bool Step() {
+    if (pending_.empty()) return false;
+    const auto head = pending_.begin();
+    now_ms_ = head->first.first;
+    const std::function<void()> cb = std::move(head->second.second);
+    pending_.erase(head);
+    ++processed_;
+    cb();
+    return true;
+  }
+  void RunUntil(double until_ms) {
+    if (!(until_ms >= now_ms_)) throw std::invalid_argument("past or NaN");
+    while (!pending_.empty() && pending_.begin()->first.first <= until_ms) {
+      Step();
+    }
+    now_ms_ = until_ms;
+  }
+  double Now() const { return now_ms_; }
+  std::size_t pending_count() const { return pending_.size(); }
+  std::uint64_t processed_count() const { return processed_; }
+
+ private:
+  std::map<std::pair<double, std::uint64_t>,
+           std::pair<EventId, std::function<void()>>>
+      pending_;
+  double now_ms_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  EventId next_id_ = 1;
+  std::uint64_t processed_ = 0;
+};
+
+// One observable step of a run: an op code, an operand, and a time.
+using LoopRecord = std::tuple<char, std::uint64_t, double>;
+
+// Drives a loop (the real one or the oracle) with random operations drawn
+// from `seed`: in-order, out-of-order and at-Now() schedules, cancels of
+// pending, fired, cancelled, never-issued and 0 ids, Step() and RunUntil()
+// segments, with schedules and cancels also made from inside callbacks.
+// While two loops fire in the same order they draw the same operations, so
+// equal records mean equal behaviour.
+template <typename Loop>
+class LoopDriver {
+ public:
+  explicit LoopDriver(std::uint64_t seed) : rng_(seed) {}
+
+  std::vector<LoopRecord> Run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const std::int64_t op = rng_.UniformInt(0, 9);
+      if (op < 4) {
+        ScheduleOne();
+      } else if (op < 6) {
+        CancelOne();
+      } else if (op < 8) {
+        const bool stepped = loop_.Step();
+        log_.emplace_back('S', stepped ? 1 : 0, loop_.Now());
+      } else {
+        const double until =
+            loop_.Now() + static_cast<double>(rng_.UniformInt(0, 12));
+        loop_.RunUntil(until);
+        log_.emplace_back('U', 0, until);
+      }
+      LogState();
+    }
+    while (loop_.Step()) {
+    }
+    LogState();
+    return log_;
+  }
+
+ private:
+  void LogState() {
+    log_.emplace_back('n', loop_.pending_count(), loop_.Now());
+    log_.emplace_back('p', loop_.processed_count(), 0.0);
+  }
+
+  void ScheduleOne() {
+    double at = loop_.Now();  // Kind 2: exactly Now().
+    const std::int64_t kind = rng_.UniformInt(0, 2);
+    if (kind == 0) {
+      // At or after every time scheduled so far (ties included).
+      at = std::max(latest_, loop_.Now()) +
+           static_cast<double>(rng_.UniformInt(0, 3));
+    } else if (kind == 1) {
+      at = loop_.Now() + static_cast<double>(rng_.UniformInt(0, 20));
+    }
+    latest_ = std::max(latest_, at);
+    const std::uint64_t token = issued_.size();
+    const EventId id = loop_.Schedule(at, [this, token] { OnFire(token); });
+    EXPECT_NE(id, 0u);
+    EXPECT_TRUE(seen_.insert(id).second) << "id " << id << " issued twice";
+    issued_.push_back(id);
+    log_.emplace_back('s', token, at);
+  }
+
+  void CancelOne() {
+    const std::int64_t kind = rng_.UniformInt(0, 3);
+    EventId id = 0;  // Kind 0: the id callers use for "no event".
+    if (kind >= 1 && !issued_.empty()) {
+      id = issued_[static_cast<std::size_t>(rng_.UniformInt(
+          0, static_cast<std::int64_t>(issued_.size()) - 1))];
+      if (kind == 3) {
+        // Never issued: near an issued id (its high word bumped), stepping
+        // past any id this loop has issued.
+        id += EventId{1} << 32;
+        while (seen_.count(id) > 0) ++id;
+      }
+    }
+    log_.emplace_back('c', loop_.Cancel(id) ? 1 : 0,
+                      static_cast<double>(kind));
+  }
+
+  void OnFire(std::uint64_t token) {
+    log_.emplace_back('f', token, loop_.Now());
+    // Fewer than one child per event on average, so runs stay finite.
+    if (rng_.Bernoulli(0.45)) ScheduleOne();
+    if (rng_.Bernoulli(0.3)) CancelOne();
+  }
+
+  Loop loop_;
+  Rng rng_;
+  double latest_ = 0.0;
+  std::vector<EventId> issued_;
+  std::set<EventId> seen_;
+  std::vector<LoopRecord> log_;
+};
+
+// Differential property: under random operations the loop fires the same
+// events at the same times as the oracle, and agrees with it on Now(),
+// pending_count(), processed_count(), Step() and every Cancel() result.
+// Some orderings need a rare sequence of cancels and advances (the one in
+// EqualTimesRunInScheduleOrderAcrossCancels first shows up after about a
+// hundred cases), hence the case count.
+TEST(EventLoopProperties, MatchesOrderedMapOracle) {
+  const auto same_as_oracle = [](Rng& rng) {
+    const std::uint64_t seed = rng.NextU64();
+    const int ops = 50 + static_cast<int>(rng.UniformInt(0, 400));
+    const auto got = LoopDriver<EventLoop>(seed).Run(ops);
+    const auto want = LoopDriver<OracleLoop>(seed).Run(ops);
+    const auto [got_end, want_end] =
+        std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    ASSERT_TRUE(got_end == got.end() && want_end == want.end())
+        << "first difference at record " << (got_end - got.begin()) << " of "
+        << got.size() << " (oracle " << want.size() << ")";
+  };
+  proptest::Check("oracle", same_as_oracle,
+                  proptest::Config{.iterations = 400});
+}
+
+// Two interleaved timers that reschedule themselves from inside their own
+// callbacks, as the broker's consumers do, fire in closed form: event i is
+// timer i % 2 at (i / 2 + 1) * period, ties in scheduling order. The FIFO's
+// consumed entries must be released for such a run to stay small; its
+// memory is measured outside the test suite (CHANGES.md), not here.
+TEST(EventLoop, InterleavedSelfReschedulingTimersFireInClosedForm) {
+  constexpr std::uint64_t kEvents = 1'000'000;
+  constexpr double kPeriod = 18.0;
+  EventLoop loop;
+  std::uint64_t fired = 0;
+  std::uint64_t mismatches = 0;
+  std::function<void(int)> arm = [&](int timer) {
+    loop.ScheduleAfter(kPeriod, [&, timer] {
+      const double want = static_cast<double>(fired / 2 + 1) * kPeriod;
+      if (static_cast<std::uint64_t>(timer) != fired % 2 ||
+          loop.Now() != want) {
+        ++mismatches;
+      }
+      ++fired;
+      if (fired + loop.pending_count() < kEvents) arm(timer);
+    });
+  };
+  arm(0);
+  arm(1);
+  loop.Run();
+  EXPECT_EQ(fired, kEvents);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(loop.processed_count(), kEvents);
+  EXPECT_DOUBLE_EQ(loop.Now(), static_cast<double>(kEvents / 2) * kPeriod);
+}
+
 TEST(SimServer, ProcessesFifoWithConcurrencyOne) {
   EventLoop loop;
   // Deterministic 10 ms service.
@@ -284,6 +505,27 @@ TEST(SimServer, StatsAccumulate) {
   EXPECT_DOUBLE_EQ(server.total_delay_stats().max(), 14.0);
 }
 
+TEST(SimServer, ExtraServiceDelayRejectsNegativeAndNonFinite) {
+  EventLoop loop;
+  SimServer server("s", loop, 1, [](int, Rng&) { return 10.0; }, Rng(1));
+  server.SetExtraServiceDelayMs(5.0);
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    try {
+      server.SetExtraServiceDelayMs(bad);
+      ADD_FAILURE() << "expected std::invalid_argument for " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("extra_ms"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_DOUBLE_EQ(server.extra_service_delay_ms(), 5.0) << bad;
+  }
+  JobTiming timing;
+  server.Submit([&](const JobTiming& t) { timing = t; });
+  loop.Run();
+  EXPECT_DOUBLE_EQ(timing.ServiceDelayMs(), 15.0);
+}
+
 TEST(SimServer, InvalidConstructionThrows) {
   EventLoop loop;
   EXPECT_THROW(SimServer("s", loop, 0, [](int, Rng&) { return 1.0; }, Rng(1)),
@@ -324,6 +566,26 @@ TEST(ConvexLoadProfile, InvalidParamsThrow) {
     EXPECT_THROW(MakeConvexLoadProfile(10.0, 4.0, 1.0, 1.6, sigma),
                  std::invalid_argument)
         << sigma;
+  }
+  // A non-finite input is rejected where it enters, by name: a NaN base or
+  // alpha would otherwise serve every job in 0 ms.
+  const auto expect_rejected = [](double base, double capacity, double alpha,
+                                  double beta, const std::string& name) {
+    try {
+      MakeConvexLoadProfile(base, capacity, alpha, beta, 0.0);
+      ADD_FAILURE() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    expect_rejected(bad, 4.0, 1.0, 1.6, "base_ms");
+    expect_rejected(10.0, bad, 1.0, 1.6, "capacity");
+    expect_rejected(10.0, 4.0, bad, 1.6, "alpha");
+    expect_rejected(10.0, 4.0, 1.0, bad, "beta");
   }
 }
 

@@ -251,9 +251,20 @@ std::uint64_t Fnv1a64(std::string_view bytes) {
   return h;
 }
 
+// Value of the named counter in a run's telemetry (0 when absent).
+std::uint64_t CounterValue(const obs::TelemetrySnapshot& telemetry,
+                           std::string_view name) {
+  for (const auto& counter : telemetry.counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
 // Pins every byte a small db-testbed run exports (results and both
-// telemetry exports), so a faster read path must keep them as they are.
-// The second run partitions a replica, so failover reads are pinned too.
+// telemetry exports), so a faster read path or event loop must keep them as
+// they are. The second run partitions a replica, so failover reads are
+// pinned too; the third turns every resilience mechanism on, so hedge
+// timers exercise the loop's Cancel path.
 TEST(DbExperiment, OutputBytesArePinned) {
   const auto records = LoadedWorkload(600);
   auto config = FastDbConfig(DbPolicy::kE2e);
@@ -275,6 +286,16 @@ TEST(DbExperiment, OutputBytesArePinned) {
             0xd83c74de7f7da6dcULL);
   EXPECT_EQ(Fnv1a64(partitioned.telemetry.SerializeJson()),
             0x2c2e466078644d7dULL);
+
+  config.common.fault_plan = fault::FaultPlan{};
+  config.common.resilience = resilience::ResilienceConfig::AllOn();
+  const auto resilient = RunDbExperiment(records, TraceQoe(), config);
+  EXPECT_GT(CounterValue(resilient.telemetry, "sim.loop.cancelled"), 0u);
+  EXPECT_EQ(Fnv1a64(resilient.Serialize()), 0x62931af484f4a6f6ULL);
+  EXPECT_EQ(Fnv1a64(resilient.telemetry.SerializeText()),
+            0xee185b96056f7d29ULL);
+  EXPECT_EQ(Fnv1a64(resilient.telemetry.SerializeJson()),
+            0x5213867e1bd4e51eULL);
 }
 
 TEST(DbExperiment, EmptyRecordsThrow) {
@@ -358,6 +379,22 @@ TEST(BrokerExperiment, E2eBeatsDeadlineScheduling) {
   const auto e2e = RunBrokerExperiment(records, TraceQoe(),
                                        FastBrokerConfig(BrokerPolicy::kE2e));
   EXPECT_GT(e2e.mean_qoe, deadline.mean_qoe);
+}
+
+// Pins every byte a small broker-testbed run exports, as
+// DbExperiment.OutputBytesArePinned does for the db testbed: the consumers'
+// periodic pulls are the loop's in-order timers.
+TEST(BrokerExperiment, OutputBytesArePinned) {
+  const auto records = LoadedWorkload(800);
+  auto config = FastBrokerConfig(BrokerPolicy::kE2e);
+  config.common.collect_telemetry = true;
+  const auto result = RunBrokerExperiment(records, TraceQoe(), config);
+  EXPECT_EQ(result.outcomes.size(), records.size());
+  EXPECT_EQ(Fnv1a64(result.Serialize()), 0x62b3b25e496ec6f1ULL);
+  EXPECT_EQ(Fnv1a64(result.telemetry.SerializeText()),
+            0x187ae41abf9165dcULL);
+  EXPECT_EQ(Fnv1a64(result.telemetry.SerializeJson()),
+            0x85c4de69c95290a3ULL);
 }
 
 TEST(BrokerExperiment, SchedulerEntriesMatchTable) {
