@@ -1,5 +1,6 @@
 #include "core/controller.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/log.h"
@@ -27,6 +28,11 @@ Controller::Controller(std::string name, ControllerConfig config,
   if (config_.shards < 0) {
     throw std::invalid_argument("Controller: negative shard count");
   }
+  if (!std::isfinite(config_.rps_planning_factor) ||
+      config_.rps_planning_factor <= 0.0) {
+    throw std::invalid_argument(
+        "Controller: rps_planning_factor not finite and > 0");
+  }
 }
 
 void Controller::ObserveArrival(DelayMs external_delay_ms, double now_ms) {
@@ -44,7 +50,9 @@ void Controller::SetDecisionPenalties(std::vector<double> penalties_ms) {
 }
 
 void Controller::SetLoadDiscount(double fraction) {
-  if (fraction < 0.0 || fraction >= 1.0) {
+  // Written so NaN fails it too (`load_discount_ > 0.0` would then ignore
+  // the setting silently).
+  if (!(fraction >= 0.0 && fraction < 1.0)) {
     throw std::invalid_argument(
         "Controller::SetLoadDiscount: fraction outside [0, 1)");
   }

@@ -31,7 +31,8 @@ struct ControllerConfig {
   /// policy is computed as if the next window carried `rps_planning_factor`
   /// times the last window's rate, so minute-scale bursts between table
   /// refreshes do not push a deliberately-loaded decision into sustained
-  /// overload.
+  /// overload. Must be finite and > 0: the Controller constructor and
+  /// testbed::ReplayTraceSharded throw std::invalid_argument otherwise.
   double rps_planning_factor = 1.0;
 
   /// Shard count for the full-trace replayer (docs/SCALE.md):
@@ -126,7 +127,7 @@ class Controller {
   /// load estimate by it — a gone user stops loading the system, and
   /// planning for their traffic overshoots capacity the survivors could
   /// use. 0 (the default) leaves the estimate untouched. Throws outside
-  /// [0, 1).
+  /// [0, 1), NaN included.
   void SetLoadDiscount(double fraction);
   double load_discount() const { return load_discount_; }
 

@@ -5,11 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "matching/assignment.h"
@@ -95,54 +93,158 @@ std::uint64_t ContentHash(std::span<const double> values,
   return h;
 }
 
-// Result of evaluating one allocation.
-struct Evaluation {
-  double objective_value = 0.0;
-  std::vector<int> decision_of_bucket;
-  std::vector<double> expected_qoe_of_bucket;
+// 64-bit hash of an allocation vector: the key of the evaluation cache.
+std::uint64_t UnitsHash(std::span<const int> units) {
+  std::uint64_t h = 0x9E3779B97F4A7C15ULL ^ units.size();
+  for (const int u : units) {
+    h ^= static_cast<std::uint32_t>(u);
+    h *= 0xBF58476D1CE4E5B9ULL;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+// An open-addressing index from 64-bit content hashes to entries 0, 1, ...
+// that the owner stores elsewhere, in insertion order. A probe walks the
+// hash's cluster and asks the owner whether each entry under that hash
+// matches, so a collision costs a content compare, never a wrong entry.
+// Entries are never removed; Clear() keeps every buffer's storage.
+class HashIndex {
+ public:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+  void Clear() {
+    hashes_.clear();
+    slots_.assign(kInitialSlots, kNone);
+  }
+
+  std::size_t size() const { return hashes_.size(); }
+
+  // The entry under `hash` for which `matches(entry)` holds, or kNone.
+  template <typename Matches>
+  std::uint32_t Find(std::uint64_t hash, Matches&& matches) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const std::uint32_t entry = slots_[i];
+      if (entry == kNone) return kNone;
+      if (hashes_[entry] == hash && matches(entry)) return entry;
+    }
+  }
+
+  // Indexes entry size() under `hash`.
+  void Insert(std::uint64_t hash) {
+    if (hashes_.size() >= std::size_t{kNone}) {
+      throw std::length_error("HashIndex: too many entries");
+    }
+    hashes_.push_back(hash);
+    if (2 * hashes_.size() > slots_.size()) {
+      // Keep the load at most 1/2: re-place every entry in a table twice
+      // the size.
+      slots_.assign(2 * slots_.size(), kNone);
+      for (std::size_t e = 0; e < hashes_.size(); ++e) Place(e);
+    } else {
+      Place(hashes_.size() - 1);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 64;  // A power of two.
+
+  void Place(std::size_t entry) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hashes_[entry] & mask;
+    while (slots_[i] != kNone) i = (i + 1) & mask;
+    slots_[i] = static_cast<std::uint32_t>(entry);
+  }
+
+  std::vector<std::uint64_t> hashes_;  // By entry.
+  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(
+      kInitialSlots, kNone);  // Entry or kNone; size a power of two.
 };
 
+// One evaluated allocation: its objective value and its bucket→decision
+// mapping with each bucket's planned expected QoE. The spans alias the
+// evaluator's arena and stay valid until its next Evaluate or Reset.
+struct Evaluation {
+  double objective_value = 0.0;
+  std::span<const int> decision_of_bucket;
+  std::span<const double> expected_qoe_of_bucket;
+};
+
+// Evaluates allocations for one policy solve at a time. Everything it keeps
+// (the evaluation and QoE-column caches and the per-evaluation working
+// state) lives in flat buffers that Reset() empties without freeing, so a
+// thread that reuses one evaluator across solves evaluates allocations
+// without heap allocation once the buffers have grown to its largest solve.
 class AllocationEvaluator {
  public:
-  AllocationEvaluator(const QoeModel& qoe, const ServerDelayModel& g,
-                      const Objective& objective,
-                      std::span<const PolicyBucket> buckets, double total_rps,
-                      const PolicyConfig& config, PolicyStats& stats)
-      : qoe_(qoe),
-        g_(g),
-        objective_(objective),
-        buckets_(buckets),
-        total_rps_(total_rps),
-        config_(config),
-        stats_(stats) {}
+  // Binds the evaluator to one solve and empties it. The arguments must
+  // outlive the solve.
+  void Reset(const QoeModel& qoe, const ServerDelayModel& g,
+             const Objective& objective, std::span<const PolicyBucket> buckets,
+             double total_rps, const PolicyConfig& config, PolicyStats& stats) {
+    qoe_ = &qoe;
+    g_ = &g;
+    objective_ = &objective;
+    buckets_ = buckets;
+    total_rps_ = total_rps;
+    config_ = &config;
+    stats_ = &stats;
+    evaluation_index_.Clear();
+    entry_units_.clear();
+    entry_objective_.clear();
+    entry_decision_.clear();
+    entry_expected_.clear();
+    column_index_.Clear();
+    column_content_.clear();
+    column_content_end_.clear();
+    column_qoe_.clear();
+  }
 
   // Evaluates the allocation `units` (buckets per decision, summing to
-  // buckets_.size()), caching by allocation vector; std::map nodes are
-  // reference-stable under insertion. Only a cache miss counts toward the
-  // stats.
-  const Evaluation& Evaluate(const std::vector<int>& units) {
-    const auto it = cache_.find(units);
-    if (it != cache_.end()) return it->second;
-    ++stats_.allocations_evaluated;
-    return cache_.emplace(units, EvaluateUncached(units)).first->second;
+  // buckets_.size()), caching by allocation vector. Only a cache miss
+  // counts toward the stats.
+  Evaluation Evaluate(std::span<const int> units) {
+    const std::uint64_t hash = UnitsHash(units);
+    const std::uint32_t hit =
+        evaluation_index_.Find(hash, [&](std::uint32_t entry) {
+          return std::equal(units.begin(), units.end(),
+                            entry_units_.begin() +
+                                static_cast<std::ptrdiff_t>(entry *
+                                                            units.size()));
+        });
+    if (hit != HashIndex::kNone) return EntryOf(hit);
+    ++stats_->allocations_evaluated;
+    const std::size_t entry = evaluation_index_.size();
+    EvaluateUncached(units);
+    entry_units_.insert(entry_units_.end(), units.begin(), units.end());
+    evaluation_index_.Insert(hash);
+    return EntryOf(entry);
   }
 
  private:
   // What G says about one split at one rate: each decision's delay
-  // distribution and its expected-QoE column (an entry of qoe_columns_;
-  // null until fetched).
+  // distribution and its expected-QoE column (an entry of the column cache;
+  // kNone until fetched).
   struct GOutputs {
     std::vector<DiscreteDistribution> delay_of_decision;
-    std::vector<const std::vector<double>*> columns;
+    std::vector<std::uint32_t> columns;
   };
 
-  // One cached expected-QoE column and the distribution content it belongs
-  // to (values ++ probabilities; the halves have equal length, so the
-  // concatenation is unambiguous).
-  struct CachedColumn {
-    std::vector<double> content;
-    std::vector<double> column;
-  };
+  Evaluation EntryOf(std::size_t entry) const {
+    const std::size_t n = buckets_.size();
+    return Evaluation{
+        entry_objective_[entry],
+        std::span<const int>(entry_decision_).subspan(entry * n, n),
+        std::span<const double>(entry_expected_).subspan(entry * n, n)};
+  }
+
+  // Column `entry` of the column cache: n per-bucket expected QoEs. Valid
+  // until the next QoeColumn call.
+  std::span<const double> Column(std::uint32_t entry) const {
+    const std::size_t n = buckets_.size();
+    return std::span<const double>(column_qoe_).subspan(entry * n, n);
+  }
 
   // Each evaluation is a small fixed point between the two subproblems
   // ("E2E solves the two subproblems iteratively", §4.2): the mapping is
@@ -151,32 +253,44 @@ class AllocationEvaluator {
   // decision — NOT the unit counts, which diverge once the max-span rule
   // splits buckets unevenly) is fed back into G until it stops moving. The
   // reported QoE is therefore consistent with the load the installed table
-  // would actually create.
-  Evaluation EvaluateUncached(const std::vector<int>& units) {
+  // would actually create. Appends the evaluation's mapping and score as
+  // the next cache entry (its units are the caller's to append).
+  void EvaluateUncached(std::span<const int> units) {
+    // The mapping in progress is the arena's next n entries.
+    const std::size_t n = buckets_.size();
+    const std::size_t at = entry_decision_.size();
+    entry_decision_.resize(at + n);
+    entry_expected_.resize(at + n);
+    const std::span<int> decision_of_bucket =
+        std::span<int>(entry_decision_).subspan(at, n);
+    const std::span<double> expected_qoe_of_bucket =
+        std::span<double>(entry_expected_).subspan(at, n);
+
     // Seed split: unit share (exact when buckets are equal-population).
-    const double total_units = static_cast<double>(buckets_.size());
-    std::vector<double> fractions(units.size());
+    const double total_units = static_cast<double>(n);
+    fractions_.resize(units.size());
     for (std::size_t d = 0; d < units.size(); ++d) {
-      fractions[d] = static_cast<double>(units[d]) / total_units;
+      fractions_[d] = static_cast<double>(units[d]) / total_units;
     }
 
-    Evaluation eval;
-    GOutputs at_split;  // G's outputs at the split of the last solve.
-    SolveWithFractions(units, fractions, eval, at_split);
-    std::vector<double> actual;
-    SplitOf(eval.decision_of_bucket, units.size(), actual);
-    const int max_rounds = config_.refine_fractions ? 3 : 0;
+    // G's outputs at the split of the last solve; none before the first.
+    at_split_.columns.clear();
+    SolveWithFractions(units, fractions_, decision_of_bucket,
+                       expected_qoe_of_bucket);
+    SplitOf(decision_of_bucket, units.size(), actual_);
+    const int max_rounds = config_->refine_fractions ? 3 : 0;
     for (int round = 0; round < max_rounds; ++round) {
       double moved = 0.0;
-      for (std::size_t d = 0; d < actual.size(); ++d) {
-        moved += std::abs(actual[d] - fractions[d]);
+      for (std::size_t d = 0; d < actual_.size(); ++d) {
+        moved += std::abs(actual_[d] - fractions_[d]);
       }
       if (moved < 0.02) break;  // Converged.
-      fractions.swap(actual);
+      fractions_.swap(actual_);
       // Where G's columns did not move, the mapping stands, this SplitOf
-      // reproduces `fractions` bitwise, and the next round stops.
-      SolveWithFractions(units, fractions, eval, at_split);
-      SplitOf(eval.decision_of_bucket, units.size(), actual);
+      // reproduces `fractions_` bitwise, and the next round stops.
+      SolveWithFractions(units, fractions_, decision_of_bucket,
+                         expected_qoe_of_bucket);
+      SplitOf(decision_of_bucket, units.size(), actual_);
     }
     // Score at the split the final mapping actually creates, docked by the
     // elective-overload safety margin (see PolicyConfig). Usually the refine
@@ -184,32 +298,32 @@ class AllocationEvaluator {
     // ran at (moved == 0). G is a pure function of its arguments, so the
     // solve's distributions and columns are then exactly what scoring would
     // fetch again; only a split that moved asks G anew.
-    if (!SameBytes(actual, fractions)) QueryG(actual, at_split);
-    eval.objective_value = ScoreMapping(eval.decision_of_bucket, at_split);
-    if (config_.instability_penalty > 0.0) {
+    if (!SameBytes(actual_, fractions_)) QueryG(actual_);
+    double objective_value = ScoreMapping(decision_of_bucket);
+    if (config_->instability_penalty > 0.0) {
       // IsOverloaded depends only on (decision, fractions, rate), so ask
       // once per decision instead of once per bucket; the per-bucket mass
       // accumulation below keeps its historical order.
-      std::vector<char> overloaded(units.size(), 0);
+      overloaded_.assign(units.size(), 0);
       for (std::size_t d = 0; d < units.size(); ++d) {
-        overloaded[d] =
-            g_.IsOverloaded(static_cast<int>(d), actual, total_rps_) ? 1 : 0;
+        overloaded_[d] =
+            g_->IsOverloaded(static_cast<int>(d), actual_, total_rps_) ? 1 : 0;
       }
       double overloaded_mass = 0.0;
-      for (std::size_t b = 0; b < buckets_.size(); ++b) {
-        if (overloaded[static_cast<std::size_t>(
-                eval.decision_of_bucket[b])] != 0) {
+      for (std::size_t b = 0; b < n; ++b) {
+        if (overloaded_[static_cast<std::size_t>(decision_of_bucket[b])] !=
+            0) {
           overloaded_mass += buckets_[b].weight;
         }
       }
-      eval.objective_value -=
-          config_.instability_penalty * qoe_.Qoe(0.0) * overloaded_mass;
+      objective_value -=
+          config_->instability_penalty * qoe_->Qoe(0.0) * overloaded_mass;
     }
-    return eval;
+    entry_objective_.push_back(objective_value);
   }
 
   // The split a mapping creates: each decision's summed bucket weight.
-  void SplitOf(const std::vector<int>& decision_of_bucket,
+  void SplitOf(std::span<const int> decision_of_bucket,
                std::size_t num_decisions, std::vector<double>& split) const {
     split.assign(num_decisions, 0.0);
     for (std::size_t b = 0; b < buckets_.size(); ++b) {
@@ -219,16 +333,17 @@ class AllocationEvaluator {
   }
 
   // Asks G for every decision's delay distribution when the load splits as
-  // `fractions` at the planned rate. Columns start unfetched.
-  void QueryG(const std::vector<double>& fractions, GOutputs& out) const {
-    const int num_decisions = g_.NumDecisions();
-    out.delay_of_decision.clear();
-    out.delay_of_decision.reserve(static_cast<std::size_t>(num_decisions));
+  // `fractions` at the planned rate, into at_split_. Columns start
+  // unfetched.
+  void QueryG(std::span<const double> fractions) {
+    const int num_decisions = g_->NumDecisions();
+    at_split_.delay_of_decision.clear();
     for (int d = 0; d < num_decisions; ++d) {
-      out.delay_of_decision.push_back(
-          g_.DelayDistribution(d, fractions, total_rps_));
+      at_split_.delay_of_decision.push_back(
+          g_->DelayDistribution(d, fractions, total_rps_));
     }
-    out.columns.assign(static_cast<std::size_t>(num_decisions), nullptr);
+    at_split_.columns.assign(static_cast<std::size_t>(num_decisions),
+                             HashIndex::kNone);
   }
 
   // Per-bucket expected-QoE column for one slot delay distribution:
@@ -237,87 +352,102 @@ class AllocationEvaluator {
   // distributions across evaluations whenever load fractions land on the
   // same grid points, and each column is a pure function of that content.
   // A probe hashes the content's bits and compares the full content of
-  // each entry under that hash; only an insert copies the content. Entries
-  // are node-stable (the map is only ever looked up, never iterated).
-  const std::vector<double>& QoeColumn(const DiscreteDistribution& f) {
+  // each entry under that hash; only an insert copies the content. Returns
+  // the column's entry, so two entries are equal exactly when their
+  // contents are.
+  std::uint32_t QoeColumn(const DiscreteDistribution& f) {
     const auto values = f.values();
     const auto probs = f.probabilities();
     const std::uint64_t hash = ContentHash(values, probs);
-    const auto [first, last] = qoe_columns_.equal_range(hash);
-    for (auto it = first; it != last; ++it) {
-      const std::vector<double>& content = it->second.content;
-      if (content.size() == values.size() + probs.size() &&
-          SameBytes(std::span(content).first(values.size()), values) &&
-          SameBytes(std::span(content).subspan(values.size()), probs)) {
-        return it->second.column;
-      }
+    const std::uint32_t hit =
+        column_index_.Find(hash, [&](std::uint32_t entry) {
+          const std::size_t begin =
+              entry == 0 ? 0 : column_content_end_[entry - 1];
+          const std::span<const double> content =
+              std::span<const double>(column_content_)
+                  .subspan(begin, column_content_end_[entry] - begin);
+          return content.size() == values.size() + probs.size() &&
+                 SameBytes(content.first(values.size()), values) &&
+                 SameBytes(content.subspan(values.size()), probs);
+        });
+    if (hit != HashIndex::kNone) return hit;
+    const auto entry = static_cast<std::uint32_t>(column_index_.size());
+    column_content_.insert(column_content_.end(), values.begin(),
+                           values.end());
+    column_content_.insert(column_content_.end(), probs.begin(), probs.end());
+    column_content_end_.push_back(column_content_.size());
+    const std::size_t at = column_qoe_.size();
+    column_qoe_.resize(at + buckets_.size());
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+      column_qoe_[at + b] = ExpectedQoe(*qoe_, buckets_[b].representative, f);
     }
-    CachedColumn entry{std::vector<double>(values.begin(), values.end()),
-                       std::vector<double>(buckets_.size())};
-    entry.content.insert(entry.content.end(), probs.begin(), probs.end());
-    for (std::size_t b = 0; b < entry.column.size(); ++b) {
-      entry.column[b] = ExpectedQoe(qoe_, buckets_[b].representative, f);
-    }
-    return qoe_columns_.emplace(hash, std::move(entry))->second.column;
+    column_index_.Insert(hash);
+    return entry;
   }
 
-  // Objective score of a fixed mapping under G's outputs `g_out`. Builds one
-  // QoeBucketView per bucket, in bucket-index order; per-bucket QoE
+  // Objective score of a fixed mapping under G's outputs at_split_. Builds
+  // one QoeBucketView per bucket, in bucket-index order; per-bucket QoE
   // distributions (the view's value/probability spans) are only
   // materialized when the objective asks for them, and for the mean fast
   // path the expected-QoE accumulation is byte-for-byte the historical
   // ExpectedQoe loop (shared with the mapping solves through the column
-  // cache). Columns `g_out` lacks are fetched lazily, so decisions no bucket
-  // routed to cost nothing.
-  double ScoreMapping(const std::vector<int>& decision_of_bucket,
-                      GOutputs& g_out) {
-    const bool need_distribution = objective_.NeedsDistribution();
-    std::vector<QoeBucketView> views(buckets_.size());
-    // Owns the per-bucket Q(rep + s) vectors the views alias; must outlive
-    // the Score call below.
-    std::vector<std::vector<double>> qoe_values;
-    if (need_distribution) qoe_values.resize(buckets_.size());
-    for (std::size_t b = 0; b < buckets_.size(); ++b) {
-      const std::size_t d =
-          static_cast<std::size_t>(decision_of_bucket[b]);
-      const DiscreteDistribution& f = g_out.delay_of_decision[d];
-      QoeBucketView& view = views[b];
+  // cache). Columns at_split_ lacks are fetched lazily, so decisions no
+  // bucket routed to cost nothing.
+  double ScoreMapping(std::span<const int> decision_of_bucket) {
+    const std::size_t n = buckets_.size();
+    const bool need_distribution = objective_->NeedsDistribution();
+    views_.assign(n, QoeBucketView{});
+    // The per-bucket Q(rep + s) values the views alias, `stride` per
+    // bucket; sized before any view takes a span into it.
+    std::size_t stride = 0;
+    if (need_distribution) {
+      for (const DiscreteDistribution& f : at_split_.delay_of_decision) {
+        stride = std::max(stride, f.values().size());
+      }
+      qoe_values_.resize(n * stride);
+    }
+    for (std::size_t b = 0; b < n; ++b) {
+      const std::size_t d = static_cast<std::size_t>(decision_of_bucket[b]);
+      const DiscreteDistribution& f = at_split_.delay_of_decision[d];
+      QoeBucketView& view = views_[b];
       view.weight = buckets_[b].weight;
       if (need_distribution) {
         const auto values = f.values();
         const auto probs = f.probabilities();
-        std::vector<double>& qv = qoe_values[b];
-        qv.resize(values.size());
+        const std::span<double> qv =
+            std::span<double>(qoe_values_).subspan(b * stride, values.size());
         // Same accumulation order and arithmetic as ExpectedQoe — qv[i]
         // stores the exact double the historical loop multiplied — so the
         // expected value is bitwise identical on both paths.
         double expected = 0.0;
         for (std::size_t i = 0; i < values.size(); ++i) {
-          qv[i] = qoe_.Qoe(buckets_[b].representative + values[i]);
+          qv[i] = qoe_->Qoe(buckets_[b].representative + values[i]);
           expected += qv[i] * probs[i];
         }
         view.expected_qoe = expected;
         view.qoe_values = qv;
         view.probabilities = probs;
       } else {
-        if (g_out.columns[d] == nullptr) {
-          g_out.columns[d] = &QoeColumn(f);
+        if (at_split_.columns[d] == HashIndex::kNone) {
+          at_split_.columns[d] = QoeColumn(f);
         }
-        view.expected_qoe = (*g_out.columns[d])[b];
+        view.expected_qoe = column_qoe_[at_split_.columns[d] * n + b];
       }
     }
-    return objective_.Score(views);
+    return objective_->Score(views_);
   }
 
   // Solves the mapping for allocation `units` against G at `fractions`,
-  // writing the mapping into `eval` and G's outputs (every column fetched)
-  // into `g_out`. On a refine round `g_out` still holds the columns of the
-  // solve just run (an evaluation's first solve gets an empty `g_out`), and
-  // when G's columns at `fractions` are those same columns the mapping
-  // problem is bitwise that solve's, so `eval` keeps its mapping.
-  void SolveWithFractions(const std::vector<int>& units,
-                          const std::vector<double>& fractions,
-                          Evaluation& eval, GOutputs& g_out) {
+  // writing the mapping into `decision_of_bucket`/`expected_qoe_of_bucket`
+  // and G's outputs (every column fetched) into at_split_. On a refine
+  // round at_split_ still holds the columns of the solve just run (an
+  // evaluation's first solve finds none), and when G's columns at
+  // `fractions` are those same columns the mapping problem is bitwise that
+  // solve's, so the mapping stands.
+  void SolveWithFractions(std::span<const int> units,
+                          std::span<const double> fractions,
+                          std::span<int> decision_of_bucket,
+                          std::span<double> expected_qoe_of_bucket) {
     const std::size_t n = buckets_.size();
     std::size_t assigned = 0;
     for (const int u : units) assigned += static_cast<std::size_t>(u);
@@ -328,26 +458,23 @@ class AllocationEvaluator {
     // Per-decision delay distributions under this allocation. Edge weights
     // depend only on (bucket, decision) — all slots of one decision share a
     // byte-identical weight column, fetched through the content-keyed
-    // column cache, so two column pointers are equal exactly when their
+    // column cache, so two column entries are equal exactly when their
     // contents are.
-    solved_columns_.assign(g_out.columns.begin(), g_out.columns.end());
-    QueryG(fractions, g_out);
+    solved_columns_.assign(at_split_.columns.begin(), at_split_.columns.end());
+    QueryG(fractions);
     const std::vector<DiscreteDistribution>& delay_of_decision =
-        g_out.delay_of_decision;
-    for (std::size_t d = 0; d < g_out.columns.size(); ++d) {
-      g_out.columns[d] = &QoeColumn(delay_of_decision[d]);
+        at_split_.delay_of_decision;
+    for (std::size_t d = 0; d < at_split_.columns.size(); ++d) {
+      at_split_.columns[d] = QoeColumn(delay_of_decision[d]);
     }
-    const std::vector<const std::vector<double>*>& qoe_col = g_out.columns;
+    const std::vector<std::uint32_t>& qoe_col = at_split_.columns;
     // Compare every column, not only those the allocation uses, so the
     // problem is the last one whatever a mapping algorithm reads.
     if (qoe_col == solved_columns_) return;
 
-    eval.decision_of_bucket.resize(n);
-    eval.expected_qoe_of_bucket.resize(n);
-
-    if (config_.mapping == MappingAlgorithm::kTransportation) {
-      SolveTransport(units, qoe_col, eval);
-    } else if (config_.mapping == MappingAlgorithm::kOptimalMatching) {
+    if (config_->mapping == MappingAlgorithm::kTransportation) {
+      SolveTransport(units, decision_of_bucket, expected_qoe_of_bucket);
+    } else if (config_->mapping == MappingAlgorithm::kOptimalMatching) {
       // Expanded mapping kept for cross-checks: units[d] slots per
       // decision, one column per slot.
       std::vector<int> decision_of_slot;
@@ -359,19 +486,19 @@ class AllocationEvaluator {
       }
       WeightMatrix weights(n, n);
       for (std::size_t s = 0; s < n; ++s) {
-        const std::vector<double>& col =
-            *qoe_col[static_cast<std::size_t>(decision_of_slot[s])];
+        const std::span<const double> col =
+            Column(qoe_col[static_cast<std::size_t>(decision_of_slot[s])]);
         for (std::size_t b = 0; b < n; ++b) {
           weights.At(b, s) = buckets_[b].weight * col[b];
         }
       }
       const AssignmentResult matching = SolveMaxWeightAssignment(weights);
-      ++stats_.matchings_solved;
+      ++stats_->matchings_solved;
       for (std::size_t b = 0; b < n; ++b) {
         const int d = decision_of_slot[matching.column_of_row[b]];
-        eval.decision_of_bucket[b] = d;
-        eval.expected_qoe_of_bucket[b] =
-            (*qoe_col[static_cast<std::size_t>(d)])[b];
+        decision_of_bucket[b] = d;
+        expected_qoe_of_bucket[b] =
+            Column(qoe_col[static_cast<std::size_t>(d)])[b];
       }
     } else {
       // Slope-based mapping: steepest-slope bucket gets the lowest-mean-
@@ -388,8 +515,8 @@ class AllocationEvaluator {
       std::iota(bucket_order.begin(), bucket_order.end(), std::size_t{0});
       std::stable_sort(bucket_order.begin(), bucket_order.end(),
                 [&](std::size_t a, std::size_t b) {
-                  return qoe_.Sensitivity(buckets_[a].representative) >
-                         qoe_.Sensitivity(buckets_[b].representative);
+                  return qoe_->Sensitivity(buckets_[a].representative) >
+                         qoe_->Sensitivity(buckets_[b].representative);
                 });
       std::vector<std::size_t> slot_order(n);
       std::iota(slot_order.begin(), slot_order.end(), std::size_t{0});
@@ -406,9 +533,9 @@ class AllocationEvaluator {
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t b = bucket_order[i];
         const int d = decision_of_slot[slot_order[i]];
-        eval.decision_of_bucket[b] = d;
-        eval.expected_qoe_of_bucket[b] =
-            (*qoe_col[static_cast<std::size_t>(d)])[b];
+        decision_of_bucket[b] = d;
+        expected_qoe_of_bucket[b] =
+            Column(qoe_col[static_cast<std::size_t>(d)])[b];
       }
     }
 
@@ -422,47 +549,80 @@ class AllocationEvaluator {
   // (matching/transportation.h). Edge weight (b, d) is bucket b's weight
   // times entry b of decision d's column; the negated weights go straight
   // into this thread's scratch (replay shards solve concurrently).
-  void SolveTransport(const std::vector<int>& units,
-                      const std::vector<const std::vector<double>*>& qoe_col,
-                      Evaluation& eval) {
+  void SolveTransport(std::span<const int> units,
+                      std::span<int> decision_of_bucket,
+                      std::span<double> expected_qoe_of_bucket) {
     const std::size_t n = buckets_.size();
-    ++stats_.transport_solves;
+    ++stats_->transport_solves;
     thread_local TransportationScratch scratch;
     const std::span<double> cost = scratch.Costs(n, units.size());
     for (std::size_t d = 0; d < units.size(); ++d) {
+      const std::span<const double> col = Column(at_split_.columns[d]);
       for (std::size_t b = 0; b < n; ++b) {
-        cost[d * n + b] = -(buckets_[b].weight * (*qoe_col[d])[b]);
+        cost[d * n + b] = -(buckets_[b].weight * col[b]);
       }
     }
     const TransportationResult& mapping =
         scratch.Solve(units, /*maximize=*/true);
     for (std::size_t b = 0; b < n; ++b) {
       const std::size_t d = mapping.column_of_row[b];
-      eval.decision_of_bucket[b] = static_cast<int>(d);
-      eval.expected_qoe_of_bucket[b] = (*qoe_col[d])[b];
+      decision_of_bucket[b] = static_cast<int>(d);
+      expected_qoe_of_bucket[b] = Column(at_split_.columns[d])[b];
     }
   }
 
-  const QoeModel& qoe_;
-  const ServerDelayModel& g_;
-  const Objective& objective_;
+  // The solve this evaluator is bound to (Reset).
+  const QoeModel* qoe_ = nullptr;
+  const ServerDelayModel* g_ = nullptr;
+  const Objective* objective_ = nullptr;
   std::span<const PolicyBucket> buckets_;
-  double total_rps_;
-  const PolicyConfig& config_;
-  PolicyStats& stats_;
-  std::map<std::vector<int>, Evaluation> cache_;
-  // Content-keyed expected-QoE columns by ContentHash (see QoeColumn).
-  std::unordered_multimap<std::uint64_t, CachedColumn> qoe_columns_;
-  // The columns of the solve before the current one (SolveWithFractions);
-  // a member so a refine round reuses its storage.
-  std::vector<const std::vector<double>*> solved_columns_;
+  double total_rps_ = 0.0;
+  const PolicyConfig* config_ = nullptr;
+  PolicyStats* stats_ = nullptr;
+
+  // The evaluation cache. Entry e's allocation is entry_units_[e·D, +D),
+  // its score entry_objective_[e], and its mapping the n entries at e·n of
+  // entry_decision_ and entry_expected_.
+  HashIndex evaluation_index_;
+  std::vector<int> entry_units_;
+  std::vector<double> entry_objective_;
+  std::vector<int> entry_decision_;
+  std::vector<double> entry_expected_;
+
+  // The expected-QoE column cache (QoeColumn). Entry e's content (values ++
+  // probabilities; the halves have equal length, so the concatenation is
+  // unambiguous) ends at column_content_end_[e], where entry e + 1's
+  // begins; its column is the n entries at e·n of column_qoe_.
+  HashIndex column_index_;
+  std::vector<double> column_content_;
+  std::vector<std::size_t> column_content_end_;
+  std::vector<double> column_qoe_;
+
+  // Per-evaluation working state, reused across evaluations.
+  std::vector<double> fractions_;  // The split the last solve ran at.
+  std::vector<double> actual_;     // The split its mapping creates.
+  GOutputs at_split_;              // G's outputs at the split of the last solve.
+  std::vector<std::uint32_t> solved_columns_;  // The columns of the solve
+                                               // before the current one.
+  std::vector<char> overloaded_;               // By decision.
+  std::vector<QoeBucketView> views_;           // By bucket (ScoreMapping).
+  std::vector<double> qoe_values_;  // What the views' qoe_values alias.
 };
 
 PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
                        const std::vector<PolicyBucket>& buckets,
                        double total_rps, const PolicyConfig& config) {
-  if (total_rps <= 0.0) {
-    throw std::invalid_argument("ComputePolicy: total_rps <= 0");
+  // NaN fails every comparison, and +inf would plan every decision as
+  // overloaded, so both are rejected with the non-positive rates.
+  if (!std::isfinite(total_rps) || total_rps <= 0.0) {
+    throw std::invalid_argument("ComputePolicy: total_rps not finite and > 0");
+  }
+  // A NaN penalty would fail the evaluator's `> 0.0` test and be dropped
+  // silently; an infinite one turns a zero overloaded mass into a NaN score.
+  if (!std::isfinite(config.instability_penalty) ||
+      config.instability_penalty < 0.0) {
+    throw std::invalid_argument(
+        "ComputePolicy: instability_penalty not finite and >= 0");
   }
   if (config.parallel_workers != 1) {
     throw std::invalid_argument("ComputePolicy: parallel_workers != 1");
@@ -474,17 +634,23 @@ PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
   const std::unique_ptr<const Objective> objective =
       MakeObjective(config.objective);
 
-  AllocationEvaluator evaluator(qoe, g, *objective, buckets, total_rps,
-                                config, result.stats);
+  // This thread's evaluator: its buffers keep their storage from one solve
+  // to the next, as the transportation scratch does (replay shards solve
+  // concurrently, each on its own thread). A solve never starts another on
+  // the same thread, so one evaluator per thread suffices.
+  thread_local AllocationEvaluator evaluator;
+  evaluator.Reset(qoe, g, *objective, buckets, total_rps, config,
+                  result.stats);
 
   // Best-improvement hill climbing over single-unit transfers.
   auto climb = [&](std::vector<int> start) {
     double qoe_now = evaluator.Evaluate(start).objective_value;
+    std::vector<int> neighbor;
     for (int step = 0; step < config.max_hill_climb_steps; ++step) {
       // Deterministic sweep: single-unit transfers in (from, to)
       // lexicographic order with a strict improvement test, so the first of
       // equally good neighbors wins.
-      std::vector<int> neighbor = start;
+      neighbor = start;
       std::size_t best_from = 0;
       std::size_t best_to = 0;
       double best_neighbor_qoe = qoe_now;
@@ -534,7 +700,7 @@ PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
   // evaluation cache must hand back exactly the score the climb ranked
   // allocations by — any drift would mean the installed table and the
   // penalty-adjusted objective describe different plans.
-  const Evaluation& eval = evaluator.Evaluate(best);
+  const Evaluation eval = evaluator.Evaluate(best);
   if (eval.objective_value != best_qoe) {
     throw std::logic_error(
         "RunPolicy: materialized table diverged from the winning climb "

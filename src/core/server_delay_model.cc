@@ -2,25 +2,59 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace e2e {
 namespace {
 
 // Pointwise (quantile-space) interpolation between two equal-size discrete
-// distributions.
+// distributions, built in place.
 DiscreteDistribution Blend(const DiscreteDistribution& a,
                            const DiscreteDistribution& b, double t) {
   if (a.values().size() != b.values().size()) {
     throw std::invalid_argument("Blend: support size mismatch");
   }
-  std::vector<double> values(a.values().size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = a.values()[i] * (1.0 - t) + b.values()[i] * t;
+  return DiscreteDistribution::Build(
+      a.values().size(), [&](std::span<double> values, std::span<double> probs) {
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          values[i] = a.values()[i] * (1.0 - t) + b.values()[i] * t;
+        }
+        std::copy(a.probabilities().begin(), a.probabilities().end(),
+                  probs.begin());
+      });
+}
+
+// InterpolateProfile with the stable cap and the overload horizon passed
+// in, so the overload branch re-interpolates at the cap over the same
+// levels instead of copying the profile. That inner call sees the levels as
+// a profile with no stability cap and the default horizon, which is what
+// the copy it replaces held.
+DiscreteDistribution Interpolate(const LoadProfile& profile,
+                                 double max_stable_rps,
+                                 double overload_horizon_ms, double rps) {
+  rps = std::max(0.0, rps);
+  const auto& levels = profile.level_rps;
+  if (rps <= levels.front()) return profile.delays.front();
+  const double stable_cap = std::min(levels.back(), max_stable_rps);
+  if (rps >= stable_cap) {
+    // Sustained overload: the excess arrival rate accumulates as backlog
+    // over the update horizon, delaying every request behind it.
+    const double over = stable_cap > 0.0 ? rps / stable_cap - 1.0 : 0.0;
+    // Base distribution at the edge of the stable region.
+    const DiscreteDistribution base =
+        stable_cap >= levels.back()
+            ? profile.delays.back()
+            : Interpolate(profile, std::numeric_limits<double>::infinity(),
+                          LoadProfile{}.overload_horizon_ms, stable_cap);
+    return base.ShiftedBy(over * overload_horizon_ms);
   }
-  std::vector<double> probs(a.probabilities().begin(),
-                            a.probabilities().end());
-  return DiscreteDistribution(std::move(values), std::move(probs));
+  // Find the surrounding levels.
+  std::size_t hi = 1;
+  while (hi < levels.size() && levels[hi] < rps) ++hi;
+  const std::size_t lo = hi - 1;
+  const double t = (rps - levels[lo]) / (levels[hi] - levels[lo]);
+  return Blend(profile.delays[lo], profile.delays[hi], t);
 }
 
 }  // namespace
@@ -31,31 +65,8 @@ DiscreteDistribution InterpolateProfile(const LoadProfile& profile,
       profile.level_rps.size() != profile.delays.size()) {
     throw std::invalid_argument("InterpolateProfile: malformed profile");
   }
-  rps = std::max(0.0, rps);
-  const auto& levels = profile.level_rps;
-  if (rps <= levels.front()) return profile.delays.front();
-  const double stable_cap = std::min(levels.back(), profile.max_stable_rps);
-  if (rps >= stable_cap) {
-    // Sustained overload: the excess arrival rate accumulates as backlog
-    // over the update horizon, delaying every request behind it.
-    const double over = stable_cap > 0.0 ? rps / stable_cap - 1.0 : 0.0;
-    // Base distribution at the edge of the stable region.
-    DiscreteDistribution base = [&] {
-      if (stable_cap >= levels.back()) return profile.delays.back();
-      LoadProfile clipped;
-      clipped.level_rps = profile.level_rps;
-      clipped.delays = profile.delays;
-      clipped.max_stable_rps = std::numeric_limits<double>::infinity();
-      return InterpolateProfile(clipped, stable_cap);
-    }();
-    return base.ShiftedBy(over * profile.overload_horizon_ms);
-  }
-  // Find the surrounding levels.
-  std::size_t hi = 1;
-  while (hi < levels.size() && levels[hi] < rps) ++hi;
-  const std::size_t lo = hi - 1;
-  const double t = (rps - levels[lo]) / (levels[hi] - levels[lo]);
-  return Blend(profile.delays[lo], profile.delays[hi], t);
+  return Interpolate(profile, profile.max_stable_rps,
+                     profile.overload_horizon_ms, rps);
 }
 
 ProfiledReplicaModel::ProfiledReplicaModel(int replicas, LoadProfile profile)
@@ -169,14 +180,14 @@ DiscreteDistribution PriorityQueueModel::DelayDistribution(
   // Queueing delays are right-skewed; approximate with an exponential
   // around the mean, discretized at mid-quantiles, shifted by the fixed
   // handling cost.
-  std::vector<double> values;
-  values.reserve(kDelayPoints);
-  for (const double log_survival : log_survival_) {
-    values.push_back(handling_cost_ms_ - mean_wait * log_survival);
-  }
-  std::vector<double> probs(values.size(),
-                            1.0 / static_cast<double>(values.size()));
-  return DiscreteDistribution(std::move(values), std::move(probs));
+  return DiscreteDistribution::Build(
+      kDelayPoints, [&](std::span<double> values, std::span<double> probs) {
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          values[i] = handling_cost_ms_ - mean_wait * log_survival_[i];
+        }
+        std::fill(probs.begin(), probs.end(),
+                  1.0 / static_cast<double>(kDelayPoints));
+      });
 }
 
 bool PriorityQueueModel::IsOverloaded(int decision,

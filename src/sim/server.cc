@@ -99,11 +99,18 @@ ServiceTimeFn MakeConvexLoadProfile(double base_ms, double capacity,
     throw std::invalid_argument(
         "MakeConvexLoadProfile: capacity not finite and > 0");
   }
-  if (!std::isfinite(alpha)) {
-    throw std::invalid_argument("MakeConvexLoadProfile: alpha not finite");
+  // The inflation 1 + alpha * u^beta must stay >= 0 for every utilization u
+  // in (0, 1]: alpha < -1 drives it negative near saturation, and beta < 0
+  // (u^beta > 1) does so at low load for any alpha < 0 (and is infinite at
+  // u = 0). TryStart's std::max would turn a negative time into a 0-ms
+  // service, silently.
+  if (!std::isfinite(alpha) || alpha < -1.0) {
+    throw std::invalid_argument(
+        "MakeConvexLoadProfile: alpha not finite and >= -1");
   }
-  if (!std::isfinite(beta)) {
-    throw std::invalid_argument("MakeConvexLoadProfile: beta not finite");
+  if (!std::isfinite(beta) || beta < 0.0) {
+    throw std::invalid_argument(
+        "MakeConvexLoadProfile: beta not finite and >= 0");
   }
   if (!std::isfinite(jitter_sigma) || jitter_sigma < 0.0) {
     throw std::invalid_argument(

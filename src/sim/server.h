@@ -122,9 +122,10 @@ class SimServer {
 /// (typically the server's concurrency); total delay under offered load then
 /// rises through queueing, giving the convex load→delay curves the paper
 /// profiles offline at {5%,...,100%} of a server's maximum request rate.
-/// `base_ms` and `capacity` must be finite and > 0, `alpha` and `beta`
-/// finite, and `jitter_sigma` (the jitter's log-space sigma) finite and
-/// >= 0; anything else throws std::invalid_argument naming the parameter.
+/// `base_ms` and `capacity` must be finite and > 0, `alpha` finite and
+/// >= -1, `beta` finite and >= 0 (so the inflation never goes negative),
+/// and `jitter_sigma` (the jitter's log-space sigma) finite and >= 0;
+/// anything else throws std::invalid_argument naming the parameter.
 /// A `jitter_sigma` of 0 means no jitter and no RNG draw.
 ServiceTimeFn MakeConvexLoadProfile(double base_ms, double capacity,
                                     double alpha = 1.0, double beta = 1.6,

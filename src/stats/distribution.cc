@@ -45,24 +45,52 @@ double EmpiricalCdf::Sample(Rng& rng) const {
 }
 
 DiscreteDistribution DiscreteDistribution::PointMass(double value) {
-  return DiscreteDistribution({value}, {1.0});
+  return Build(1, [value](std::span<double> values, std::span<double> probs) {
+    values[0] = value;
+    probs[0] = 1.0;
+  });
+}
+
+DiscreteDistribution::DiscreteDistribution(std::size_t n) : size_(n) {
+  if (n == 0) {
+    throw std::invalid_argument(
+        "DiscreteDistribution: values/probabilities size mismatch or empty");
+  }
+  if (!inline_size()) {
+    heap_values_.resize(n);
+    heap_probs_.resize(n);
+  }
 }
 
 DiscreteDistribution::DiscreteDistribution(std::vector<double> values,
                                            std::vector<double> probabilities)
-    : values_(std::move(values)), probs_(std::move(probabilities)) {
-  if (values_.empty() || values_.size() != probs_.size()) {
+    : size_(values.size()) {
+  if (values.empty() || values.size() != probabilities.size()) {
     throw std::invalid_argument(
         "DiscreteDistribution: values/probabilities size mismatch or empty");
   }
+  if (inline_size()) {
+    std::copy(values.begin(), values.end(), inline_values_.begin());
+    std::copy(probabilities.begin(), probabilities.end(),
+              inline_probs_.begin());
+  } else {
+    heap_values_ = std::move(values);
+    heap_probs_ = std::move(probabilities);
+  }
+  Normalize();
+}
+
+void DiscreteDistribution::Normalize() {
+  const std::span<double> values = mutable_values();
+  const std::span<double> probs = mutable_probabilities();
   // NaN has no place in an ordered support (and would break the sort's
   // strict weak order below).
-  if (std::any_of(values_.begin(), values_.end(),
+  if (std::any_of(values.begin(), values.end(),
                   [](double v) { return std::isnan(v); })) {
     throw std::invalid_argument("DiscreteDistribution: NaN support value");
   }
   double total = 0.0;
-  for (double p : probs_) {
+  for (double p : probs) {
     if (p < 0.0) {
       throw std::invalid_argument("DiscreteDistribution: negative probability");
     }
@@ -71,23 +99,23 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> values,
   if (total <= 0.0) {
     throw std::invalid_argument("DiscreteDistribution: zero total probability");
   }
-  for (double& p : probs_) p /= total;
+  for (double& p : probs) p /= total;
   // Sort support ascending, keeping probabilities aligned. A stable sort of
   // a non-decreasing support is the identity, and every G in the tree emits
   // one, so that case keeps its bytes without the index sort and copies.
-  if (std::is_sorted(values_.begin(), values_.end())) return;
-  std::vector<std::size_t> order(values_.size());
+  if (std::is_sorted(values.begin(), values.end())) return;
+  std::vector<std::size_t> order(values.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return values_[a] < values_[b];
-  });
-  std::vector<double> v(values_.size()), p(values_.size());
+  std::stable_sort(order.begin(), order.end(),
+                   [values](std::size_t a, std::size_t b) {
+                     return values[a] < values[b];
+                   });
+  const std::vector<double> v(values.begin(), values.end());
+  const std::vector<double> p(probs.begin(), probs.end());
   for (std::size_t i = 0; i < order.size(); ++i) {
-    v[i] = values_[order[i]];
-    p[i] = probs_[order[i]];
+    values[i] = v[order[i]];
+    probs[i] = p[order[i]];
   }
-  values_ = std::move(v);
-  probs_ = std::move(p);
 }
 
 DiscreteDistribution DiscreteDistribution::FromSamples(
@@ -101,66 +129,80 @@ DiscreteDistribution DiscreteDistribution::FromSamples(
   }
   std::vector<double> sorted(samples.begin(), samples.end());
   std::sort(sorted.begin(), sorted.end());
-  std::vector<double> values;
-  values.reserve(static_cast<std::size_t>(num_points));
-  // Midpoint quantiles: point i represents mass ((i + 0.5) / num_points).
-  for (int i = 0; i < num_points; ++i) {
-    const double q = (static_cast<double>(i) + 0.5) /
-                     static_cast<double>(num_points);
-    const double rank = q * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    values.push_back(sorted[lo] * (1.0 - frac) + sorted[hi] * frac);
-  }
-  std::vector<double> probs(values.size(),
-                            1.0 / static_cast<double>(values.size()));
-  return DiscreteDistribution(std::move(values), std::move(probs));
+  const auto n = static_cast<std::size_t>(num_points);
+  return Build(n, [&](std::span<double> values, std::span<double> probs) {
+    // Midpoint quantiles: point i represents mass ((i + 0.5) / num_points).
+    for (std::size_t i = 0; i < n; ++i) {
+      const double q =
+          (static_cast<double>(i) + 0.5) / static_cast<double>(num_points);
+      const double rank = q * static_cast<double>(sorted.size() - 1);
+      const auto lo = static_cast<std::size_t>(rank);
+      const auto hi = std::min(lo + 1, sorted.size() - 1);
+      const double frac = rank - static_cast<double>(lo);
+      values[i] = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    }
+    std::fill(probs.begin(), probs.end(), 1.0 / static_cast<double>(n));
+  });
 }
 
 double DiscreteDistribution::Expect(
     const std::function<double(double)>& f) const {
+  const auto vals = values();
+  const auto probs = probabilities();
   double total = 0.0;
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    total += f(values_[i]) * probs_[i];
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    total += f(vals[i]) * probs[i];
   }
   return total;
 }
 
 double DiscreteDistribution::Mean() const {
+  const auto vals = values();
+  const auto probs = probabilities();
   double total = 0.0;
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    total += values_[i] * probs_[i];
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    total += vals[i] * probs[i];
   }
   return total;
 }
 
 double DiscreteDistribution::Variance() const {
   const double mu = Mean();
+  const auto vals = values();
+  const auto probs = probabilities();
   double total = 0.0;
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    total += (values_[i] - mu) * (values_[i] - mu) * probs_[i];
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    total += (vals[i] - mu) * (vals[i] - mu) * probs[i];
   }
   return total;
 }
 
+// ShiftedBy and ScaledBy hand the already-normalized probabilities through
+// Normalize() again, as the vector constructor always did, so their bytes
+// are those of the historical copies.
 DiscreteDistribution DiscreteDistribution::ShiftedBy(double delta) const {
-  std::vector<double> values(values_);
-  for (double& v : values) v += delta;
-  return DiscreteDistribution(std::move(values), probs_);
+  return Build(size_, [this, delta](std::span<double> vals,
+                                    std::span<double> probs) {
+    const auto from = values();
+    for (std::size_t i = 0; i < vals.size(); ++i) vals[i] = from[i] + delta;
+    std::copy(probabilities().begin(), probabilities().end(), probs.begin());
+  });
 }
 
 DiscreteDistribution DiscreteDistribution::ScaledBy(double factor) const {
   if (factor <= 0.0) {
     throw std::invalid_argument("DiscreteDistribution::ScaledBy: factor <= 0");
   }
-  std::vector<double> values(values_);
-  for (double& v : values) v *= factor;
-  return DiscreteDistribution(std::move(values), probs_);
+  return Build(size_, [this, factor](std::span<double> vals,
+                                     std::span<double> probs) {
+    const auto from = values();
+    for (std::size_t i = 0; i < vals.size(); ++i) vals[i] = from[i] * factor;
+    std::copy(probabilities().begin(), probabilities().end(), probs.begin());
+  });
 }
 
 double DiscreteDistribution::Sample(Rng& rng) const {
-  return values_[rng.Categorical(probs_)];
+  return values()[rng.Categorical(probabilities())];
 }
 
 }  // namespace e2e

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <stdexcept>
@@ -402,6 +403,11 @@ ShardedReplayResult ReplayTraceSharded(std::span<const TraceRecord> records,
   const ControllerConfig& ctrl = config.common.controller;
   if (ctrl.shards < 0) {
     throw std::invalid_argument("ReplayTraceSharded: negative shard count");
+  }
+  if (!std::isfinite(ctrl.rps_planning_factor) ||
+      ctrl.rps_planning_factor <= 0.0) {
+    throw std::invalid_argument(
+        "ReplayTraceSharded: rps_planning_factor not finite and > 0");
   }
   const int shards =
       ctrl.shards == 0 ? ThreadPool::DefaultWorkers() : ctrl.shards;

@@ -85,7 +85,8 @@ struct ShardedReplayResult {
 /// Replays `records` (sorted by arrival_ms; throws otherwise) through the
 /// two-level policy against server-delay model `g`, with per-page QoE
 /// models from `qoe_of_page`. Each group's offered load is estimated as its
-/// own arrival rate times `rps_planning_factor`; each record takes the
+/// own arrival rate times `rps_planning_factor` (finite and > 0, or the
+/// replay throws std::invalid_argument); each record takes the
 /// decision its external delay maps to in the group's table and is charged
 /// the mean of that decision's delay distribution under the planned split.
 /// The shard count is `config.common.controller.shards`

@@ -286,6 +286,44 @@ TEST(ComputePolicy, ValidatesInputs) {
   const std::vector<double> externals = {1000.0, 2000.0};
   EXPECT_THROW(ComputePolicy(qoe, g, externals, 0.0, PolicyConfig{}),
                std::invalid_argument);
+
+  // A rate or penalty no plan can use is rejected by name. On a profiled G
+  // a NaN rate used to plan as if at zero load and +inf as all-overloaded,
+  // and a NaN penalty failed its `> 0.0` test and was dropped.
+  LoadProfile profile;
+  profile.max_rps = 100.0;
+  for (int i = 1; i <= 10; ++i) {
+    profile.level_rps.push_back(i * 10.0);
+    profile.delays.push_back(
+        DiscreteDistribution::PointMass(10.0 + i * i * 2.0));
+  }
+  const ProfiledReplicaModel profiled(3, profile);
+  Rng rng(4);
+  const auto delays = SensitiveHeavyExternals(200, rng);
+  const auto expect_rejected = [&](double rps, const PolicyConfig& config,
+                                   const std::string& name) {
+    try {
+      ComputePolicy(qoe, profiled, delays, rps, config);
+      ADD_FAILURE() << "expected std::invalid_argument naming " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double rps : {kNan, kInf, -kInf, -1.0}) {
+    expect_rejected(rps, PolicyConfig{}, "total_rps");
+  }
+  for (const double penalty : {kNan, kInf, -0.1}) {
+    PolicyConfig config;
+    config.instability_penalty = penalty;
+    expect_rejected(50.0, config, "instability_penalty");
+  }
+  // The boundary values stay valid.
+  PolicyConfig no_penalty;
+  no_penalty.instability_penalty = 0.0;
+  EXPECT_NO_THROW(ComputePolicy(qoe, profiled, delays, 50.0, no_penalty));
 }
 
 TEST(ComputePolicy, SpreadsLoadAcrossReplicasUnderPressure) {
@@ -925,6 +963,43 @@ TEST(Controller, NullModelsThrow) {
                std::invalid_argument);
   EXPECT_THROW(Controller("c", FastControllerConfig(), qoe, nullptr, 1),
                std::invalid_argument);
+}
+
+TEST(Controller, RejectsUnusablePlanningInputs) {
+  auto qoe = std::make_shared<const SigmoidQoeModel>(
+      SigmoidQoeModel::TraceTimeOnSite());
+  auto g = std::make_shared<const LinearReplicaModel>(3, 40.0, 20.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double factor : {std::numeric_limits<double>::quiet_NaN(), kInf,
+                              -kInf, 0.0, -1.0}) {
+    ControllerConfig config = FastControllerConfig();
+    config.rps_planning_factor = factor;
+    try {
+      Controller("c", config, qoe, g, 1);
+      ADD_FAILURE() << "expected std::invalid_argument for " << factor;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rps_planning_factor"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A NaN discount used to pass the range guard and then be ignored by the
+  // planner's `> 0.0` test.
+  Controller controller("c", FastControllerConfig(), qoe, g, 1);
+  for (const double fraction :
+       {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.0, kInf}) {
+    try {
+      controller.SetLoadDiscount(fraction);
+      ADD_FAILURE() << "expected std::invalid_argument for " << fraction;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("SetLoadDiscount"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(controller.load_discount(), 0.0);
+  controller.SetLoadDiscount(0.25);
+  EXPECT_EQ(controller.load_discount(), 0.25);
 }
 
 TEST(Failover, BackupTakesOverAfterElection) {

@@ -548,6 +548,22 @@ TEST(ScaleReplay, InvalidConfigsThrow) {
   EXPECT_THROW(ReplayTraceSharded(records, TestSelector(), TestServerModel(),
                                   negative),
                std::invalid_argument);
+  // A planning factor that is not finite and positive is rejected by name.
+  for (const double factor : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), 0.0,
+                              -2.0}) {
+    ShardedReplayConfig bad_factor = BaseReplayConfig(1);
+    bad_factor.common.controller.rps_planning_factor = factor;
+    try {
+      ReplayTraceSharded(records, TestSelector(), TestServerModel(),
+                         bad_factor);
+      ADD_FAILURE() << "expected std::invalid_argument for " << factor;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("rps_planning_factor"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // The live Controller validates the shard knob too.
   ControllerConfig ctrl;
   ctrl.shards = -1;

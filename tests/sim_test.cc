@@ -587,6 +587,15 @@ TEST(ConvexLoadProfile, InvalidParamsThrow) {
     expect_rejected(10.0, 4.0, bad, 1.6, "alpha");
     expect_rejected(10.0, 4.0, 1.0, bad, "beta");
   }
+  // Finite values that make 1 + alpha * u^beta negative for some
+  // utilization u in (0, 1] (TryStart would clamp the negative time to a
+  // silent 0-ms service): alpha below -1, and a negative beta.
+  expect_rejected(10.0, 4.0, -2.0, 1.6, "alpha");
+  expect_rejected(10.0, 4.0, -0.5, -1.0, "beta");
+  // The edges stay valid: a fully busy server may serve at no cost (alpha
+  // -1), and beta 0 is a constant inflation.
+  EXPECT_NO_THROW(MakeConvexLoadProfile(10.0, 4.0, -1.0, 1.6, 0.0));
+  EXPECT_NO_THROW(MakeConvexLoadProfile(10.0, 4.0, 1.0, 0.0, 0.0));
 }
 
 TEST(ConvexLoadProfile, ZeroJitterDrawsNothing) {

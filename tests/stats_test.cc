@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "proptest.h"
@@ -193,6 +196,120 @@ TEST(DiscreteDistribution, UnsortedSupportSortsStablyWithAlignedMass) {
       EXPECT_EQ(d.probabilities()[i], probs[order[i]] / total) << i;
     }
   });
+}
+
+// What the two-vector DiscreteDistribution computed, kept as the reference
+// the inline storage must reproduce bit for bit: normalize by the summed
+// mass in index order, then a stable index sort by value; ShiftedBy and
+// ScaledBy rebuild from the moved values and the normalized probabilities.
+struct VectorReference {
+  std::vector<double> values;
+  std::vector<double> probs;
+
+  VectorReference(std::vector<double> v, std::vector<double> p) {
+    double total = 0.0;
+    for (const double x : p) total += x;
+    for (double& x : p) x /= total;
+    std::vector<std::size_t> order(v.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
+    for (const std::size_t i : order) {
+      values.push_back(v[i]);
+      probs.push_back(p[i]);
+    }
+  }
+  double Mean() const {
+    double total = 0.0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      total += values[i] * probs[i];
+    }
+    return total;
+  }
+  VectorReference ShiftedBy(double delta) const {
+    std::vector<double> v = values;
+    for (double& x : v) x += delta;
+    return VectorReference(v, probs);
+  }
+  VectorReference ScaledBy(double factor) const {
+    std::vector<double> v = values;
+    for (double& x : v) x *= factor;
+    return VectorReference(v, probs);
+  }
+};
+
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void ExpectMatches(const DiscreteDistribution& d, const VectorReference& ref) {
+  EXPECT_TRUE(SameBits(d.values(), ref.values));
+  EXPECT_TRUE(SameBits(d.probabilities(), ref.probs));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(d.Mean()),
+            std::bit_cast<std::uint64_t>(ref.Mean()));
+}
+
+TEST(DiscreteDistribution, InlineCapacityEdgesMatchVectorReference) {
+  // At the inline capacity the support lives in the object; one point past
+  // it, on the heap. Both must give the reference's bytes, through every
+  // operation and every way of copying one distribution onto another.
+  for (const std::size_t n : {DiscreteDistribution::kInlinePoints,
+                              DiscreteDistribution::kInlinePoints + 1}) {
+    SCOPED_TRACE(n);
+    Rng rng(91 + n);
+    std::vector<double> values(n);
+    std::vector<double> probs(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Unsorted, with ties, so the stable index sort runs.
+      values[i] = static_cast<double>(rng.UniformInt(0, 6)) * 1.37 - 2.0;
+      probs[i] = rng.Uniform(0.1, 3.0);
+    }
+    ASSERT_FALSE(std::is_sorted(values.begin(), values.end()));
+    const DiscreteDistribution d(values, probs);
+    const VectorReference ref(values, probs);
+    ExpectMatches(d, ref);
+    ExpectMatches(d.ShiftedBy(2.5), ref.ShiftedBy(2.5));
+    ExpectMatches(d.ScaledBy(1.7), ref.ScaledBy(1.7));
+
+    const DiscreteDistribution copy(d);
+    ExpectMatches(copy, ref);
+    DiscreteDistribution source(d);
+    const DiscreteDistribution moved(std::move(source));
+    ExpectMatches(moved, ref);
+
+    // Assignment onto a distribution of the other storage kind, both ways.
+    const std::size_t other_n = n == DiscreteDistribution::kInlinePoints
+                                    ? n + 1
+                                    : DiscreteDistribution::kInlinePoints;
+    DiscreteDistribution assigned(std::vector<double>(other_n, 1.0),
+                                  std::vector<double>(other_n, 1.0));
+    assigned = d;
+    ExpectMatches(assigned, ref);
+    DiscreteDistribution move_assigned(std::vector<double>(other_n, 1.0),
+                                       std::vector<double>(other_n, 1.0));
+    DiscreteDistribution donor(d);
+    move_assigned = std::move(donor);
+    ExpectMatches(move_assigned, ref);
+    DiscreteDistribution back(d);
+    back = DiscreteDistribution(std::vector<double>(other_n, 1.0),
+                                std::vector<double>(other_n, 1.0));
+    EXPECT_EQ(back.values().size(), other_n);
+    back = d;
+    ExpectMatches(back, ref);
+
+    // Self-assignment leaves the distribution as it was.
+    DiscreteDistribution self(d);
+    const DiscreteDistribution& alias = self;
+    self = alias;
+    ExpectMatches(self, ref);
+  }
 }
 
 TEST(Divergence, JsIsSymmetricAndBounded) {
