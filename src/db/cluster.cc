@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace e2e::db {
@@ -29,25 +30,23 @@ Cluster::Cluster(EventLoop& loop, ClusterParams params, Rng rng)
 
 void Cluster::LoadDataset(std::size_t num_keys, std::size_t value_bytes) {
   for (const auto& replica : replicas_) {
-    const StorageEngine& storage = replica->storage();
-    if (storage.RunCount() != 0 || storage.MemtableSize() != 0) {
+    if (!replica->storage().empty()) {
       throw std::logic_error("Cluster::LoadDataset: replica " +
                              std::to_string(replica->index()) +
-                             " already holds data");
+                             " already holds rows");
     }
   }
   // Every replica group stores a full copy (the replication strategy the
   // paper adopts for E2E: choose a replica group per request). The copies
-  // share the one compacted run loaded here; later writes land in each
-  // replica's own memtable.
-  StorageEngine loaded;
+  // share the one table built here.
+  Rows rows;
+  rows.reserve(num_keys);
   const std::string payload(value_bytes, 'v');
   for (std::size_t k = 0; k < num_keys; ++k) {
-    loaded.Put(static_cast<Key>(k), payload);
+    rows.emplace_back(static_cast<Key>(k), payload);
   }
-  loaded.Flush();
-  loaded.Compact();
-  for (auto& replica : replicas_) replica->storage() = loaded;
+  const StorageEngine table(std::move(rows));
+  for (auto& replica : replicas_) replica->storage() = table;
 }
 
 void Cluster::RangeRead(Key start, std::size_t count, int replica,
@@ -74,90 +73,6 @@ void Cluster::RangeRead(Key start, std::size_t count, int replica,
         result.timing = timing;
         done(std::move(result));
       });
-}
-
-void Cluster::Read(Key key, int replica,
-                   std::function<void(PointReadResult)> done) {
-  if (replica < 0 || replica >= NumReplicas()) {
-    throw std::out_of_range("Cluster::Read: bad replica index");
-  }
-  if (!done) {
-    throw std::invalid_argument("Cluster::Read: empty callback");
-  }
-  ReplicaGroup& group = *replicas_[static_cast<std::size_t>(replica)];
-  group.server().Submit([&group, key, replica,
-                         done = std::move(done)](const JobTiming& timing) {
-    PointReadResult result;
-    result.value = group.storage().Get(key);
-    result.replica = replica;
-    result.timing = timing;
-    done(std::move(result));
-  });
-}
-
-namespace {
-
-// Shared fan-out state for a replicated mutation.
-struct WriteFanout {
-  WriteResult result;
-  int quorum = 1;
-  int acked = 0;
-  std::function<void(WriteResult)> done;
-};
-
-}  // namespace
-
-void Cluster::Write(Key key, std::string value, int quorum,
-                    std::function<void(WriteResult)> done) {
-  if (quorum < 1 || quorum > NumReplicas()) {
-    throw std::invalid_argument("Cluster::Write: bad quorum");
-  }
-  if (!done) {
-    throw std::invalid_argument("Cluster::Write: empty callback");
-  }
-  auto fanout = std::make_shared<WriteFanout>();
-  fanout->result.key = key;
-  fanout->result.start_ms = loop_.Now();
-  fanout->quorum = quorum;
-  fanout->done = std::move(done);
-  for (auto& replica : replicas_) {
-    ReplicaGroup& group = *replica;
-    group.server().Submit(
-        [&group, key, value, fanout, this](const JobTiming&) {
-          group.storage().Put(key, value);
-          if (++fanout->acked == fanout->quorum) {
-            fanout->result.acked_replicas = fanout->acked;
-            fanout->result.quorum_ms = loop_.Now();
-            fanout->done(fanout->result);
-          }
-        });
-  }
-}
-
-void Cluster::Delete(Key key, int quorum,
-                     std::function<void(WriteResult)> done) {
-  if (quorum < 1 || quorum > NumReplicas()) {
-    throw std::invalid_argument("Cluster::Delete: bad quorum");
-  }
-  if (!done) {
-    throw std::invalid_argument("Cluster::Delete: empty callback");
-  }
-  auto fanout = std::make_shared<WriteFanout>();
-  fanout->result.key = key;
-  fanout->result.start_ms = loop_.Now();
-  fanout->quorum = quorum;
-  fanout->done = std::move(done);
-  for (auto& replica : replicas_) {
-    ReplicaGroup& group = *replica;
-    group.server().Submit([&group, key, fanout, this](const JobTiming&) {
-      group.storage().Delete(key);
-      if (++fanout->acked == fanout->quorum) {
-        fanout->result.acked_replicas = fanout->acked;
-        fanout->result.quorum_ms = loop_.Now();
-        fanout->done(fanout->result);
-      }
-    });
-  }
 }
 
 void Cluster::SetReplicaExtraDelayMs(int replica, double extra_ms) {
@@ -256,7 +171,6 @@ void ReadExecutor::ExecuteRangeRead(const DbRequest& request,
     }
     if (best != -1) {
       replica = best;
-      ++failovers_;
       if (metric_failovers_ != nullptr) metric_failovers_->Increment();
     }
   }
@@ -548,7 +462,6 @@ void ReadExecutor::IssueWithRetries(const DbRequest& request,
     }
   }
   if (replica != -1) {
-    ++failovers_;
     if (metric_failovers_ != nullptr) metric_failovers_->Increment();
     auto state = std::make_shared<ReadState>();
     state->done = std::move(done);
@@ -671,13 +584,6 @@ void ReadExecutor::IssueRead(const DbRequest& request, int replica,
         result.failed_over = replica != selected;
         state->done(std::move(result));
       });
-}
-
-void ReadExecutor::SetSelector(std::shared_ptr<ReplicaSelector> selector) {
-  if (selector == nullptr) {
-    throw std::invalid_argument("ReadExecutor::SetSelector: null selector");
-  }
-  selector_ = std::move(selector);
 }
 
 }  // namespace e2e::db

@@ -1,8 +1,9 @@
 // Replica groups and the cluster read path.
 //
-// Mirrors the paper's Cassandra deployment (§6, §7.1): the table is fully
-// replicated to each replica group; a client-side read executor picks one
-// group per request through a pluggable ReplicaSelector (the paper's
+// Mirrors the paper's Cassandra deployment (§6, §7.1) as the experiments
+// use it: a read-only table, loaded once and fully replicated to each
+// replica group, serving range reads. A client-side read executor picks
+// one group per request through a pluggable ReplicaSelector (the paper's
 // getReadExecutor hook) and tracks per-replica load and observed delay
 // (the paper's RequestHandler callback change).
 #pragma once
@@ -10,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "db/selector.h"
@@ -45,14 +45,14 @@ struct ClusterParams {
   double jitter_sigma = 0.35;
 };
 
-/// One replica group: a full copy of the dataset behind a load-dependent
+/// One replica group: a full copy of the table behind a load-dependent
 /// server.
 class ReplicaGroup {
  public:
   ReplicaGroup(int index, EventLoop& loop, const ClusterParams& params,
                Rng rng);
 
-  /// The replica's storage (loaded by Cluster::LoadDataset).
+  /// The replica's table (set by Cluster::LoadDataset).
   StorageEngine& storage() { return storage_; }
   const StorageEngine& storage() const { return storage_; }
 
@@ -83,51 +83,21 @@ struct ReadResult {
   bool failed_over = false;
 };
 
-/// Result of a point read.
-struct PointReadResult {
-  std::optional<std::string> value;
-  int replica = 0;
-  JobTiming timing;
-};
-
-/// Result of a replicated write, reported at quorum.
-struct WriteResult {
-  Key key = 0;
-  int acked_replicas = 0;   ///< Replicas acked when the quorum fired.
-  double start_ms = 0.0;    ///< Submission time.
-  double quorum_ms = 0.0;   ///< Time the quorum-th ack arrived.
-
-  DelayMs QuorumDelayMs() const { return quorum_ms - start_ms; }
-};
-
 /// The distributed database: N replica groups, each a full copy.
 class Cluster {
  public:
   Cluster(EventLoop& loop, ClusterParams params, Rng rng);
 
-  /// Populates every replica with `num_keys` rows of `value_bytes` payload.
-  /// The dataset is loaded once, into one compacted run, and every replica
-  /// gets a copy of that engine: the copies share the run, and later writes
-  /// land in each replica's own memtable, so each replica stays a full
-  /// logical copy. Throws std::logic_error unless every replica is empty.
+  /// Populates every replica with `num_keys` rows (keys 0, 1, ...) of
+  /// `value_bytes` payload. The table is built once and every replica holds
+  /// that same table. Throws std::logic_error naming a replica that already
+  /// holds rows.
   void LoadDataset(std::size_t num_keys, std::size_t value_bytes);
 
   /// Executes a range read on the given replica; `done` fires on the event
   /// loop with rows and timing. Throws on an invalid replica index.
   void RangeRead(Key start, std::size_t count, int replica,
                  std::function<void(ReadResult)> done);
-
-  /// Executes a point read on the given replica.
-  void Read(Key key, int replica, std::function<void(PointReadResult)> done);
-
-  /// Replicates a write to every replica group; `done` fires when `quorum`
-  /// replicas have applied it (remaining replicas still apply eventually).
-  /// Throws when quorum is outside [1, NumReplicas()] or `done` is empty.
-  void Write(Key key, std::string value, int quorum,
-             std::function<void(WriteResult)> done);
-
-  /// Replicates a delete (tombstone) like Write.
-  void Delete(Key key, int quorum, std::function<void(WriteResult)> done);
 
   int NumReplicas() const { return static_cast<int>(replicas_.size()); }
 
@@ -235,14 +205,6 @@ class ReadExecutor {
   void ExecuteRangeRead(const DbRequest& request,
                         std::function<void(ReadResult)> done);
 
-  /// Swaps the selection policy at runtime (used by failover tests).
-  void SetSelector(std::shared_ptr<ReplicaSelector> selector);
-
-  const ReplicaSelector& selector() const { return *selector_; }
-
-  /// Requests rerouted around a partitioned replica so far.
-  std::uint64_t failover_count() const { return failovers_; }
-
   /// Attaches telemetry: db.requests and db.failovers counters.
   void AttachMetrics(obs::MetricsRegistry& registry);
 
@@ -270,15 +232,6 @@ class ReadExecutor {
   /// it at controller ticks so gates stay fresh across arrival lulls.
   void MaybeRecomputeBudgets(double now_ms);
 
-  /// Hedge gates currently in force. In kStatic mode these are the
-  /// HedgeConfig constants for the whole run; in kModelDriven mode they are
-  /// re-derived each model window (resilience/cloning_model.h), with the
-  /// static constants as the floor: the model opens the budget beyond them
-  /// when cloning is predicted significantly profitable and otherwise leaves
-  /// them in force — it never closes below the floor.
-  double effective_hedge_fraction() const { return effective_hedge_fraction_; }
-  double effective_target_load() const { return effective_target_load_; }
-
   /// The cluster-level prediction from the last completed model window
   /// (zeros until the first recompute, and always in static mode).
   const resilience::CloningPrediction& last_prediction() const {
@@ -292,11 +245,6 @@ class ReadExecutor {
 
   /// Aggregated breaker counters across replicas (zeros when disabled).
   resilience::BreakerStats TotalBreakerStats() const;
-
-  /// The replica's breaker (resilience must be enabled; throws otherwise).
-  const resilience::CircuitBreaker& breaker(int replica) const {
-    return breakers_.at(static_cast<std::size_t>(replica));
-  }
 
  private:
   /// Shared completion state of one (possibly hedged) logical read.
@@ -330,7 +278,6 @@ class ReadExecutor {
 
   Cluster& cluster_;
   std::shared_ptr<ReplicaSelector> selector_;
-  std::uint64_t failovers_ = 0;
   obs::Counter* metric_requests_ = nullptr;
   obs::Counter* metric_failovers_ = nullptr;
   // Resilience layer (inactive until EnableResilience).
@@ -344,9 +291,10 @@ class ReadExecutor {
   std::function<SensitivityClass(const DbRequest&)> classify_;
   std::uint64_t primary_reads_ = 0;  // Denominator of the hedge budget.
   ReadResilienceStats resil_stats_;
-  // Hedge gates in force: the static config values until (and unless) the
-  // cloning model re-derives them. ScheduleHedge reads only these, so the
-  // static mode runs the byte-identical comparisons it always has.
+  // Hedge gates in force: the HedgeConfig constants in kStatic mode; in
+  // kModelDriven mode re-derived each model window, never below those
+  // constants (resilience/cloning_model.h). ScheduleHedge reads only these,
+  // so the static mode runs the byte-identical comparisons it always has.
   double effective_hedge_fraction_ = 0.0;
   double effective_target_load_ = 0.0;
   // Model-driven hedging (HedgeMode::kModelDriven; docs/RESILIENCE.md).

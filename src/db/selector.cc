@@ -48,15 +48,6 @@ int LatencyAwareSelector::SelectReplica(const DbRequest& /*request*/,
   return best;
 }
 
-int RandomSelector::SelectReplica(const DbRequest& /*request*/,
-                                  const ClusterView& view) {
-  if (view.loads.empty()) {
-    throw std::invalid_argument("RandomSelector: empty view");
-  }
-  return static_cast<int>(rng_.UniformInt(
-      0, static_cast<std::int64_t>(view.loads.size()) - 1));
-}
-
 void TableSelector::SetTable(std::vector<Entry> entries) {
   for (std::size_t i = 1; i < entries.size(); ++i) {
     if (entries[i].lo < entries[i - 1].lo) {

@@ -81,17 +81,6 @@ class LatencyAwareSelector final : public ReplicaSelector {
   std::size_t next_ = 0;
 };
 
-/// Uniform random selection (ablation baseline).
-class RandomSelector final : public ReplicaSelector {
- public:
-  explicit RandomSelector(Rng rng) : rng_(rng) {}
-  int SelectReplica(const DbRequest& request, const ClusterView& view) override;
-  std::string Name() const override { return "random"; }
-
- private:
-  Rng rng_;
-};
-
 /// Probability-table selector: maps a request's external-delay bucket to a
 /// per-replica probability vector. This is how E2E's cached decision lookup
 /// table (§5) drives Cassandra: the E2E controller refreshes the table; the

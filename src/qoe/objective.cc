@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "stats/fairness.h"
@@ -52,21 +53,26 @@ class TailPercentileObjective final : public Objective {
     // Pool the per-bucket QoE distributions: value Q with mass
     // bucket_weight * probability. Pooling in bucket order keeps the input
     // to the (sorting) percentile estimator a pure function of the views.
-    std::vector<double> values;
-    std::vector<double> masses;
+    values_.clear();
+    masses_.clear();
     for (const QoeBucketView& b : buckets) {
       for (std::size_t i = 0; i < b.qoe_values.size(); ++i) {
-        values.push_back(b.qoe_values[i]);
-        masses.push_back(b.weight * b.probabilities[i]);
+        values_.push_back(b.qoe_values[i]);
+        masses_.push_back(b.weight * b.probabilities[i]);
       }
     }
-    const double tail = WeightedPercentile(values, masses, percentile_);
+    const double tail =
+        WeightedPercentile(values_, masses_, percentile_, order_);
     return tail + mean_weight_ * WeightedMean(buckets);
   }
 
  private:
   double percentile_;
   double mean_weight_;
+  // Working memory, reused from one Score to the next.
+  mutable std::vector<double> values_;
+  mutable std::vector<double> masses_;
+  mutable std::vector<std::pair<double, std::size_t>> order_;
 };
 
 class MeanMinusStdevObjective final : public Objective {
@@ -105,22 +111,30 @@ class FairnessConstrainedMeanObjective final : public Objective {
 
   double Score(std::span<const QoeBucketView> buckets) const override {
     const double mean = WeightedMean(buckets);
-    std::vector<double> expected;
-    std::vector<double> weights;
-    expected.reserve(buckets.size());
-    weights.reserve(buckets.size());
+    expected_.clear();
+    weights_.clear();
     for (const QoeBucketView& b : buckets) {
-      expected.push_back(b.expected_qoe);
-      weights.push_back(b.weight);
+      expected_.push_back(b.expected_qoe);
+      weights_.push_back(b.weight);
     }
-    const double jain = WeightedJainFairnessIndex(expected, weights);
+    const double jain = WeightedJainFairnessIndex(expected_, weights_);
     return mean - penalty_ * std::max(0.0, min_fairness_ - jain);
   }
 
  private:
   double min_fairness_;
   double penalty_;
+  // Working memory, reused from one Score to the next.
+  mutable std::vector<double> expected_;
+  mutable std::vector<double> weights_;
 };
+
+void RequireFiniteNonNegative(double value, const char* field) {
+  if (!std::isfinite(value) || value < 0.0) {
+    throw std::invalid_argument(std::string("MakeObjective: ") + field +
+                                " not finite and >= 0");
+  }
+}
 
 }  // namespace
 
@@ -139,32 +153,28 @@ std::string ToString(ObjectiveKind kind) {
 }
 
 std::unique_ptr<const Objective> MakeObjective(const ObjectiveConfig& config) {
+  // Every range test is written so NaN fails it. The weight, λ and penalty
+  // must also be finite: an infinite one scores every candidate ±inf or NaN.
   switch (config.kind) {
     case ObjectiveKind::kMeanQoe:
       return std::make_unique<MeanQoeObjective>();
     case ObjectiveKind::kTailPercentile:
-      if (config.percentile <= 0.0 || config.percentile >= 100.0) {
+      if (!(config.percentile > 0.0 && config.percentile < 100.0)) {
         throw std::invalid_argument(
             "MakeObjective: percentile out of (0, 100)");
       }
-      if (config.tail_mean_weight < 0.0) {
-        throw std::invalid_argument("MakeObjective: tail_mean_weight < 0");
-      }
+      RequireFiniteNonNegative(config.tail_mean_weight, "tail_mean_weight");
       return std::make_unique<TailPercentileObjective>(
           config.percentile, config.tail_mean_weight);
     case ObjectiveKind::kMeanMinusStdev:
-      if (config.stdev_lambda < 0.0) {
-        throw std::invalid_argument("MakeObjective: stdev_lambda < 0");
-      }
+      RequireFiniteNonNegative(config.stdev_lambda, "stdev_lambda");
       return std::make_unique<MeanMinusStdevObjective>(config.stdev_lambda);
     case ObjectiveKind::kFairnessConstrainedMean:
-      if (config.min_fairness < 0.0 || config.min_fairness > 1.0) {
+      if (!(config.min_fairness >= 0.0 && config.min_fairness <= 1.0)) {
         throw std::invalid_argument(
             "MakeObjective: min_fairness out of [0, 1]");
       }
-      if (config.fairness_penalty < 0.0) {
-        throw std::invalid_argument("MakeObjective: fairness_penalty < 0");
-      }
+      RequireFiniteNonNegative(config.fairness_penalty, "fairness_penalty");
       return std::make_unique<FairnessConstrainedMeanObjective>(
           config.min_fairness, config.fairness_penalty);
   }

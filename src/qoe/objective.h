@@ -78,10 +78,13 @@ struct QoeBucketView {
   std::span<const double> probabilities;
 };
 
-/// The objective contract. Implementations must be pure functions of the
-/// bucket views (no hidden state, no clocks, no RNG) and must accumulate in
-/// bucket-index order: determinism of the whole policy stack reduces to the
-/// determinism of Score (docs/OBJECTIVES.md has the full contract).
+/// The objective contract. Scores must be pure functions of the bucket
+/// views (no state that reaches the score, no clocks, no RNG) and must
+/// accumulate in bucket-index order: determinism of the whole policy stack
+/// reduces to the determinism of Score (docs/OBJECTIVES.md has the full
+/// contract). An objective may keep working memory that Score reuses from
+/// one call to the next, so one objective scores on one thread at a time;
+/// RunPolicy builds one per solve.
 class Objective {
  public:
   virtual ~Objective() = default;
@@ -100,7 +103,8 @@ class Objective {
 };
 
 /// Builds the built-in objective described by `config`. Throws
-/// std::invalid_argument on out-of-range parameters.
+/// std::invalid_argument naming the parameter when one the kind uses is out
+/// of range, NaN, or (for a weight, λ or penalty) infinite.
 std::unique_ptr<const Objective> MakeObjective(const ObjectiveConfig& config);
 
 }  // namespace e2e

@@ -33,28 +33,6 @@ void Bucketizer::Add(double sample) {
   built_ = false;
 }
 
-void Bucketizer::Merge(const Bucketizer& other) {
-  // Name the field that diverged — a bare "config mismatch" from deep
-  // inside a sharded merge is undebuggable (which shard? which knob?).
-  if (other.target_buckets_ != target_buckets_) {
-    throw std::invalid_argument(
-        "Bucketizer::Merge: mismatched target_buckets (this=" +
-        std::to_string(target_buckets_) +
-        ", other=" + std::to_string(other.target_buckets_) + ")");
-  }
-  if (other.max_span_ != max_span_) {
-    throw std::invalid_argument(
-        "Bucketizer::Merge: mismatched max_span (this=" +
-        std::to_string(max_span_) +
-        ", other=" + std::to_string(other.max_span_) + ")");
-  }
-  if (other.samples_.empty()) return;
-  samples_.insert(samples_.end(), other.samples_.begin(),
-                  other.samples_.end());
-  sorted_ = false;
-  built_ = false;
-}
-
 std::span<const double> Bucketizer::samples() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());

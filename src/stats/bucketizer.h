@@ -4,16 +4,14 @@
 // runs over buckets instead of individual requests.
 //
 // Two construction modes share one bucketing algorithm:
-//  * batch — the original one-shot constructor over a complete sample set;
+//  * batch — the one-shot constructor over a complete sample set;
 //  * streaming — an empty bucketizer that accumulates samples one at a time
-//    (Add) or wholesale from another bucketizer (Merge), so per-window stats
-//    build incrementally as a trace replays instead of batch-collecting the
-//    whole window (docs/SCALE.md).
-// Merge is associative and commutative with order-fixed semantics: the
-// buckets are always rebuilt from the ascending-sorted sample multiset, so
-// any sequence of Add/Merge calls that accumulates the same multiset yields
-// bit-identical buckets — including the batch constructor over the
-// concatenated samples. tests/scale_test.cc property-checks exactly this.
+//    (Add), so the replay builds each group's stats as its records arrive
+//    instead of batch-collecting the whole window (docs/SCALE.md).
+// The buckets are always rebuilt from the ascending-sorted sample multiset,
+// so Adds in any order that accumulate the same multiset yield bit-identical
+// buckets, the batch constructor's over the same samples included.
+// tests/scale_test.cc property-checks exactly this.
 #pragma once
 
 #include <cstddef>
@@ -49,19 +47,13 @@ class Bucketizer {
   Bucketizer(std::span<const double> samples, int target_buckets,
              double max_span);
 
-  /// Streaming mode: starts empty; feed samples with Add/Merge. Throws when
+  /// Streaming mode: starts empty; feed samples with Add. Throws when
   /// target_buckets < 1 or max_span is not > 0 (NaN included).
   Bucketizer(int target_buckets, double max_span);
 
   /// Adds one sample. Amortized O(1); the bucket view is rebuilt lazily on
   /// the next read.
   void Add(double sample);
-
-  /// Folds `other`'s samples into this bucketizer (other is unchanged).
-  /// Both sides must have identical target_buckets and max_span; throws
-  /// std::invalid_argument otherwise. Associative and commutative: any
-  /// merge tree over the same sample multiset rebuilds identical buckets.
-  void Merge(const Bucketizer& other);
 
   /// Number of accumulated samples.
   std::size_t sample_count() const { return samples_.size(); }

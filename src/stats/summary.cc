@@ -20,23 +20,6 @@ void StreamingSummary::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void StreamingSummary::Merge(const StreamingSummary& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double StreamingSummary::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_);
@@ -81,44 +64,51 @@ std::vector<double> Percentiles(std::span<const double> samples,
 
 double WeightedPercentile(std::span<const double> values,
                           std::span<const double> weights, double p) {
+  std::vector<std::pair<double, std::size_t>> order;
+  return WeightedPercentile(values, weights, p, order);
+}
+
+double WeightedPercentile(std::span<const double> values,
+                          std::span<const double> weights, double p,
+                          std::vector<std::pair<double, std::size_t>>& order) {
   if (values.size() != weights.size()) {
     throw std::invalid_argument("WeightedPercentile: size mismatch");
   }
   if (values.empty()) {
     throw std::invalid_argument("WeightedPercentile: empty input");
   }
-  if (p < 0.0 || p > 100.0) {
+  if (!(p >= 0.0 && p <= 100.0)) {  // NaN fails too.
     throw std::invalid_argument("WeightedPercentile: p out of [0,100]");
   }
   double total = 0.0;
-  for (const double w : weights) {
-    if (w < 0.0) {
-      throw std::invalid_argument("WeightedPercentile: negative weight");
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!(weights[i] >= 0.0)) {
+      throw std::invalid_argument("WeightedPercentile: negative or NaN weight");
     }
-    total += w;
+    // A NaN value would leave the sort below without a strict order.
+    if (std::isnan(values[i])) {
+      throw std::invalid_argument("WeightedPercentile: NaN value");
+    }
+    total += weights[i];
   }
   if (total == 0.0) {
     throw std::invalid_argument("WeightedPercentile: zero total weight");
   }
-  // Stable sort of point masses by value (equal values keep input order;
-  // their masses accumulate to the same cumulative sum either way, but the
-  // determinism lint rightly wants no unspecified ordering at all).
-  std::vector<std::pair<double, double>> mass;
-  mass.reserve(values.size());
+  // Point masses in ascending value, equal values in input order: the
+  // position breaks the tie, so the order is fully specified and the
+  // cumulative sum adds the masses in one fixed order.
+  order.clear();
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (weights[i] > 0.0) mass.emplace_back(values[i], weights[i]);
+    if (weights[i] > 0.0) order.emplace_back(values[i], i);
   }
-  std::stable_sort(mass.begin(), mass.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
+  std::sort(order.begin(), order.end());
   const double target = p / 100.0 * total;
   double cumulative = 0.0;
-  for (const auto& [value, weight] : mass) {
-    cumulative += weight;
+  for (const auto& [value, i] : order) {
+    cumulative += weights[i];
     if (cumulative >= target) return value;
   }
-  return mass.back().first;  // Floating-point shortfall: clamp to the max.
+  return order.back().first;  // Floating-point shortfall: clamp to the max.
 }
 
 }  // namespace e2e

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace e2e {
@@ -13,9 +14,6 @@ class StreamingSummary {
  public:
   /// Adds one observation.
   void Add(double x);
-
-  /// Merges another summary into this one (parallel Welford combine).
-  void Merge(const StreamingSummary& other);
 
   /// Number of observations.
   std::size_t count() const { return count_; }
@@ -67,9 +65,18 @@ std::vector<double> Percentiles(std::span<const double> samples,
 /// weight reaches p% of the total (lower inverse-CDF; no interpolation —
 /// the inputs are genuine point masses, not samples of a continuum).
 /// Zero-weight entries never influence the result. Throws
-/// std::invalid_argument when the spans mismatch or are empty, p is out of
-/// range, any weight is negative, or the total weight is zero.
+/// std::invalid_argument when the spans mismatch or are empty, p is NaN or
+/// out of range, any value is NaN, any weight is negative or NaN, or the
+/// total weight is zero.
 double WeightedPercentile(std::span<const double> values,
                           std::span<const double> weights, double p);
+
+/// As above, sorting in caller-owned `order` instead of a fresh vector: it
+/// ends up holding (value, position) for every positive-weight entry,
+/// ascending, so equal values stay in input order. A caller that keeps
+/// `order` across calls allocates only when the input outgrows it.
+double WeightedPercentile(std::span<const double> values,
+                          std::span<const double> weights, double p,
+                          std::vector<std::pair<double, std::size_t>>& order);
 
 }  // namespace e2e

@@ -10,10 +10,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <ostream>
 #include <vector>
 
 #include "core/policy.h"
 #include "core/server_delay_model.h"
+#include "qoe/objective.h"
 #include "qoe/sigmoid_model.h"
 #include "stats/distribution.h"
 #include "util/rng.h"
@@ -22,7 +24,9 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
 
-void* CountedAlloc(std::size_t size) noexcept {
+// Not inlined: where GCC inlines a `new` down to this malloc, its
+// -Wmismatched-new-delete reports the matching sized `delete`.
+[[gnu::noinline]] void* CountedAlloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size == 0 ? 1 : size);
 }
@@ -64,6 +68,12 @@ void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
 }
 
 namespace e2e {
+
+// Prints a kind by name, so each case of the suite below is named by its
+// kind ("…/tail-percentile") in ctest. In namespace e2e, where argument-
+// dependent lookup finds it.
+void PrintTo(ObjectiveKind kind, std::ostream* os) { *os << ToString(kind); }
+
 namespace {
 
 // Heap allocations `f` makes.
@@ -74,19 +84,24 @@ std::uint64_t AllocationsOf(F&& f) {
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
 
-TEST(PolicyAllocations, EvaluationsDoNotAllocateOnAWarmThread) {
+// Each objective kind, so the distribution objectives' scoring is covered
+// as well as the evaluator's.
+class PolicyAllocations : public ::testing::TestWithParam<ObjectiveKind> {};
+
+TEST_P(PolicyAllocations, EvaluationsDoNotAllocateOnAWarmThread) {
   // The live controller's shape: the 8-level broker G (one 5 ms consumer)
   // planned at 160 rps (utilization 0.8) over 36 buckets. Capped at one
   // climb step the solve evaluates a few dozen allocations; uncapped, many
-  // times that. The solve's own fixed costs (buckets, objective, climb
-  // starts, the returned table) are the same at either cap, so the
-  // difference is what evaluations allocate.
+  // times that. The solve's own fixed costs (buckets, objective and its
+  // working memory, climb starts, the returned table) are the same at
+  // either cap, so the difference is what evaluations allocate.
   const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
   const PriorityQueueModel g(8, 5.0, 1);
   Rng rng(2019);
   std::vector<double> externals;
   for (int i = 0; i < 600; ++i) externals.push_back(rng.LogNormal(7.6, 0.7));
   PolicyConfig capped;
+  capped.objective.kind = GetParam();
   capped.target_buckets = 36;
   capped.max_hill_climb_steps = 1;
   PolicyConfig full = capped;
@@ -113,6 +128,12 @@ TEST(PolicyAllocations, EvaluationsDoNotAllocateOnAWarmThread) {
       << one_step.stats.allocations_evaluated << " evaluations; full: "
       << full_allocations << " for " << climbed.stats.allocations_evaluated;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllObjectives, PolicyAllocations,
+    ::testing::Values(ObjectiveKind::kMeanQoe, ObjectiveKind::kTailPercentile,
+                      ObjectiveKind::kMeanMinusStdev,
+                      ObjectiveKind::kFairnessConstrainedMean));
 
 TEST(PolicyAllocations, GCallsAllocateNothing) {
   // Every G in the tree emits at most 12 support points, which the

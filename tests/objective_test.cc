@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -142,33 +143,58 @@ TEST(ObjectiveFactory, NamesAndDistributionFlags) {
   EXPECT_EQ(ToString(ObjectiveKind::kFairnessConstrainedMean), "fair-mean");
 }
 
+// MakeObjective(config) throws std::invalid_argument naming `field`.
+void ExpectRejected(const ObjectiveConfig& config, const std::string& field,
+                    double bad) {
+  try {
+    (void)MakeObjective(config);
+    ADD_FAILURE() << field << " = " << bad << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << field << " = " << bad << ": " << e.what();
+  }
+}
+
 TEST(ObjectiveFactory, RejectsOutOfRangeParameters) {
+  // A NaN passes a plain range comparison (a NaN percentile would plan the
+  // p-max table, a NaN fairness floor would drop the floor), and an
+  // infinite weight, λ or penalty scores every candidate ±inf or NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
   ObjectiveConfig config;
   config.kind = ObjectiveKind::kTailPercentile;
-  config.percentile = 0.0;
-  EXPECT_THROW(MakeObjective(config), std::invalid_argument);
-  config.percentile = 100.0;
-  EXPECT_THROW(MakeObjective(config), std::invalid_argument);
-  config.percentile = -5.0;
-  EXPECT_THROW(MakeObjective(config), std::invalid_argument);
+  for (const double bad : {0.0, 100.0, -5.0, nan, inf, -inf}) {
+    config.percentile = bad;
+    ExpectRejected(config, "percentile", bad);
+  }
   config.percentile = 10.0;
-  config.tail_mean_weight = -1e-6;
-  EXPECT_THROW(MakeObjective(config), std::invalid_argument);
+  for (const double bad : {-1e-6, nan, inf, -inf}) {
+    config.tail_mean_weight = bad;
+    ExpectRejected(config, "tail_mean_weight", bad);
+  }
 
   config = ObjectiveConfig{};
   config.kind = ObjectiveKind::kMeanMinusStdev;
-  config.stdev_lambda = -0.1;
-  EXPECT_THROW(MakeObjective(config), std::invalid_argument);
+  for (const double bad : {-0.1, nan, inf, -inf}) {
+    config.stdev_lambda = bad;
+    ExpectRejected(config, "stdev_lambda", bad);
+  }
 
   config = ObjectiveConfig{};
   config.kind = ObjectiveKind::kFairnessConstrainedMean;
-  config.min_fairness = 1.5;
-  EXPECT_THROW(MakeObjective(config), std::invalid_argument);
-  config.min_fairness = -0.1;
-  EXPECT_THROW(MakeObjective(config), std::invalid_argument);
+  for (const double bad : {1.5, -0.1, nan, inf, -inf}) {
+    config.min_fairness = bad;
+    ExpectRejected(config, "min_fairness", bad);
+  }
   config.min_fairness = 0.95;
-  config.fairness_penalty = -1.0;
-  EXPECT_THROW(MakeObjective(config), std::invalid_argument);
+  for (const double bad : {-1.0, nan, inf, -inf}) {
+    config.fairness_penalty = bad;
+    ExpectRejected(config, "fairness_penalty", bad);
+  }
+  // The edges stay valid.
+  config.min_fairness = 1.0;
+  config.fairness_penalty = 0.0;
+  EXPECT_NO_THROW((void)MakeObjective(config));
 }
 
 // ---- Hand-computed scores ---------------------------------------------------

@@ -1,12 +1,11 @@
 // Scale tier (ctest label `scale`, docs/SCALE.md): proves the shard/merge
 // determinism contract behind the full-volume replay.
 //
-//  * Streaming bucketizer: Add/Merge over any split of a sample multiset
-//    rebuilds buckets bit-identical to the batch constructor over the
-//    concatenation (associativity + identity, property-checked), and the
-//    PR-5 batch-path fixes — duplicate per-request delays collapsing into
-//    one summed-weight bucket, contiguous tiling of the refined range —
-//    hold across shard merges too.
+//  * Streaming bucketizer: Adds in any order rebuild buckets bit-identical
+//    to the batch constructor over the same samples (property-checked), and
+//    the PR-5 batch-path fixes — duplicate per-request delays collapsing
+//    into one summed-weight bucket, contiguous tiling of the refined range —
+//    hold on the streaming path too.
 //  * StreamByWindow: the O(window)-memory router visits exactly the groups
 //    GroupByWindow builds, closing window indices in ascending order.
 //  * ReplayTraceSharded: shard counts {1, 2, 4, 7} produce byte-for-byte
@@ -119,22 +118,18 @@ std::vector<double> RandomSamples(Rng& rng) {
   return samples;
 }
 
-// Splits `samples` into a random number of contiguous pieces and folds
-// them through streaming bucketizers in a random merge order.
-Bucketizer MergeRandomSplit(std::span<const double> samples, Rng& rng,
-                            int target_buckets, double max_span) {
-  const auto pieces = static_cast<std::size_t>(rng.UniformInt(1, 5));
-  std::vector<Bucketizer> parts;
-  parts.reserve(pieces);
-  for (std::size_t p = 0; p < pieces; ++p) parts.emplace_back(target_buckets, max_span);
-  for (const double s : samples) {
-    parts[static_cast<std::size_t>(
-              rng.UniformInt(0, static_cast<std::int64_t>(pieces) - 1))]
-        .Add(s);
+// Adds `samples` to a streaming bucketizer in a random order.
+Bucketizer AddShuffled(std::span<const double> samples, Rng& rng,
+                       int target_buckets, double max_span) {
+  std::vector<double> order(samples.begin(), samples.end());
+  for (std::size_t i = order.size(); i > 1; --i) {  // Fisher-Yates.
+    const auto j = static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(i) - 1));
+    std::swap(order[i - 1], order[j]);
   }
-  Bucketizer merged(target_buckets, max_span);
-  for (const Bucketizer& part : parts) merged.Merge(part);
-  return merged;
+  Bucketizer streamed(target_buckets, max_span);
+  for (const double s : order) streamed.Add(s);
+  return streamed;
 }
 
 void ExpectSameBuckets(const Bucketizer& actual, const Bucketizer& expected) {
@@ -152,88 +147,18 @@ void ExpectSameBuckets(const Bucketizer& actual, const Bucketizer& expected) {
 
 // ---- Streaming bucketizer --------------------------------------------------
 
-TEST(ScaleBucketizer, MergeEqualsBatchOverConcatenation) {
-  proptest::Check("merge-equals-batch", [](Rng& rng) {
+TEST(ScaleBucketizer, ShuffledAddsEqualBatch) {
+  // The replay adds each record's delay as it arrives; the buckets must not
+  // depend on that order.
+  proptest::Check("shuffled-adds-equal-batch", [](Rng& rng) {
     const std::vector<double> samples = RandomSamples(rng);
     const int target = static_cast<int>(rng.UniformInt(1, 12));
     const double max_span = rng.Uniform(100.0, 5000.0);
-    const Bucketizer merged =
-        MergeRandomSplit(samples, rng, target, max_span);
+    const Bucketizer streamed = AddShuffled(samples, rng, target, max_span);
     const Bucketizer batch(samples, target, max_span);
-    EXPECT_EQ(merged.sample_count(), samples.size());
-    ExpectSameBuckets(merged, batch);
+    EXPECT_EQ(streamed.sample_count(), samples.size());
+    ExpectSameBuckets(streamed, batch);
   });
-}
-
-TEST(ScaleBucketizer, MergeIsAssociative) {
-  proptest::Check("merge-associativity", [](Rng& rng) {
-    const std::vector<double> a = RandomSamples(rng);
-    const std::vector<double> b = RandomSamples(rng);
-    const std::vector<double> c = RandomSamples(rng);
-    const int target = static_cast<int>(rng.UniformInt(1, 12));
-    const double max_span = rng.Uniform(100.0, 5000.0);
-    const auto from = [&](std::span<const double> s) {
-      Bucketizer z(target, max_span);
-      for (const double v : s) z.Add(v);
-      return z;
-    };
-    // (a ∪ b) ∪ c
-    Bucketizer left = from(a);
-    left.Merge(from(b));
-    left.Merge(from(c));
-    // a ∪ (b ∪ c)
-    Bucketizer bc = from(b);
-    bc.Merge(from(c));
-    Bucketizer right = from(a);
-    right.Merge(bc);
-    // c ∪ a ∪ b (commutativity)
-    Bucketizer rotated = from(c);
-    rotated.Merge(from(a));
-    rotated.Merge(from(b));
-    ExpectSameBuckets(left, right);
-    ExpectSameBuckets(left, rotated);
-  });
-}
-
-TEST(ScaleBucketizer, MergeWithEmptyIsIdentity) {
-  Bucketizer filled(4, 1000.0);
-  for (const double v : {120.0, 340.0, 560.0, 780.0, 780.0}) filled.Add(v);
-  const Bucketizer batch(std::vector<double>{120.0, 340.0, 560.0, 780.0,
-                                             780.0},
-                         4, 1000.0);
-  Bucketizer empty(4, 1000.0);
-  EXPECT_TRUE(empty.empty());
-  filled.Merge(empty);  // Right identity.
-  ExpectSameBuckets(filled, batch);
-  Bucketizer target(4, 1000.0);
-  target.Merge(filled);  // Left identity.
-  ExpectSameBuckets(target, batch);
-}
-
-TEST(ScaleBucketizer, MergeRejectsMismatchedConfig) {
-  // The error must name *which* field diverged and both values — a bare
-  // "config mismatch" surfacing from a sharded merge is undebuggable.
-  Bucketizer base(4, 1000.0);
-  try {
-    base.Merge(Bucketizer(5, 1000.0));
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("target_buckets"), std::string::npos) << what;
-    EXPECT_NE(what.find("4"), std::string::npos) << what;
-    EXPECT_NE(what.find("5"), std::string::npos) << what;
-    EXPECT_EQ(what.find("max_span"), std::string::npos) << what;
-  }
-  try {
-    base.Merge(Bucketizer(4, 999.0));
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("max_span"), std::string::npos) << what;
-    EXPECT_NE(what.find("1000"), std::string::npos) << what;
-    EXPECT_NE(what.find("999"), std::string::npos) << what;
-    EXPECT_EQ(what.find("target_buckets"), std::string::npos) << what;
-  }
 }
 
 TEST(ScaleBucketizer, EmptyStreamingReadsThrow) {
@@ -256,56 +181,55 @@ TEST(ScaleBucketizer, ConstructorValidationUnchanged) {
   EXPECT_THROW(Bucketizer(4, -1.0), std::invalid_argument);
 }
 
-// ---- PR-5 regressions across shard merges ----------------------------------
+// ---- PR-5 regressions on the streaming path ---------------------------------
 
 // Duplicate per-request delays must still collapse into one summed-weight
-// row when the delays reached the policy through merged shard-local
-// bucketizers instead of one flat span (batch-path coverage lives in
-// core_test; this locks the streaming path).
+// row when the delays reached the policy through a streaming bucketizer
+// instead of one flat span (batch-path coverage lives in core_test; this
+// locks the streaming path).
 TEST(ScaleRegression, PerRequestDuplicatesCollapseAcrossMerges) {
   const std::vector<double> delays = {800.0, 1200.0, 1200.0, 1200.0,
                                       3000.0, 3000.0, 5200.0};
-  // Split the duplicates across two "shards" so the collapse must happen
-  // after the merge, not within either side.
-  Bucketizer left(16, 1200.0);
-  for (const double d : {800.0, 1200.0, 3000.0}) left.Add(d);
-  Bucketizer right(16, 1200.0);
-  for (const double d : {1200.0, 1200.0, 3000.0, 5200.0}) right.Add(d);
-  left.Merge(right);
+  // Add the duplicates apart from each other, so the collapse must come
+  // from the sorted view, not from the order they arrived in.
+  Bucketizer bucketizer(16, 1200.0);
+  for (const double d : {1200.0, 3000.0, 800.0, 1200.0, 5200.0, 3000.0,
+                         1200.0}) {
+    bucketizer.Add(d);
+  }
 
   PolicyConfig config;
   config.per_request = true;
-  const PolicyResult merged = ComputePolicy(TestQoe(), TestServerModel(),
-                                            left, 40.0, config);
+  const PolicyResult streamed = ComputePolicy(TestQoe(), TestServerModel(),
+                                              bucketizer, 40.0, config);
   const PolicyResult flat = ComputePolicy(TestQoe(), TestServerModel(),
                                           std::span<const double>(delays),
                                           40.0, config);
-  ASSERT_EQ(merged.table.rows.size(), 4u);  // Distinct delays, not 7 rows.
-  ASSERT_EQ(merged.table.rows.size(), flat.table.rows.size());
+  ASSERT_EQ(streamed.table.rows.size(), 4u);  // Distinct delays, not 7 rows.
+  ASSERT_EQ(streamed.table.rows.size(), flat.table.rows.size());
   double weight_sum = 0.0;
   for (std::size_t i = 0; i < flat.table.rows.size(); ++i) {
-    EXPECT_EQ(merged.table.rows[i].lo, flat.table.rows[i].lo);
-    EXPECT_EQ(merged.table.rows[i].hi, flat.table.rows[i].hi);
-    EXPECT_EQ(merged.table.rows[i].weight, flat.table.rows[i].weight);
-    EXPECT_EQ(merged.table.rows[i].decision, flat.table.rows[i].decision);
-    weight_sum += merged.table.rows[i].weight;
+    EXPECT_EQ(streamed.table.rows[i].lo, flat.table.rows[i].lo);
+    EXPECT_EQ(streamed.table.rows[i].hi, flat.table.rows[i].hi);
+    EXPECT_EQ(streamed.table.rows[i].weight, flat.table.rows[i].weight);
+    EXPECT_EQ(streamed.table.rows[i].decision, flat.table.rows[i].decision);
+    weight_sum += streamed.table.rows[i].weight;
   }
   EXPECT_NEAR(weight_sum, 1.0, 1e-12);
   // The triplicated delay carries 3/7 of the weight in one row.
-  EXPECT_EQ(merged.table.rows[1].lo, 1200.0);
-  EXPECT_NEAR(merged.table.rows[1].weight, 3.0 / 7.0, 1e-12);
+  EXPECT_EQ(streamed.table.rows[1].lo, 1200.0);
+  EXPECT_NEAR(streamed.table.rows[1].weight, 3.0 / 7.0, 1e-12);
 }
 
 // The refined bucket range must tile contiguously (hi == next.lo, the PR-5
-// stitching fix) no matter how the samples were split across shards.
+// stitching fix) whatever order the samples were added in.
 TEST(ScaleRegression, RefinedRangeTilesContiguouslyAcrossMerges) {
   proptest::Check("tiling-across-merges", [](Rng& rng) {
     const std::vector<double> samples = RandomSamples(rng);
     const int target = static_cast<int>(rng.UniformInt(1, 12));
     const double max_span = rng.Uniform(100.0, 2000.0);
-    const Bucketizer merged =
-        MergeRandomSplit(samples, rng, target, max_span);
-    const auto buckets = merged.buckets();
+    const Bucketizer streamed = AddShuffled(samples, rng, target, max_span);
+    const auto buckets = streamed.buckets();
     ASSERT_FALSE(buckets.empty());
     double weight_sum = 0.0;
     for (std::size_t i = 0; i < buckets.size(); ++i) {

@@ -39,33 +39,6 @@ TEST(StreamingSummary, EmptyIsZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(StreamingSummary, MergeMatchesSequential) {
-  Rng rng(42);
-  StreamingSummary all, a, b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.Normal(10.0, 3.0);
-    all.Add(x);
-    (i % 2 == 0 ? a : b).Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(StreamingSummary, MergeWithEmpty) {
-  StreamingSummary a, b;
-  a.Add(1.0);
-  a.Add(3.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(Percentile, LinearInterpolation) {
   const std::vector<double> xs = {10.0, 20.0, 30.0, 40.0};
   EXPECT_DOUBLE_EQ(Percentile(xs, 0.0), 10.0);
@@ -606,6 +579,70 @@ TEST(WeightedPercentile, InvalidInputsThrow) {
                std::invalid_argument);
   EXPECT_THROW(WeightedPercentile(v, std::vector<double>{0.0, 0.0}, 50.0),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(WeightedPercentile(v, w, nan), std::invalid_argument);
+  EXPECT_THROW(WeightedPercentile(v, std::vector<double>{1.0, nan}, 50.0),
+               std::invalid_argument);
+  EXPECT_THROW(WeightedPercentile(std::vector<double>{nan, 2.0}, w, 50.0),
+               std::invalid_argument);
+}
+
+TEST(WeightedPercentile, ReusedOrderMatchesAStableSortReference) {
+  // The reference pools the positive-weight masses, stable-sorts them by
+  // value and accumulates in that order. Masses of 1e16 beside masses of 1
+  // make the running sum depend on the order equal values are added in,
+  // and zero-weight entries sit below every other value, so a result is
+  // bit-identical to the reference's only if ties keep their input order
+  // and zero weights are skipped. One `order` buffer is reused across
+  // every case, at growing and shrinking sizes.
+  const auto reference = [](const std::vector<double>& values,
+                            const std::vector<double>& weights, double p) {
+    double total = 0.0;
+    for (const double w : weights) total += w;
+    std::vector<std::pair<double, double>> mass;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (weights[i] > 0.0) mass.emplace_back(values[i], weights[i]);
+    }
+    std::stable_sort(mass.begin(), mass.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    double cumulative = 0.0;
+    for (const auto& [value, weight] : mass) {
+      cumulative += weight;
+      if (cumulative >= p / 100.0 * total) return value;
+    }
+    return mass.back().first;
+  };
+  std::vector<std::pair<double, std::size_t>> order;
+  proptest::Check("weighted-percentile-reused-order", [&](Rng& rng) {
+    const auto n = static_cast<std::size_t>(rng.UniformInt(1, 80));
+    std::vector<double> values, weights;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::int64_t kind = i == 0 ? 3 : rng.UniformInt(0, 3);
+      values.push_back(kind == 0 ? -1.0
+                                 : static_cast<double>(rng.UniformInt(0, 4)));
+      weights.push_back(kind == 0 ? 0.0 : kind == 1 ? 1e16 : 1.0);
+    }
+    for (const double p : {0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 100.0}) {
+      const double expected = reference(values, weights, p);
+      EXPECT_EQ(WeightedPercentile(values, weights, p, order), expected)
+          << "p=" << p;
+      EXPECT_EQ(WeightedPercentile(values, weights, p), expected);
+    }
+    // `order` holds every positive-weight entry as (value, position),
+    // ascending, so equal values sit in input order.
+    const auto positive = static_cast<std::size_t>(
+        std::count_if(weights.begin(), weights.end(),
+                       [](double w) { return w > 0.0; }));
+    ASSERT_EQ(order.size(), positive);
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+    for (const auto& [value, i] : order) {
+      ASSERT_LT(i, values.size());
+      EXPECT_EQ(value, values[i]);
+      EXPECT_GT(weights[i], 0.0);
+    }
+  });
 }
 
 // ---- WeightedJainFairnessIndex ---------------------------------------------
