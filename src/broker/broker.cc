@@ -21,7 +21,6 @@ MessageBroker::MessageBroker(EventLoop& loop, BrokerParams params,
     throw std::invalid_argument("MessageBroker: null scheduler");
   }
   queues_.resize(static_cast<std::size_t>(params_.priority_levels));
-  per_priority_stats_.resize(static_cast<std::size_t>(params_.priority_levels));
   consumer_timers_.resize(static_cast<std::size_t>(params_.num_consumers), 0);
   for (int c = 0; c < params_.num_consumers; ++c) {
     ScheduleNextPull(c);
@@ -90,9 +89,6 @@ std::optional<Delivery> MessageBroker::TryPull() {
     delivery.deliver_ms =
         loop_.Now() + params_.handling_cost_ms + faults_.extra_delay_ms;
     ++delivered_;
-    queue_stats_.Add(delivery.QueueingDelayMs());
-    per_priority_stats_[static_cast<std::size_t>(item.priority)].Add(
-        delivery.QueueingDelayMs());
     if (metric_delivered_ != nullptr) {
       metric_delivered_->Increment();
       metric_queueing_delay_->Observe(delivery.QueueingDelayMs());
@@ -105,18 +101,6 @@ std::optional<Delivery> MessageBroker::TryPull() {
     return delivery;
   }
   return std::nullopt;
-}
-
-void MessageBroker::RequeueFront(const Message& message, int priority,
-                                 double publish_ms) {
-  if (priority < 0 || priority >= params_.priority_levels) {
-    throw std::out_of_range("MessageBroker::RequeueFront: bad priority");
-  }
-  Queued item;
-  item.message = message;
-  item.publish_ms = publish_ms;
-  item.priority = priority;
-  queues_[static_cast<std::size_t>(priority)].push_front(std::move(item));
 }
 
 void MessageBroker::SetFaults(const BrokerFaults& faults) {
@@ -135,7 +119,6 @@ void MessageBroker::SetFaults(const BrokerFaults& faults) {
 bool MessageBroker::Publish(const Message& message, ConfirmCallback confirm) {
   if (faults_.drop_probability > 0.0 &&
       fault_rng_.Bernoulli(faults_.drop_probability)) {
-    ++dropped_;
     if (metric_dropped_ != nullptr) metric_dropped_->Increment();
     if (drop_callback_) drop_callback_(message, loop_.Now());
     return false;
@@ -158,7 +141,6 @@ bool MessageBroker::PublishWithPriority(const Message& message, int priority,
   }
   if (faults_.drop_probability > 0.0 &&
       fault_rng_.Bernoulli(faults_.drop_probability)) {
-    ++dropped_;
     if (metric_dropped_ != nullptr) metric_dropped_->Increment();
     if (drop_callback_) drop_callback_(message, loop_.Now());
     return false;
@@ -176,13 +158,6 @@ void MessageBroker::Enqueue(const Message& message, int priority,
   item.publish_ms = loop_.Now();
   item.priority = priority;
   queues_[static_cast<std::size_t>(priority)].push_back(std::move(item));
-}
-
-void MessageBroker::SetScheduler(std::shared_ptr<MessageScheduler> scheduler) {
-  if (scheduler == nullptr) {
-    throw std::invalid_argument("MessageBroker::SetScheduler: null scheduler");
-  }
-  scheduler_ = std::move(scheduler);
 }
 
 BrokerView MessageBroker::View() const {

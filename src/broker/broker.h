@@ -1,11 +1,12 @@
 // Message broker with priority queues (the paper's RabbitMQ use case, §6).
 //
-// Publishers hand messages to the broker; a pluggable MessageScheduler (the
-// paper's queue_bind policy hook) assigns each message a priority level;
-// consumers pull one message per fixed interval (the paper: every 5 ms),
-// always draining higher priorities first. A per-message confirm callback
-// (the paper's confirm_delivery change) reports the queueing delay, which is
-// the server-side delay of this use case.
+// Publishers hand messages to the broker; a MessageScheduler fixed at
+// construction (the paper's queue_bind policy hook) assigns each message a
+// priority level; consumers pull one message per fixed interval (the paper:
+// every 5 ms), always draining higher priorities first. A per-message
+// confirm callback (the paper's confirm_delivery change) reports the
+// queueing delay, which is the server-side delay of this use case. The
+// confirms and the optional telemetry histogram are the only record of it.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,6 @@
 #include "broker/scheduler.h"
 #include "obs/metrics.h"
 #include "sim/event_loop.h"
-#include "stats/summary.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -82,25 +82,17 @@ class MessageBroker {
   bool PublishWithPriority(const Message& message, int priority,
                            ConfirmCallback confirm);
 
-  /// Replaces the scheduling policy (used when the E2E controller refreshes
-  /// its decision table, and by failover tests).
-  void SetScheduler(std::shared_ptr<MessageScheduler> scheduler);
-
   /// Current queue depths per priority level (0 = highest priority).
   BrokerView View() const;
 
   /// Stops the consumer timers (pending messages stay queued).
   void StopConsumers();
 
-  /// Pulls the highest-priority queued message immediately (for external
-  /// consumers such as AckingConsumer; bypasses the internal timers).
-  /// Returns nullopt when every queue is empty.
+  /// Pulls the highest-priority queued message now, outside the consumer
+  /// timers (the experiments drain a stopped broker's backlog with it).
+  /// The message confirms as a timer pull would. Returns nullopt when every
+  /// queue is empty.
   std::optional<Delivery> TryPull();
-
-  /// Returns a message to the *front* of its priority queue (redelivery
-  /// after a consumer nack). The original publish time is preserved so the
-  /// queueing-delay accounting reflects the full wait.
-  void RequeueFront(const Message& message, int priority, double publish_ms);
 
   /// Fault injection: replaces the active fault state. Throws when the drop
   /// probability is outside [0, 1] or the extra delay is negative.
@@ -117,19 +109,8 @@ class MessageBroker {
     drop_callback_ = std::move(callback);
   }
 
-  /// Messages dropped by fault injection so far.
-  std::uint64_t dropped_count() const { return dropped_; }
-
   /// Messages delivered so far.
   std::uint64_t delivered_count() const { return delivered_; }
-
-  /// Queueing-delay statistics across all deliveries.
-  const StreamingSummary& queueing_delay_stats() const { return queue_stats_; }
-
-  /// Queueing-delay statistics for one priority level.
-  const StreamingSummary& queueing_delay_stats(int priority) const {
-    return per_priority_stats_.at(static_cast<std::size_t>(priority));
-  }
 
   int priority_levels() const { return params_.priority_levels; }
 
@@ -163,9 +144,6 @@ class MessageBroker {
   BrokerFaults faults_;
   Rng fault_rng_{0x5eedULL};
   DropCallback drop_callback_;
-  std::uint64_t dropped_ = 0;
-  StreamingSummary queue_stats_;
-  std::vector<StreamingSummary> per_priority_stats_;
   // Telemetry (null until AttachMetrics; hot paths pay one branch each).
   obs::Counter* metric_published_ = nullptr;
   obs::Counter* metric_delivered_ = nullptr;

@@ -333,9 +333,7 @@ std::vector<ReplicaResilienceSnapshot> ReadExecutor::SnapshotResilience(
   snaps.reserve(static_cast<std::size_t>(cluster_.NumReplicas()));
   for (int r = 0; r < cluster_.NumReplicas(); ++r) {
     ReplicaResilienceSnapshot snap;
-    snap.replica = r;
     const auto idx = static_cast<std::size_t>(r);
-    if (!breakers_.empty()) snap.breaker_state = breakers_[idx].state();
     snap.utilization = capacity > 0.0 ? view.loads[idx] / capacity : 0.0;
     if (model_driven_ && last_prediction_.mean_service_ms > 0.0) {
       snap.predicted_gain_ms =
@@ -359,7 +357,6 @@ std::vector<ReplicaResilienceSnapshot> ReadExecutor::SnapshotResilience(
           view.recent_delay_ms[idx] - slowness_[idx].baseline_ms();
       snap.excess_delay_ms = excess > 0.0 ? excess : 0.0;
     }
-    snap.hedge_budget_remaining = budget_remaining;
     snaps.push_back(snap);
   }
   return snaps;

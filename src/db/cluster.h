@@ -161,9 +161,6 @@ struct ReadResilienceStats {
 /// replicas the cloning model says hedging cannot rescue
 /// (docs/RESILIENCE.md). Derived from virtual-clock state only.
 struct ReplicaResilienceSnapshot {
-  int replica = 0;
-  resilience::CircuitBreaker::State breaker_state =
-      resilience::CircuitBreaker::State::kClosed;
   /// Instantaneous load (queued + in service) over the capacity knee.
   double utilization = 0.0;
   /// Cloning-model gain evaluated at this replica's utilization (0 in
@@ -179,8 +176,6 @@ struct ReplicaResilienceSnapshot {
   /// (SlownessTracker EWMA); 0 until a baseline exists. The placement
   /// penalty for un-rescuable replicas, in ms.
   double excess_delay_ms = 0.0;
-  /// Whole-cluster hedge clones still issuable under the current budget.
-  double hedge_budget_remaining = 0.0;
 };
 
 /// Client-side read executor: selection + load/delay tracking.
@@ -238,8 +233,8 @@ class ReadExecutor {
     return last_prediction_;
   }
 
-  /// Per-replica snapshot for the placement co-design (docs/RESILIENCE.md).
-  /// Empty when resilience is disabled.
+  /// Per-replica snapshot for the placement co-design (docs/RESILIENCE.md),
+  /// indexed by replica. Empty when resilience is disabled.
   std::vector<ReplicaResilienceSnapshot> SnapshotResilience(
       double now_ms) const;
 

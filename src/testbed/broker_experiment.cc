@@ -14,10 +14,8 @@
 #include "obs/trace_span.h"
 #include "resilience/admission.h"
 #include "resilience/circuit_breaker.h"
-#include "resilience/cloning_model.h"
 #include "resilience/retry_policy.h"
 #include "sim/event_loop.h"
-#include "stats/bucketizer.h"
 
 namespace e2e {
 namespace {
@@ -162,6 +160,14 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
   if (records.empty()) {
     throw std::invalid_argument("RunBrokerExperiment: no records");
   }
+  // The cloning model gates hedged clones, and cloning a publish would
+  // deliver it twice, so the broker has no hedge path for it to gate.
+  const resilience::HedgeConfig& hedge = config.common.resilience.hedge;
+  if (hedge.enabled && hedge.mode == resilience::HedgeMode::kModelDriven) {
+    throw std::invalid_argument(
+        "RunBrokerExperiment: resilience.hedge.mode = kModelDriven is not "
+        "supported; the broker has no hedge path");
+  }
   Rng root(config.common.seed);
   EventLoop loop;
   const EventLoopClock loop_clock(loop);
@@ -250,82 +256,6 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
   }
   if (breaker_scheduler != nullptr) breaker_scheduler->InstallHooks();
 
-  // --- Model-driven hedge-gate metering ----------------------------------
-  // The broker tier has no hedge path (cloning a publish would double-
-  // deliver), so HedgeMode::kModelDriven here derives and meters the
-  // PS-model gates (resilience/cloning_model.h) from delivered queueing
-  // delays without changing any routing decision: one mode flows end to
-  // end through the shared ExperimentConfig, and operators read the
-  // broker tier's predicted cloning gain from the same telemetry names the
-  // db testbed exports. Metrics are registered only in model mode so
-  // static/stock exports keep their historical byte stream. Utilization is
-  // the consumers' busy fraction: delivered handling work over elapsed
-  // virtual time across all consumers.
-  const bool model_driven =
-      resil.hedge.enabled &&
-      resil.hedge.mode == resilience::HedgeMode::kModelDriven;
-  std::optional<resilience::CloningModel> cloning_model;
-  std::optional<Bucketizer> service_window;
-  double model_work_ms = 0.0;
-  double model_reset_ms = 0.0;
-  double next_model_recompute_ms = 0.0;
-  std::uint64_t model_recomputes = 0;
-  resilience::CloningPrediction last_prediction;
-  obs::Counter* metric_model_recomputes = nullptr;
-  obs::Gauge* metric_model_fraction = nullptr;
-  obs::Gauge* metric_model_target_load = nullptr;
-  obs::Gauge* metric_model_gain = nullptr;
-  if (model_driven) {
-    const resilience::CloningModelConfig& model = resil.hedge.model;
-    cloning_model.emplace(model);  // Validates the knobs.
-    service_window.emplace(model.target_buckets, model.max_span_ms);
-    next_model_recompute_ms = model.window_ms;
-    if (telemetry.enabled()) {
-      metric_model_recomputes =
-          &telemetry.metrics.AddCounter("broker.resilience.model.recomputes");
-      metric_model_fraction =
-          &telemetry.metrics.AddGauge("broker.resilience.model.hedge_fraction");
-      metric_model_target_load =
-          &telemetry.metrics.AddGauge("broker.resilience.model.target_load");
-      metric_model_gain = &telemetry.metrics.AddGauge(
-          "broker.resilience.model.predicted_gain_ms");
-    }
-  }
-  // Folds one delivery into the model window and re-derives the gates at
-  // every elapsed model-window boundary with enough samples (thin windows
-  // keep accumulating — the ReadExecutor::MaybeRecomputeBudgets contract).
-  // Only called from (single-threaded) event-loop callbacks.
-  auto record_model = [&](const broker::Delivery& delivery) {
-    if (!model_driven) return;
-    const resilience::CloningModelConfig& model = resil.hedge.model;
-    const double now = loop.Now();
-    while (now >= next_model_recompute_ms) {
-      const double boundary = next_model_recompute_ms;
-      next_model_recompute_ms += model.window_ms;
-      if (service_window->sample_count() <
-          static_cast<std::size_t>(model.min_samples)) {
-        continue;
-      }
-      const double elapsed = boundary - model_reset_ms;
-      const double utilization =
-          model_work_ms /
-          (elapsed * static_cast<double>(config.broker.num_consumers));
-      last_prediction = cloning_model->Predict(*service_window, utilization);
-      ++model_recomputes;
-      if (metric_model_recomputes != nullptr) {
-        metric_model_recomputes->Increment();
-        metric_model_fraction->Set(last_prediction.max_hedge_fraction);
-        metric_model_target_load->Set(last_prediction.max_target_load);
-        metric_model_gain->Set(last_prediction.predicted_gain_ms);
-      }
-      service_window.emplace(model.target_buckets, model.max_span_ms);
-      model_work_ms = 0.0;
-      model_reset_ms = boundary;
-    }
-    service_window->Add(delivery.QueueingDelayMs());
-    model_work_ms += config.broker.handling_cost_ms;
-  };
-
   // --- Session abandonment ----------------------------------------------
   // Same semantics as the db runner: keyed on the true external delay, the
   // session set only touched from (single-threaded) event-loop callbacks,
@@ -391,7 +321,7 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
   publish = [&](broker::Message message, int failures, double first_ms,
                 int forced_priority, std::uint64_t session_id) {
     auto confirm = [&result, &qoe, &loop, &abandonment, &abandoned_sessions,
-                    &record_model, metric_abandoned, first_ms,
+                    metric_abandoned, first_ms,
                     breaker = breaker_scheduler.get(), id = message.id,
                     external = message.external_delay_ms,
                     session_id](const broker::Delivery& delivery) {
@@ -399,7 +329,6 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
         breaker->RecordDelivery(delivery.priority, delivery.QueueingDelayMs(),
                                 loop.Now());
       }
-      record_model(delivery);
       RequestOutcome outcome;
       outcome.id = id;
       outcome.arrival_ms = first_ms;
@@ -556,7 +485,6 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
       result.resilience.breaker_closes = breakers.closes;
       result.resilience.breaker_rejections = breakers.rejections;
     }
-    result.resilience.model_recomputes = model_recomputes;
   }
   if (telemetry.enabled()) result.telemetry = telemetry.Snapshot();
   result.Finalize();

@@ -41,7 +41,11 @@ struct BrokerExperimentConfig {
   double rps_error = 0.0;
 };
 
-/// Runs the experiment over `records` scored against `qoe`.
+/// Runs the experiment over `records` scored against `qoe`. Of the
+/// resilience layer the broker runs retries, per-queue breakers and
+/// admission; a publish has no hedge path, so static hedging is a no-op and
+/// `resilience.hedge.mode = kModelDriven` throws std::invalid_argument, as
+/// do empty `records`.
 ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
                                      const QoeModel& qoe,
                                      const BrokerExperimentConfig& config);

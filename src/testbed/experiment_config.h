@@ -99,4 +99,33 @@ inline void RequireNoFaultPlan(const ExperimentConfig& config,
   }
 }
 
+/// Guard for runners without a resilience layer (docs/RESILIENCE.md): an
+/// enabled mechanism throws, naming it, instead of being silently ignored.
+inline void RequireNoResilience(const ExperimentConfig& config,
+                                const char* runner) {
+  const auto reject = [runner](bool enabled, const char* mechanism) {
+    if (enabled) {
+      throw std::invalid_argument(std::string(runner) + ": resilience." +
+                                  mechanism +
+                                  " is not supported here; RunDbExperiment "
+                                  "runs every mechanism");
+    }
+  };
+  const resilience::ResilienceConfig& r = config.resilience;
+  reject(r.retry.enabled, "retry");
+  reject(r.hedge.enabled, "hedge");
+  reject(r.breaker.enabled, "breaker");
+  reject(r.admission.enabled, "admission");
+}
+
+/// Guard for runners that model no session quits (qoe/abandonment.h).
+inline void RequireNoAbandonment(const ExperimentConfig& config,
+                                 const char* runner) {
+  if (config.abandonment.enabled) {
+    throw std::invalid_argument(std::string(runner) +
+                                ": abandonment.enabled is not supported "
+                                "here; this runner models no session quits");
+  }
+}
+
 }  // namespace e2e

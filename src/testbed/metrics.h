@@ -61,9 +61,9 @@ struct ResilienceStats {
   std::uint64_t breaker_half_opens = 0;
   std::uint64_t breaker_closes = 0;
   std::uint64_t breaker_rejections = 0;
-  /// Cloning-model windows that re-derived the hedge gates
-  /// (HedgeMode::kModelDriven only; serialized only when non-zero so
-  /// static-mode runs keep their historical byte stream).
+  /// Cloning-model windows that re-derived the hedge gates (the db
+  /// testbed in HedgeMode::kModelDriven only; serialized only when non-zero
+  /// so static-mode runs keep their historical byte stream).
   std::uint64_t model_recomputes = 0;
 };
 

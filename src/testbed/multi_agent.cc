@@ -45,6 +45,8 @@ ExperimentResult RunMultiAgentExperiment(std::span<const TraceRecord> records,
     throw std::invalid_argument("RunMultiAgentExperiment: num_agents < 1");
   }
   RequireNoFaultPlan(config.common, "RunMultiAgentExperiment");
+  RequireNoResilience(config.common, "RunMultiAgentExperiment");
+  RequireNoAbandonment(config.common, "RunMultiAgentExperiment");
   EventLoop loop;
   const EventLoopClock loop_clock(loop);
   const Clock* profile_clock = ProfileClock(config.common, &loop_clock);

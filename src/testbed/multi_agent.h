@@ -40,7 +40,9 @@ struct MultiAgentConfig {
 };
 
 /// Runs the experiment: one global controller observes all arrivals and
-/// publishes one table; each agent applies it to its own queue bank.
+/// publishes one table; each agent applies it to its own queue bank. A
+/// fault plan, an enabled resilience mechanism or abandonment throws
+/// std::invalid_argument: this runner models none of them.
 ExperimentResult RunMultiAgentExperiment(std::span<const TraceRecord> records,
                                          const QoeModel& qoe,
                                          const MultiAgentConfig& config);

@@ -82,6 +82,8 @@ ExperimentResult RunMultiServiceExperiment(
     throw std::invalid_argument("RunMultiServiceExperiment: no records");
   }
   RequireNoFaultPlan(config.common, "RunMultiServiceExperiment");
+  RequireNoResilience(config.common, "RunMultiServiceExperiment");
+  RequireNoAbandonment(config.common, "RunMultiServiceExperiment");
   EventLoop loop;
   const EventLoopClock loop_clock(loop);
   const Clock* profile_clock = ProfileClock(config.common, &loop_clock);

@@ -50,7 +50,9 @@ struct MultiServiceConfig {
 };
 
 /// Runs the experiment. A request's server-side delay is the MAX of its
-/// legs' queueing delays (aggregation waits for the slower leg).
+/// legs' queueing delays (aggregation waits for the slower leg). A fault
+/// plan, an enabled resilience mechanism or abandonment throws
+/// std::invalid_argument: this runner models none of them.
 ExperimentResult RunMultiServiceExperiment(
     std::span<const TraceRecord> records, const QoeModel& qoe,
     const MultiServiceConfig& config);

@@ -38,7 +38,6 @@ struct OpenGroup {
 
 // A closed group waiting for the next flush.
 struct PendingGroup {
-  std::int64_t window_index = 0;
   int page_index = 0;
   OpenGroup group;
 };
@@ -46,7 +45,6 @@ struct PendingGroup {
 // A solved group: the output slot of its pending group's index, merged
 // serially in index order.
 struct SolvedGroup {
-  std::int64_t window_index = 0;
   std::vector<RequestOutcome> outcomes;
   PolicyStats policy_stats;
   /// Page model's MaxQoe(), for per-page histogram normalization.
@@ -58,8 +56,7 @@ struct SolvedGroup {
 };
 
 // The replay's config validation, its pure per-group solve, and the serial
-// merge that owns the abandonment session set, the model-driven metering,
-// and the result aggregates.
+// merge that owns the abandonment session set and the result aggregates.
 class ReplayEngine {
  public:
   ReplayEngine(const QoeModelSelector& qoe_of_page, const ServerDelayModel& g,
@@ -79,6 +76,7 @@ class ReplayEngine {
         metric_windows_(
             telemetry_.metrics.AddCounter("controller.windows_streamed")) {
     RequireNoFaultPlan(config.common, "ReplayTraceSharded");
+    RequireNoResilience(config.common, "ReplayTraceSharded");
     // Session abandonment (qoe/abandonment.h). The global session set is
     // read on the serial routing path (membership only — never iterated)
     // and written on the serial merge path, so pool workers never touch
@@ -87,31 +85,6 @@ class ReplayEngine {
     abandonment_on_ = abandonment_.enabled();
     if (abandonment_on_) {
       metric_abandoned_ = &telemetry_.metrics.AddCounter("replay.abandoned");
-    }
-    // Model-driven hedge-gate metering (resilience/cloning_model.h). The
-    // replay has no hedge path — it charges planned mean delays — so the
-    // mode derives and meters the PS-model gates per model window on the
-    // serial merge path without changing any decision: one HedgeMode flows
-    // end to end through ExperimentConfig, and the derived gates are
-    // exported for the same operators who read them from the testbeds.
-    // Registered only in model mode, so static/stock exports keep their
-    // historical byte stream.
-    const resilience::HedgeConfig& hedge = config.common.resilience.hedge;
-    model_driven_ = hedge.enabled &&
-                    hedge.mode == resilience::HedgeMode::kModelDriven;
-    if (model_driven_) {
-      cloning_model_.emplace(hedge.model);  // Validates the knobs.
-      service_window_.emplace(hedge.model.target_buckets,
-                              hedge.model.max_span_ms);
-      model_work_ms_.assign(static_cast<std::size_t>(g_.NumDecisions()), 0.0);
-      metric_model_recomputes_ =
-          &telemetry_.metrics.AddCounter("replay.model.recomputes");
-      metric_model_fraction_ =
-          &telemetry_.metrics.AddGauge("replay.model.hedge_fraction");
-      metric_model_target_load_ =
-          &telemetry_.metrics.AddGauge("replay.model.target_load");
-      metric_model_gain_ =
-          &telemetry_.metrics.AddGauge("replay.model.predicted_gain_ms");
     }
   }
 
@@ -138,7 +111,6 @@ class ReplayEngine {
   // worker may run it in any order without touching the merged bytes.
   SolvedGroup Solve(const PendingGroup& pg) const {
     SolvedGroup sg;
-    sg.window_index = pg.window_index;
     const QoeModel& qoe = qoe_of_page_(PageTypeFromIndex(pg.page_index));
     sg.max_qoe = qoe.MaxQoe();
     sg.outcomes.reserve(pg.group.records.size());
@@ -215,11 +187,10 @@ class ReplayEngine {
   }
 
   // Folds one solved group into the result. Serial path only, and callers
-  // must present groups in ascending (window_index, page_index) order —
-  // that ordering is what makes the abandonment set, the model metering,
-  // and the aggregates shard-count-invariant.
+  // must present groups in ascending (window, page) order — that ordering
+  // is what makes the abandonment set and the aggregates
+  // shard-count-invariant.
   void Merge(SolvedGroup& sg) {
-    AdvanceModel(static_cast<double>(sg.window_index) * window_ms_);
     ++out_.stats.groups_merged;
     metric_merges_.Increment();
     ++ctrl_stats_.recomputes;
@@ -244,17 +215,6 @@ class ReplayEngine {
           static_cast<int>(unit * 100.0), 0,
           static_cast<int>(out_.qoe_histogram.size()) - 1));
       ++out_.qoe_histogram[bin];
-      if (model_driven_) {
-        // The charged (planned mean) server delay doubles as the model's
-        // service-time sample; it includes planned queueing, so the
-        // utilization the model sees is biased high — i.e. toward keeping
-        // the hedge budget shut, the safe direction for a metered proxy.
-        // Work is metered per decision so one saturated decision cannot
-        // masquerade as cluster-wide busyness (the clamp in AdvanceModel).
-        service_window_->Add(o.server_delay_ms);
-        model_work_ms_[static_cast<std::size_t>(o.decision)] +=
-            o.server_delay_ms;
-      }
     }
     if (config_.keep_outcomes) {
       out_.result.outcomes.insert(out_.result.outcomes.end(),
@@ -281,8 +241,6 @@ class ReplayEngine {
   ShardedReplayResult Finish(std::size_t arrivals) {
     out_.result.controller_stats = ctrl_stats_;
     out_.result.arrivals = arrivals;
-    out_.result.resilience.model_recomputes = model_recomputes_;
-    out_.model_prediction = last_prediction_;
     if (config_.keep_outcomes) {
       out_.result.Finalize();
     } else {
@@ -303,54 +261,6 @@ class ReplayEngine {
   }
 
  private:
-  // Advances the model clock to `now_ms` (an analysis-window start on the
-  // merge path), re-deriving the gates at every elapsed model-window
-  // boundary that has enough samples. Thin windows keep accumulating into
-  // the same summary instead of deriving gates from noise — the same
-  // contract as db::ReadExecutor::MaybeRecomputeBudgets.
-  void AdvanceModel(double now_ms) {
-    if (!model_driven_) return;
-    const resilience::CloningModelConfig& model = cloning_model_->config();
-    if (!model_clock_seeded_) {
-      model_clock_seeded_ = true;
-      model_reset_ms_ = now_ms;
-      next_model_recompute_ms_ = now_ms + model.window_ms;
-      return;
-    }
-    while (now_ms >= next_model_recompute_ms_) {
-      const double boundary = next_model_recompute_ms_;
-      next_model_recompute_ms_ += model.window_ms;
-      if (service_window_->sample_count() <
-          static_cast<std::size_t>(model.min_samples)) {
-        continue;
-      }
-      // Busy-fraction estimate: each decision target's charged work since
-      // the last recompute is a busy-period integral for that target, and
-      // no target can be more than fully busy — hence the per-decision
-      // min(1, work/elapsed) clamp before averaging. The old scalar sum
-      // let one saturated decision push the cluster-wide figure past its
-      // own share (even past 1.0), shutting the hedge budget while the
-      // other decisions sat idle and could have absorbed clones.
-      const double elapsed = boundary - model_reset_ms_;
-      double utilization = 0.0;
-      for (const double work_ms : model_work_ms_) {
-        utilization += std::min(1.0, work_ms / elapsed);
-      }
-      utilization /= static_cast<double>(g_.NumDecisions());
-      last_prediction_ = cloning_model_->Predict(*service_window_, utilization);
-      ++model_recomputes_;
-      if (metric_model_recomputes_ != nullptr) {
-        metric_model_recomputes_->Increment();
-        metric_model_fraction_->Set(last_prediction_.max_hedge_fraction);
-        metric_model_target_load_->Set(last_prediction_.max_target_load);
-        metric_model_gain_->Set(last_prediction_.predicted_gain_ms);
-      }
-      service_window_.emplace(model.target_buckets, model.max_span_ms);
-      std::fill(model_work_ms_.begin(), model_work_ms_.end(), 0.0);
-      model_reset_ms_ = boundary;
-    }
-  }
-
   const QoeModelSelector& qoe_of_page_;
   const ServerDelayModel& g_;
   const ShardedReplayConfig& config_;
@@ -364,22 +274,6 @@ class ReplayEngine {
   obs::Counter& metric_merges_;
   obs::Counter& metric_windows_;
   obs::Counter* metric_abandoned_ = nullptr;
-
-  bool model_driven_ = false;
-  std::optional<resilience::CloningModel> cloning_model_;
-  std::optional<Bucketizer> service_window_;
-  bool model_clock_seeded_ = false;
-  double model_reset_ms_ = 0.0;
-  double next_model_recompute_ms_ = 0.0;
-  // Charged (planned mean) server-delay work per decision target since the
-  // last recompute, in ms of busy time.
-  std::vector<double> model_work_ms_;
-  std::uint64_t model_recomputes_ = 0;
-  resilience::CloningPrediction last_prediction_;
-  obs::Counter* metric_model_recomputes_ = nullptr;
-  obs::Gauge* metric_model_fraction_ = nullptr;
-  obs::Gauge* metric_model_target_load_ = nullptr;
-  obs::Gauge* metric_model_gain_ = nullptr;
 
   ShardedReplayResult out_;
   ControllerStats ctrl_stats_;
@@ -466,7 +360,7 @@ ShardedReplayResult ReplayTraceSharded(std::span<const TraceRecord> records,
         group->pre_abandoned.push_back(gone ? 1 : 0);
         engine.RecordRouted();
       },
-      [&](std::int64_t window_index) {
+      [&](std::int64_t) {
         engine.WindowClosed();
         // Every open group belongs to the window being closed (records are
         // sorted and all earlier windows were closed already).
@@ -474,8 +368,7 @@ ShardedReplayResult ReplayTraceSharded(std::span<const TraceRecord> records,
           std::optional<OpenGroup>& group =
               open[static_cast<std::size_t>(page)];
           if (!group) continue;
-          pending.push_back(
-              PendingGroup{window_index, page, std::move(*group)});
+          pending.push_back(PendingGroup{page, std::move(*group)});
           group.reset();
         }
         if (pending.size() >= flush_threshold) flush();

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "core/server_delay_model.h"
-#include "resilience/cloning_model.h"
 #include "stats/summary.h"
 #include "testbed/counterfactual.h"
 #include "testbed/experiment_config.h"
@@ -72,14 +71,6 @@ struct ShardedReplayResult {
   /// [0, 99]). This is the replay-level QoE CDF the objective figures
   /// plot; like qoe_summary it survives aggregate-only runs.
   std::vector<std::uint64_t> qoe_histogram = std::vector<std::uint64_t>(100);
-
-  /// Last hedge-gate prediction the model-driven metering derived on the
-  /// serial merge path (all zeros unless `resilience.hedge` is enabled in
-  /// HedgeMode::kModelDriven and at least one model window had enough
-  /// samples; `result.resilience.model_recomputes` counts the rederives).
-  /// The replay charges planned mean delays and has no hedge path, so the
-  /// gates are metered — exported, never applied to a decision.
-  resilience::CloningPrediction model_prediction;
 };
 
 /// Replays `records` (sorted by arrival_ms; throws otherwise) through the
@@ -92,8 +83,10 @@ struct ShardedReplayResult {
 /// The shard count is `config.common.controller.shards`
 /// (ControllerConfig::shards): 0 picks ThreadPool::DefaultWorkers(), 1 is
 /// serial, N > 1 solves on min(N, DefaultWorkers()) pool workers and
-/// flushes every max(4, 2N) closed groups (negative throws). Fault plans
-/// are not supported (RequireNoFaultPlan).
+/// flushes every max(4, 2N) closed groups (negative throws). The replay
+/// charges planned delays, so it has no fault, retry, hedge, breaker or
+/// admission path: a fault plan or any enabled resilience mechanism throws
+/// (RequireNoFaultPlan, RequireNoResilience).
 ///
 /// When `common.abandonment.enabled`, a session whose total delay
 /// (external + planned mean server delay) exceeds its seeded patience quits:

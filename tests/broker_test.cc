@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "broker/broker.h"
-#include "broker/consumer.h"
 #include "broker/scheduler.h"
 #include "sim/event_loop.h"
 
@@ -95,16 +94,23 @@ TEST(MessageBroker, QueueingDelayTracked) {
   EventLoop loop;
   MessageBroker broker(loop, FastParams(),
                        std::make_shared<FifoScheduler>());
+  std::vector<double> delays;
   loop.Schedule(0.0, [&] {
-    for (int i = 0; i < 10; ++i) broker.Publish(Message{}, nullptr);
+    for (int i = 0; i < 10; ++i) {
+      broker.Publish(Message{}, [&](const Delivery& d) {
+        delays.push_back(d.QueueingDelayMs());
+      });
+    }
   });
   loop.RunUntil(200.0);
   broker.StopConsumers();
   loop.Run();
-  EXPECT_EQ(broker.queueing_delay_stats().count(), 10u);
-  // The 10th message waits ~10 pull intervals.
-  EXPECT_NEAR(broker.queueing_delay_stats().max(), 50.5, 1.0);
-  EXPECT_GT(broker.queueing_delay_stats(0).count(), 0u);
+  // Pull k (1-based) comes k intervals after the publish, plus the
+  // handling cost.
+  ASSERT_EQ(delays.size(), 10u);
+  for (std::size_t i = 0; i < delays.size(); ++i) {
+    EXPECT_NEAR(delays[i], 5.0 * static_cast<double>(i + 1) + 0.5, 1e-9);
+  }
 }
 
 TEST(MessageBroker, ViewReportsDepths) {
@@ -122,29 +128,6 @@ TEST(MessageBroker, ViewReportsDepths) {
   loop.RunUntil(1.0);
   broker.StopConsumers();
   loop.Run();
-}
-
-TEST(MessageBroker, SchedulerSwapTakesEffect) {
-  EventLoop loop;
-  MessageBroker broker(loop, FastParams(),
-                       std::make_shared<FifoScheduler>());
-  auto table = std::make_shared<TableScheduler>("t");
-  table->SetTable({{.lo = 0.0, .hi = 1e9, .priority = 1}});
-  std::vector<int> priorities;
-  loop.Schedule(0.0, [&] {
-    broker.Publish(Message{},
-                   [&](const Delivery& d) { priorities.push_back(d.priority); });
-    broker.SetScheduler(table);
-    broker.Publish(Message{},
-                   [&](const Delivery& d) { priorities.push_back(d.priority); });
-  });
-  loop.RunUntil(100.0);
-  broker.StopConsumers();
-  loop.Run();
-  ASSERT_EQ(priorities.size(), 2u);
-  EXPECT_EQ(priorities[0], 0);
-  EXPECT_EQ(priorities[1], 1);
-  EXPECT_THROW(broker.SetScheduler(nullptr), std::invalid_argument);
 }
 
 TEST(MessageBroker, InvalidConstructionThrows) {
@@ -212,7 +195,6 @@ TEST(DeadlineScheduler, InvalidParamsThrow) {
   EXPECT_THROW(DeadlineScheduler(100.0, 0.0), std::invalid_argument);
 }
 
-
 TEST(MessageBroker, TryPullReturnsHighestPriority) {
   EventLoop loop;
   BrokerParams params = FastParams();
@@ -234,88 +216,6 @@ TEST(MessageBroker, TryPullReturnsHighestPriority) {
     EXPECT_FALSE(broker.TryPull().has_value());
   });
   loop.Run();
-}
-
-TEST(MessageBroker, RequeueFrontPreservesPublishTime) {
-  EventLoop loop;
-  BrokerParams params = FastParams();
-  MessageBroker broker(loop, params, std::make_shared<FifoScheduler>());
-  broker.StopConsumers();
-  double measured = -1.0;
-  loop.Schedule(0.0, [&] {
-    broker.Publish(Message{.id = 9},
-                   [&](const Delivery& d) { measured = d.QueueingDelayMs(); });
-  });
-  loop.Schedule(10.0, [&] {
-    auto d = broker.TryPull();
-    ASSERT_TRUE(d.has_value());
-    broker.RequeueFront(d->message, d->priority, d->publish_ms);
-  });
-  loop.Schedule(30.0, [&] {
-    auto d = broker.TryPull();
-    ASSERT_TRUE(d.has_value());
-    // The second delivery's queueing delay spans from the ORIGINAL publish.
-    EXPECT_NEAR(d->QueueingDelayMs(), 30.0 + params.handling_cost_ms, 1e-9);
-  });
-  loop.Run();
-  EXPECT_THROW(broker.RequeueFront(Message{}, 99, 0.0), std::out_of_range);
-}
-
-TEST(AckingConsumer, ProcessesEverythingWithPrefetchBound) {
-  EventLoop loop;
-  BrokerParams params = FastParams();
-  MessageBroker broker(loop, params, std::make_shared<FifoScheduler>());
-  broker.StopConsumers();  // The acking consumer is the only consumer.
-  AckingConsumerParams cp;
-  cp.prefetch = 3;
-  cp.processing_mean_ms = 4.0;
-  AckingConsumer consumer(loop, broker, cp, Rng(7));
-  loop.Schedule(0.0, [&] {
-    for (int i = 0; i < 50; ++i) {
-      broker.Publish(Message{.id = static_cast<RequestId>(i)}, nullptr);
-    }
-  });
-  loop.Schedule(1.0, [&] { EXPECT_LE(consumer.in_flight(), 3); });
-  loop.RunUntil(5000.0);
-  consumer.Stop();
-  loop.Run();
-  EXPECT_EQ(consumer.acked_count(), 50u);
-  EXPECT_EQ(consumer.redelivered_count(), 0u);
-}
-
-TEST(AckingConsumer, NacksCauseRedeliveryButEventualCompletion) {
-  EventLoop loop;
-  BrokerParams params = FastParams();
-  MessageBroker broker(loop, params, std::make_shared<FifoScheduler>());
-  broker.StopConsumers();
-  AckingConsumerParams cp;
-  cp.prefetch = 2;
-  cp.processing_mean_ms = 2.0;
-  cp.nack_probability = 0.3;
-  AckingConsumer consumer(loop, broker, cp, Rng(11));
-  loop.Schedule(0.0, [&] {
-    for (int i = 0; i < 30; ++i) {
-      broker.Publish(Message{.id = static_cast<RequestId>(i)}, nullptr);
-    }
-  });
-  loop.RunUntil(20000.0);
-  consumer.Stop();
-  loop.Run();
-  EXPECT_EQ(consumer.acked_count(), 30u);   // Everything eventually acked.
-  EXPECT_GT(consumer.redelivered_count(), 0u);
-}
-
-TEST(AckingConsumer, InvalidParamsThrow) {
-  EventLoop loop;
-  MessageBroker broker(loop, FastParams(), std::make_shared<FifoScheduler>());
-  AckingConsumerParams bad;
-  bad.prefetch = 0;
-  EXPECT_THROW(AckingConsumer(loop, broker, bad, Rng(1)),
-               std::invalid_argument);
-  bad = AckingConsumerParams{};
-  bad.nack_probability = 1.0;
-  EXPECT_THROW(AckingConsumer(loop, broker, bad, Rng(1)),
-               std::invalid_argument);
 }
 
 }  // namespace

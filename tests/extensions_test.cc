@@ -2,7 +2,10 @@
 // cross-service dependencies, and the incentive theorem.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "qoe/sigmoid_model.h"
 #include "testbed/multi_agent.h"
@@ -26,6 +29,18 @@ std::vector<TraceRecord> Workload(std::size_t n, double rps,
   params.rps = rps;
   params.seed = seed;
   return MakeSyntheticWorkload(params);
+}
+
+// Runs `run` and expects std::invalid_argument whose message names `field`.
+void ExpectRejected(const std::function<void()>& run,
+                    const std::string& field) {
+  try {
+    run();
+    ADD_FAILURE() << "expected std::invalid_argument for " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- Multi-agent -----------------------------------------------------------
@@ -91,6 +106,20 @@ TEST(MultiAgent, InvalidConfigThrows) {
                std::invalid_argument);
 }
 
+// The runner models neither the resilience layer nor session quits, so
+// either setting is rejected by name instead of being ignored.
+TEST(MultiAgent, RejectsResilienceAndAbandonment) {
+  const auto records = Workload(10, 10.0);
+  auto config = AgentConfig(AgentSharding::kRoundRobin, true);
+  config.common.resilience.hedge.enabled = true;
+  ExpectRejected([&] { RunMultiAgentExperiment(records, TraceQoe(), config); },
+                 "resilience.hedge");
+  config = AgentConfig(AgentSharding::kRoundRobin, true);
+  config.common.abandonment.enabled = true;
+  ExpectRejected([&] { RunMultiAgentExperiment(records, TraceQoe(), config); },
+                 "abandonment.enabled");
+}
+
 // ---- Multi-service ----------------------------------------------------------
 
 MultiServiceConfig ServiceConfig(CrossServiceMode mode, bool use_e2e) {
@@ -145,6 +174,20 @@ TEST(MultiService, EmptyRecordsThrow) {
                    {}, TraceQoe(),
                    ServiceConfig(CrossServiceMode::kIsolated, true)),
                std::invalid_argument);
+}
+
+TEST(MultiService, RejectsResilienceAndAbandonment) {
+  const auto records = Workload(10, 10.0);
+  auto config = ServiceConfig(CrossServiceMode::kIsolated, true);
+  config.common.resilience.retry.enabled = true;
+  ExpectRejected(
+      [&] { RunMultiServiceExperiment(records, TraceQoe(), config); },
+      "resilience.retry");
+  config = ServiceConfig(CrossServiceMode::kIsolated, true);
+  config.common.abandonment.enabled = true;
+  ExpectRejected(
+      [&] { RunMultiServiceExperiment(records, TraceQoe(), config); },
+      "abandonment.enabled");
 }
 
 // ---- Theorem 1 (Appendix A): incentive to improve latency -----------------

@@ -9,8 +9,9 @@
 //  * StreamByWindow: the O(window)-memory router visits exactly the groups
 //    GroupByWindow builds, closing window indices in ascending order.
 //  * ReplayTraceSharded: shard counts {1, 2, 4, 7} produce byte-for-byte
-//    identical ExperimentResult::Serialize() and telemetry exports, and
-//    every outcome matches an oracle built from public headers only.
+//    identical ExperimentResult::Serialize() and telemetry exports, every
+//    outcome matches an oracle built from public headers only, and the
+//    exports, stock and with abandonment, hash to pinned values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -488,6 +490,26 @@ TEST(ScaleReplay, InvalidConfigsThrow) {
           << e.what();
     }
   }
+  // The replay charges planned delays and has no resilience layer, so each
+  // mechanism is rejected by name instead of being ignored.
+  for (const std::string mechanism :
+       {"retry", "hedge", "breaker", "admission"}) {
+    ShardedReplayConfig resilient = BaseReplayConfig(1);
+    resilience::ResilienceConfig& r = resilient.common.resilience;
+    r.retry.enabled = mechanism == "retry";
+    r.hedge.enabled = mechanism == "hedge";
+    r.breaker.enabled = mechanism == "breaker";
+    r.admission.enabled = mechanism == "admission";
+    try {
+      ReplayTraceSharded(records, TestSelector(), TestServerModel(),
+                         resilient);
+      ADD_FAILURE() << "expected std::invalid_argument for " << mechanism;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("resilience." + mechanism),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // The live Controller validates the shard knob too.
   ControllerConfig ctrl;
   ctrl.shards = -1;
@@ -508,8 +530,8 @@ TEST(ScaleReplay, InvalidConfigsThrow) {
 // ComputePolicy, and each record takes the LookupRow decision and is charged
 // Q(external + that decision's planned mean delay). It shares no code with
 // ReplayTraceSharded's routing, queueing or merge, so it checks them
-// independently. The stock config has no abandonment or metering; those
-// paths are pinned by shard-count parity below.
+// independently. The stock config has no abandonment; that path is pinned
+// by shard-count parity below.
 
 struct OracleReplay {
   std::vector<RequestOutcome> outcomes;  // In (window, page, record) order.
@@ -623,6 +645,39 @@ ShardedReplayConfig AbandonmentReplayConfig(int shards) {
   return config;
 }
 
+// Byte-wise FNV-1a-64.
+std::uint64_t Fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Pins every byte the replay exports (results and both telemetry exports),
+// stock and with abandonment on, so a change to the routing, solve or merge
+// path must keep them as they are.
+TEST(ScaleReplay, OutputBytesArePinned) {
+  const auto& records = TestTrace().records;
+  const ShardedReplayResult stock = ReplayTraceSharded(
+      records, TestSelector(), TestServerModel(), BaseReplayConfig(1));
+  EXPECT_EQ(Fnv1a64(stock.result.Serialize()), 0x173d8d17b4da9598ULL);
+  EXPECT_EQ(Fnv1a64(stock.result.telemetry.SerializeText()),
+            0x4b1a7e6cee92eb84ULL);
+  EXPECT_EQ(Fnv1a64(stock.result.telemetry.SerializeJson()),
+            0x6ce203f6da22398fULL);
+
+  const ShardedReplayResult abandoning = ReplayTraceSharded(
+      records, TestSelector(), TestServerModel(), AbandonmentReplayConfig(1));
+  ASSERT_GT(abandoning.result.abandoned, 0u);
+  EXPECT_EQ(Fnv1a64(abandoning.result.Serialize()), 0x288c4d7b83eec49eULL);
+  EXPECT_EQ(Fnv1a64(abandoning.result.telemetry.SerializeText()),
+            0x3245caac795c4e1dULL);
+  EXPECT_EQ(Fnv1a64(abandoning.result.telemetry.SerializeJson()),
+            0xd968adc28fcfb016ULL);
+}
+
 // Quits land at window close and affect the *next* window's load, so the
 // abandonment session set is where a shard count could leak into the bytes.
 TEST(ScaleReplay, ReplayMatchesShardedWithAbandonment) {
@@ -640,46 +695,6 @@ TEST(ScaleReplay, ReplayMatchesShardedWithAbandonment) {
     EXPECT_EQ(sharded.result.abandoned, serial.result.abandoned);
     ExpectReplayParity(serial, sharded,
                        "abandonment shards=" + std::to_string(shards));
-  }
-}
-
-// Model-driven mode must meter identically at any shard count: the gate
-// rederives ride the serial merge, so every shard count agrees on every
-// recompute and on the final derived gates.
-TEST(ScaleReplay, ReplayMatchesShardedModelDriven) {
-  const auto& records = TestTrace().records;
-  const std::span<const TraceRecord> slice(records.data(),
-                                           std::min<std::size_t>(
-                                               records.size(), 2000));
-  ShardedReplayConfig config = BaseReplayConfig(1);
-  config.common.resilience = resilience::ResilienceConfig::ModelDriven();
-  // One model window per analysis window keeps the recompute cadence
-  // aligned with the merge stream this replay meters on.
-  config.common.resilience.hedge.model.window_ms =
-      config.common.controller.external.window_ms;
-  config.common.resilience.hedge.model.min_samples = 16;
-  const ShardedReplayResult serial =
-      ReplayTraceSharded(slice, TestSelector(), TestServerModel(), config);
-  ASSERT_GT(serial.result.resilience.model_recomputes, 0u);
-  EXPECT_GT(serial.model_prediction.mean_service_ms, 0.0);
-  for (const int shards : {2, 4, 7}) {
-    config.common.controller.shards = shards;
-    const ShardedReplayResult sharded =
-        ReplayTraceSharded(slice, TestSelector(), TestServerModel(), config);
-    const std::string context = "model-driven shards=" + std::to_string(shards);
-    EXPECT_EQ(sharded.result.resilience.model_recomputes,
-              serial.result.resilience.model_recomputes)
-        << context;
-    EXPECT_EQ(sharded.model_prediction.max_hedge_fraction,
-              serial.model_prediction.max_hedge_fraction)
-        << context;
-    EXPECT_EQ(sharded.model_prediction.max_target_load,
-              serial.model_prediction.max_target_load)
-        << context;
-    EXPECT_EQ(sharded.model_prediction.predicted_gain_ms,
-              serial.model_prediction.predicted_gain_ms)
-        << context;
-    ExpectReplayParity(serial, sharded, context);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <span>
 #include <utility>
 #include <vector>
@@ -375,15 +376,17 @@ TEST(Correlation, IndependentNearZero) {
 
 // --- Bucketizer property sweep ------------------------------------------
 
-// Every field is 8 bytes wide so the struct has no padding: gtest names each
-// case by printing the param's raw bytes, and padding bytes are indeterminate,
-// which would give the same case a different test name on every build.
 struct BucketizerCase {
-  std::int64_t target_buckets;
+  int target_buckets;
   double max_span;
   std::uint64_t seed;
 };
-static_assert(sizeof(BucketizerCase) == 24);
+
+// Names each case by its fields ("…/k16-span1500-seed3") in ctest, instead
+// of by the param's raw bytes.
+void PrintTo(const BucketizerCase& c, std::ostream* os) {
+  *os << "k" << c.target_buckets << "-span" << c.max_span << "-seed" << c.seed;
+}
 
 class BucketizerProperty : public ::testing::TestWithParam<BucketizerCase> {};
 
@@ -394,8 +397,7 @@ TEST_P(BucketizerProperty, InvariantsHold) {
   for (int i = 0; i < 3000; ++i) {
     samples.push_back(rng.LogNormal(8.0, 0.8));
   }
-  const Bucketizer bucketizer(
-      samples, static_cast<int>(param.target_buckets), param.max_span);
+  const Bucketizer bucketizer(samples, param.target_buckets, param.max_span);
   ASSERT_GE(bucketizer.size(), 1u);
 
   // Populations sum to the sample count; weights sum to 1.

@@ -383,7 +383,9 @@ TEST(BrokerExperiment, E2eBeatsDeadlineScheduling) {
 
 // Pins every byte a small broker-testbed run exports, as
 // DbExperiment.OutputBytesArePinned does for the db testbed: the consumers'
-// periodic pulls are the loop's in-order timers.
+// periodic pulls are the loop's in-order timers. The second run turns every
+// resilience mechanism on under drops and an overload, so the retry,
+// breaker and admission paths are pinned too.
 TEST(BrokerExperiment, OutputBytesArePinned) {
   const auto records = LoadedWorkload(800);
   auto config = FastBrokerConfig(BrokerPolicy::kE2e);
@@ -395,6 +397,19 @@ TEST(BrokerExperiment, OutputBytesArePinned) {
             0x187ae41abf9165dcULL);
   EXPECT_EQ(Fnv1a64(result.telemetry.SerializeJson()),
             0x85c4de69c95290a3ULL);
+
+  config.common.resilience = resilience::ResilienceConfig::AllOn();
+  config.common.fault_plan = fault::FaultPlan::Parse(
+      "drop broker p=0.2 seed=9 t=[0s,10m]; overload broker x4 t=[2s,8s]");
+  const auto resilient = RunBrokerExperiment(records, TraceQoe(), config);
+  EXPECT_GT(resilient.resilience.retries, 0u);
+  EXPECT_GT(resilient.resilience.breaker_opens, 0u);
+  EXPECT_GT(resilient.resilience.shed, 0u);
+  EXPECT_EQ(Fnv1a64(resilient.Serialize()), 0x76e24c70b1bfd5b7ULL);
+  EXPECT_EQ(Fnv1a64(resilient.telemetry.SerializeText()),
+            0xe6d024178593dd62ULL);
+  EXPECT_EQ(Fnv1a64(resilient.telemetry.SerializeJson()),
+            0x92267e9978bef34aULL);
 }
 
 TEST(BrokerExperiment, SchedulerEntriesMatchTable) {
@@ -412,6 +427,22 @@ TEST(BrokerExperiment, EmptyRecordsThrow) {
   EXPECT_THROW(RunBrokerExperiment({}, TraceQoe(),
                                    FastBrokerConfig(BrokerPolicy::kDefault)),
                std::invalid_argument);
+}
+
+// A publish has no hedge path, so model-driven hedge gates would gate
+// nothing: the runner rejects the mode by name instead of ignoring it.
+TEST(BrokerExperiment, RejectsModelDrivenHedging) {
+  const auto records = LoadedWorkload(50);
+  auto config = FastBrokerConfig(BrokerPolicy::kE2e);
+  config.common.resilience = resilience::ResilienceConfig::ModelDriven();
+  try {
+    RunBrokerExperiment(records, TraceQoe(), config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("resilience.hedge.mode"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
