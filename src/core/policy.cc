@@ -609,14 +609,9 @@ class AllocationEvaluator {
   std::vector<double> qoe_values_;  // What the views' qoe_values alias.
 };
 
-PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
-                       const std::vector<PolicyBucket>& buckets,
-                       double total_rps, const PolicyConfig& config) {
-  // NaN fails every comparison, and +inf would plan every decision as
-  // overloaded, so both are rejected with the non-positive rates.
-  if (!std::isfinite(total_rps) || total_rps <= 0.0) {
-    throw std::invalid_argument("ComputePolicy: total_rps not finite and > 0");
-  }
+// The config checks a solve makes before MakeObjective, which checks the
+// objective's parameters itself.
+void ValidateSolveKnobs(const PolicyConfig& config) {
   // A NaN penalty would fail the evaluator's `> 0.0` test and be dropped
   // silently; an infinite one turns a zero overloaded mass into a NaN score.
   if (!std::isfinite(config.instability_penalty) ||
@@ -627,6 +622,17 @@ PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
   if (config.parallel_workers != 1) {
     throw std::invalid_argument("ComputePolicy: parallel_workers != 1");
   }
+}
+
+PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
+                       const std::vector<PolicyBucket>& buckets,
+                       double total_rps, const PolicyConfig& config) {
+  // NaN fails every comparison, and +inf would plan every decision as
+  // overloaded, so both are rejected with the non-positive rates.
+  if (!std::isfinite(total_rps) || total_rps <= 0.0) {
+    throw std::invalid_argument("ComputePolicy: total_rps not finite and > 0");
+  }
+  ValidateSolveKnobs(config);
   PolicyResult result;
   result.stats.buckets = static_cast<int>(buckets.size());
 
@@ -773,6 +779,11 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
   }
   return RunPolicy(qoe, g, BuildBuckets(external_delays, config), total_rps,
                    config);
+}
+
+void ValidatePolicyConfig(const PolicyConfig& config) {
+  ValidateSolveKnobs(config);
+  MakeObjective(config.objective);
 }
 
 }  // namespace e2e

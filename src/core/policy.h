@@ -157,4 +157,11 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            const Bucketizer& external_delays, double total_rps,
                            const PolicyConfig& config);
 
+/// Throws std::invalid_argument for a config that every ComputePolicy call
+/// rejects: instability_penalty not finite and >= 0, parallel_workers != 1,
+/// or objective parameters out of range. A caller that may skip every
+/// solve (the sharded replay's flat groups) calls it once up front, so it
+/// rejects the same configs whatever the load.
+void ValidatePolicyConfig(const PolicyConfig& config);
+
 }  // namespace e2e

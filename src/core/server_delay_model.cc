@@ -116,6 +116,14 @@ bool ProfiledReplicaModel::IsOverloaded(
                                              : profile_.level_rps.back());
 }
 
+bool ProfiledReplicaModel::FlatUpTo(double decision_rps) const {
+  // A replica offered at most the first level gets delays.front()
+  // (Interpolate), and one offered at most the stable cap is not overloaded
+  // (IsOverloaded; the first level is at most the last). NaN compares false.
+  return decision_rps <=
+         std::min(profile_.level_rps.front(), profile_.max_stable_rps);
+}
+
 PriorityQueueModel::PriorityQueueModel(int levels, double consume_interval_ms,
                                        int num_consumers,
                                        double handling_cost_ms,

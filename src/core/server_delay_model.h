@@ -53,6 +53,18 @@ class ServerDelayModel {
     (void)total_rps;
     return false;
   }
+
+  /// True only when every decision gets one and the same delay
+  /// distribution, and none is overloaded, under every split that offers no
+  /// decision more than `decision_rps` (its load fraction times the total
+  /// rate). No plan can then change any request's QoE, so the sharded
+  /// replay skips the solve of such a group (docs/SCALE.md). `true` must be
+  /// exact; `false` is always safe, and is the default, so a model or
+  /// decorator that does not answer keeps every caller on the solve path.
+  virtual bool FlatUpTo(double decision_rps) const {
+    (void)decision_rps;
+    return false;
+  }
 };
 
 /// Non-owning decorator that shifts each decision's delay distribution by a
@@ -135,6 +147,9 @@ class ProfiledReplicaModel final : public ServerDelayModel {
   std::string Name() const override { return "profiled-replica"; }
   bool IsOverloaded(int decision, std::span<const double> load_fractions,
                     double total_rps) const override;
+  /// Exactly `decision_rps <= min(first level, max_stable_rps)`: there every
+  /// replica gets the first level's distribution and none is overloaded.
+  bool FlatUpTo(double decision_rps) const override;
 
   const LoadProfile& profile() const { return profile_; }
 

@@ -46,6 +46,8 @@ struct PendingGroup {
 // serially in index order.
 struct SolvedGroup {
   std::vector<RequestOutcome> outcomes;
+  /// Whether the group ran ComputePolicy (false for a flat group).
+  bool solved = false;
   PolicyStats policy_stats;
   /// Page model's MaxQoe(), for per-page histogram normalization.
   double max_qoe = 1.0;
@@ -77,6 +79,8 @@ class ReplayEngine {
             telemetry_.metrics.AddCounter("controller.windows_streamed")) {
     RequireNoFaultPlan(config.common, "ReplayTraceSharded");
     RequireNoResilience(config.common, "ReplayTraceSharded");
+    // Flat groups skip ComputePolicy, so check here what each solve would.
+    ValidatePolicyConfig(ctrl_.policy);
     // Session abandonment (qoe/abandonment.h). The global session set is
     // read on the serial routing path (membership only — never iterated)
     // and written on the serial merge path, so pool workers never touch
@@ -135,9 +139,30 @@ class ReplayEngine {
     }
     const double rps = static_cast<double>(live) / (window_ms_ / 1000.0) *
                        ctrl_.rps_planning_factor;
-    PolicyResult pr =
-        ComputePolicy(qoe, g_, pg.group.externals, rps, ctrl_.policy);
-    sg.policy_stats = pr.stats;
+    // The largest share of `rps` a plan can offer one decision. The climb's
+    // unit shares units/n are at most 1. A SplitOf or load_fractions entry
+    // sums k <= live bucket weights, each population/live rounded once (or
+    // twice per request: count·(1/live)), so with u = 2^-53 it is at most
+    // (1 + u)^(k + 1) <= 1 + 2(live + 1)u. The bound below is twice that,
+    // exact in double, and rounding is monotone, so no decision is offered
+    // more than rps · max_share as G computes it (fraction · total_rps).
+    const double max_share = 1.0 + static_cast<double>(live + 1) * 0x1p-51;
+    PolicyResult pr;
+    if (g_.FlatUpTo(rps * max_share)) {
+      // Every decision serves the same delays at every split a solve could
+      // try, so every allocation scores the same, the degenerate start
+      // wins and the table sends each bucket to decision 0. Its charge,
+      // G(0, load_fractions, rps), is then G(0, {1, 0, ...}, rps): skip the
+      // bucket build and the solve and install that one-row table.
+      pr.table.rows.emplace_back();
+      pr.table.load_fractions.assign(
+          static_cast<std::size_t>(g_.NumDecisions()), 0.0);
+      pr.table.load_fractions[0] = 1.0;
+    } else {
+      pr = ComputePolicy(qoe, g_, pg.group.externals, rps, ctrl_.policy);
+      sg.solved = true;
+      sg.policy_stats = pr.stats;
+    }
     // Per-decision mean server delay under the installed split, computed
     // once per decision actually used.
     std::vector<double> mean_delay(
@@ -196,7 +221,10 @@ class ReplayEngine {
     ++ctrl_stats_.recomputes;
     ctrl_stats_.decisions += sg.outcomes.size();
     ctrl_stats_.observations += sg.outcomes.size();
-    ctrl_stats_.last_policy_stats = sg.policy_stats;
+    if (sg.solved) {
+      ++out_.stats.groups_solved;
+      ctrl_stats_.last_policy_stats = sg.policy_stats;
+    }
     // Quits take effect from the next analysis window on; applying them
     // here, in (window, page) order, is what makes the effect
     // shard-count-invariant.

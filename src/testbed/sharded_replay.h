@@ -5,7 +5,10 @@
 // analysis window) group independently: the group's external delays
 // accumulate into a streaming Bucketizer as records arrive, and when the
 // window closes the group's decision table is computed and applied to its
-// records. Because the trace is sorted, only one window is open at a time.
+// records, unless G serves every decision the same delays at the group's
+// load, when no plan can change a request's QoE and the group is charged
+// straight from G. Because the trace is sorted, only one window is open at
+// a time.
 // Closed groups queue in (window, page) order; each flush solves them on a
 // pool of `ControllerConfig::shards` workers, one index per group, and
 // merges the solved groups serially in index order, so the output byte
@@ -46,10 +49,12 @@ struct ShardedReplayConfig {
   bool keep_outcomes = true;
 };
 
-/// Replay bookkeeping, all deterministic and shard-count-invariant.
+/// Replay bookkeeping, all deterministic and shard-count-invariant. None of
+/// it reaches the result bytes or the telemetry exports.
 struct ShardedReplayStats {
   std::uint64_t windows_streamed = 0;  ///< Window-close events observed.
-  std::uint64_t groups_merged = 0;     ///< (page, window) groups solved.
+  std::uint64_t groups_merged = 0;     ///< (page, window) groups merged.
+  std::uint64_t groups_solved = 0;     ///< Groups that ran ComputePolicy.
   std::uint64_t records = 0;           ///< Trace records replayed.
   int shards = 0;                      ///< Resolved shard count used.
 };
@@ -80,6 +85,15 @@ struct ShardedReplayResult {
 /// replay throws std::invalid_argument); each record takes the
 /// decision its external delay maps to in the group's table and is charged
 /// the mean of that decision's delay distribution under the planned split.
+/// A group whose load `g.FlatUpTo` declares flat (no plan can offer one
+/// decision enough load to change its delays) is not solved: every record
+/// takes decision 0 at G(0, {1, 0, ...}), which is bit for bit what the
+/// solved table charges (docs/SCALE.md). Such a group counts in
+/// `groups_merged` but not `groups_solved`, and
+/// `result.controller_stats.last_policy_stats` holds the last *solved*
+/// group's stats (nothing serializes that field). The policy config is
+/// validated once up front (ValidatePolicyConfig), so a day of flat groups
+/// rejects the configs a solve would.
 /// The shard count is `config.common.controller.shards`
 /// (ControllerConfig::shards): 0 picks ThreadPool::DefaultWorkers(), 1 is
 /// serial, N > 1 solves on min(N, DefaultWorkers()) pool workers and

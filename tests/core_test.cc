@@ -89,6 +89,22 @@ std::vector<double> SensitiveHeavyExternals(int n, Rng& rng) {
   return externals;
 }
 
+// The full-day replay's load profile: 8 levels, 15 rps apart, the last
+// one unstable.
+LoadProfile ReplayDayProfile() {
+  LoadProfile profile;
+  profile.max_rps = 120.0;
+  for (int level = 1; level <= 8; ++level) {
+    profile.level_rps.push_back(15.0 * static_cast<double>(level));
+    const double base = 40.0 + 12.0 * static_cast<double>(level);
+    profile.delays.emplace_back(
+        std::vector<double>{0.6 * base, base, 1.9 * base},
+        std::vector<double>{0.25, 0.5, 0.25});
+  }
+  profile.max_stable_rps = 105.0;
+  return profile;
+}
+
 // ---- ExternalDelayModel --------------------------------------------------
 
 TEST(ExternalDelayModel, PublishesAfterWindow) {
@@ -212,6 +228,48 @@ TEST(ProfiledReplicaModel, DelayGrowsWithFraction) {
   const std::vector<double> wrong_size = {0.5, 0.5};
   EXPECT_THROW(model.DelayDistribution(0, wrong_size, rps),
                std::invalid_argument);
+}
+
+TEST(ProfiledReplicaModel, FlatUpToHoldsExactlyUpToTheFirstLevelAndStableCap) {
+  LoadProfile profile;
+  profile.max_rps = 20.0;
+  profile.level_rps = {10.0, 20.0};
+  profile.delays = {DiscreteDistribution({20.0, 50.0}, {0.5, 0.5}),
+                    DiscreteDistribution({40.0, 90.0}, {0.5, 0.5})};
+  const ProfiledReplicaModel stable(3, profile);
+  const std::vector<double> all_to_one = {1.0, 0.0, 0.0};
+  // Up to the first level every replica gets its distribution, at any split.
+  EXPECT_TRUE(stable.FlatUpTo(0.0));
+  EXPECT_TRUE(stable.FlatUpTo(10.0));
+  for (int d = 0; d < 3; ++d) {
+    std::vector<double> split(3, 0.0);
+    split[static_cast<std::size_t>(d)] = 1.0;  // All of the load on d.
+    const DiscreteDistribution at_cap =
+        stable.DelayDistribution(d, split, 10.0);
+    EXPECT_TRUE(std::equal(at_cap.values().begin(), at_cap.values().end(),
+                           profile.delays.front().values().begin()));
+    EXPECT_FALSE(stable.IsOverloaded(d, split, 10.0));
+  }
+  EXPECT_FALSE(stable.FlatUpTo(std::nextafter(10.0, 20.0)));
+  EXPECT_FALSE(stable.FlatUpTo(15.0));
+  EXPECT_FALSE(stable.FlatUpTo(std::numeric_limits<double>::quiet_NaN()));
+
+  // A stable cap below the first level bounds the query: above it the
+  // distribution is still the first level's, but the replica is overloaded.
+  profile.max_stable_rps = 6.0;
+  const ProfiledReplicaModel capped(3, profile);
+  EXPECT_TRUE(capped.FlatUpTo(6.0));
+  EXPECT_FALSE(capped.IsOverloaded(0, all_to_one, 6.0));
+  EXPECT_FALSE(capped.FlatUpTo(std::nextafter(6.0, 10.0)));
+  EXPECT_FALSE(capped.FlatUpTo(8.0));
+  EXPECT_EQ(capped.DelayDistribution(0, all_to_one, 8.0).Mean(),
+            profile.delays.front().Mean());
+  EXPECT_TRUE(capped.IsOverloaded(0, all_to_one, 8.0));
+
+  // Models and decorators that do not answer the query say false.
+  EXPECT_FALSE(PriorityQueueModel(3, 5.0, 1).FlatUpTo(0.0));
+  const std::vector<double> no_penalty = {0.0, 0.0, 0.0};
+  EXPECT_FALSE(PenalizedServerModel(stable, no_penalty).FlatUpTo(0.0));
 }
 
 TEST(ProfileServerOffline, ProducesMonotoneCongestionCurve) {
@@ -655,17 +713,7 @@ TEST(ComputePolicy, FlatModelSolvesEachEvaluationOnce) {
   // tail into light buckets, so an evaluation's weight split differs from
   // its unit split and the refine loop runs a round; that round finds G's
   // columns unchanged and keeps the mapping instead of solving it again.
-  LoadProfile profile;
-  profile.max_rps = 120.0;
-  for (int level = 1; level <= 8; ++level) {
-    profile.level_rps.push_back(15.0 * static_cast<double>(level));
-    const double base = 40.0 + 12.0 * static_cast<double>(level);
-    profile.delays.emplace_back(
-        std::vector<double>{0.6 * base, base, 1.9 * base},
-        std::vector<double>{0.25, 0.5, 0.25});
-  }
-  profile.max_stable_rps = 105.0;
-  const ProfiledReplicaModel g(3, profile);
+  const ProfiledReplicaModel g(3, ReplayDayProfile());
   const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
   Rng rng(43);
   const auto externals = SensitiveHeavyExternals(300, rng);
@@ -685,6 +733,57 @@ TEST(ComputePolicy, FlatModelSolvesEachEvaluationOnce) {
   config.refine_fractions = false;
   const auto unrefined = ComputePolicy(qoe, g, externals, 6.0, config);
   ExpectIdenticalResults(refined, unrefined);
+}
+
+TEST(ComputePolicy, FlatModelRoutesEveryBucketToDecisionZero) {
+  // Planned at 6 rps, no replica of the full-day replay's G passes its
+  // 15-rps first level under any split: every decision serves the same
+  // delays, every allocation scores the same, and the degenerate start
+  // wins whatever the objective, mapping or bucketing. The sharded replay
+  // charges such a group without solving it on exactly this table.
+  const ProfiledReplicaModel g(3, ReplayDayProfile());
+  const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
+  Rng rng(43);
+  const auto externals = SensitiveHeavyExternals(40, rng);
+  const std::vector<double> all_to_zero = {1.0, 0.0, 0.0};
+  for (const ObjectiveKind kind :
+       {ObjectiveKind::kMeanQoe, ObjectiveKind::kTailPercentile,
+        ObjectiveKind::kMeanMinusStdev,
+        ObjectiveKind::kFairnessConstrainedMean}) {
+    for (const MappingAlgorithm mapping :
+         {MappingAlgorithm::kTransportation,
+          MappingAlgorithm::kOptimalMatching, MappingAlgorithm::kSlopeBased}) {
+      for (const bool per_request : {false, true}) {
+        PolicyConfig config;
+        config.objective.kind = kind;
+        config.mapping = mapping;
+        config.per_request = per_request;
+        const std::string context =
+            ToString(kind) + " mapping " +
+            std::to_string(static_cast<int>(mapping)) + " per_request " +
+            std::to_string(per_request);
+        const PolicyResult result =
+            ComputePolicy(qoe, g, externals, 6.0, config);
+        double total = 0.0;
+        for (const DecisionTableRow& row : result.table.rows) {
+          EXPECT_EQ(row.decision, 0) << context;
+          total += row.weight;
+        }
+        EXPECT_EQ(result.table.load_fractions,
+                  (std::vector<double>{total, 0.0, 0.0}))
+            << context;
+        EXPECT_EQ(g.DelayDistribution(0, result.table.load_fractions, 6.0)
+                      .Mean(),
+                  g.DelayDistribution(0, all_to_zero, 6.0).Mean())
+            << context;
+      }
+    }
+  }
+  // Past the first level the same externals do spread.
+  const PolicyResult loaded =
+      ComputePolicy(qoe, g, externals, 60.0, PolicyConfig{});
+  EXPECT_GT(loaded.table.load_fractions[0], 0.0);
+  EXPECT_LT(loaded.table.load_fractions[0], 1.0);
 }
 
 TEST(ComputePolicy, BrokerWindowGoldenLock) {

@@ -102,6 +102,44 @@ ShardedReplayResult Replay(const ShardedReplayConfig& config) {
                             TestServerModel(), config);
 }
 
+// The scale tier's loaded day: under TestServerModel() every group of the
+// test day plans below the first level and no group reaches the solve, so
+// this model scales the profile's loads down 320-fold and moves the stable
+// cap to the second level. Groups of one or two records stay flat, larger
+// ones climb, and the largest overload a replica under every split.
+const ProfiledReplicaModel& LoadedServerModel() {
+  static const ProfiledReplicaModel model(3, [] {
+    LoadProfile profile = SyntheticProfile();
+    profile.max_rps /= 320.0;
+    for (double& rps : profile.level_rps) rps /= 320.0;
+    profile.max_stable_rps = profile.level_rps[1];
+    return profile;
+  }());
+  return model;
+}
+
+// Forwards what the policy asks G but not FlatUpTo, so a replay over it
+// solves every group.
+class PassThroughModel final : public ServerDelayModel {
+ public:
+  explicit PassThroughModel(const ServerDelayModel& base) : base_(base) {}
+
+  int NumDecisions() const override { return base_.NumDecisions(); }
+  DiscreteDistribution DelayDistribution(
+      int decision, std::span<const double> load_fractions,
+      double total_rps) const override {
+    return base_.DelayDistribution(decision, load_fractions, total_rps);
+  }
+  std::string Name() const override { return base_.Name(); }
+  bool IsOverloaded(int decision, std::span<const double> load_fractions,
+                    double total_rps) const override {
+    return base_.IsOverloaded(decision, load_fractions, total_rps);
+  }
+
+ private:
+  const ServerDelayModel& base_;
+};
+
 // Bucket views over caller-owned storage, for hand-computed score checks.
 QoeBucketView MakeView(double weight, double expected,
                        std::span<const double> values = {},
@@ -399,6 +437,32 @@ TEST(ObjectiveReplay, DistributionObjectiveInvariantAcrossWorkersAndShards) {
   EXPECT_EQ(Replay(configure(2)).result.Serialize(), reference);
 }
 
+TEST(ObjectiveReplay, LoadedDayEveryObjectiveMatchesTheSolvedReplay) {
+  // Groups charged straight from G take the table every objective would
+  // have solved to, and the replay stays shard-count-invariant.
+  const PassThroughModel solve_every_group(LoadedServerModel());
+  for (const ObjectiveKind kind :
+       {ObjectiveKind::kMeanQoe, ObjectiveKind::kTailPercentile,
+        ObjectiveKind::kMeanMinusStdev,
+        ObjectiveKind::kFairnessConstrainedMean}) {
+    const auto replay = [kind](const ServerDelayModel& g, int shards) {
+      ShardedReplayConfig config = BaseReplayConfig(shards);
+      config.common.controller.policy.objective.kind = kind;
+      return ReplayTraceSharded(TestTrace().records, TestSelector(), g,
+                                config);
+    };
+    const ShardedReplayResult serial = replay(LoadedServerModel(), 1);
+    EXPECT_GT(serial.stats.groups_solved, 0u) << ToString(kind);
+    EXPECT_LT(serial.stats.groups_solved, serial.stats.groups_merged)
+        << ToString(kind);
+    const std::string bytes = serial.result.Serialize();
+    EXPECT_EQ(replay(LoadedServerModel(), 4).result.Serialize(), bytes)
+        << ToString(kind);
+    EXPECT_EQ(replay(solve_every_group, 1).result.Serialize(), bytes)
+        << ToString(kind);
+  }
+}
+
 // ---- Abandonment through the sharded replay ---------------------------------
 
 ShardedReplayConfig AbandonmentReplayConfig(int shards) {
@@ -436,6 +500,25 @@ TEST(AbandonmentReplay, ShardInvariantRerunStableAndConserving) {
   std::uint64_t histogram_mass = 0;
   for (const std::uint64_t bin : one.qoe_histogram) histogram_mass += bin;
   EXPECT_EQ(histogram_mass, served);
+}
+
+TEST(AbandonmentReplay, LoadedDayShardInvariantAndConserving) {
+  // On the loaded day overload backlog drives quits, and quits thin the
+  // load of later windows, so groups move between the flat and solved
+  // paths as sessions leave.
+  const auto replay = [](const ServerDelayModel& g, int shards) {
+    return ReplayTraceSharded(TestTrace().records, TestSelector(), g,
+                              AbandonmentReplayConfig(shards));
+  };
+  const ShardedReplayResult one = replay(LoadedServerModel(), 1);
+  EXPECT_GT(one.result.abandoned, 0u);
+  EXPECT_GT(one.stats.groups_solved, 0u);
+  EXPECT_LT(one.stats.groups_solved, one.stats.groups_merged);
+  EXPECT_EQ(one.result.arrivals, one.result.completed + one.result.abandoned);
+  const std::string bytes = one.result.Serialize();
+  EXPECT_EQ(replay(LoadedServerModel(), 4).result.Serialize(), bytes);
+  EXPECT_EQ(replay(PassThroughModel(LoadedServerModel()), 1).result.Serialize(),
+            bytes);
 }
 
 TEST(AbandonmentReplay, AggregateOnlyModeMatchesOutcomeAggregates) {

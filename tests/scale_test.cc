@@ -621,6 +621,8 @@ void ExpectReplayParity(const ShardedReplayResult& serial,
       << context;
   EXPECT_EQ(serial.stats.groups_merged, sharded.stats.groups_merged)
       << context;
+  EXPECT_EQ(serial.stats.groups_solved, sharded.stats.groups_solved)
+      << context;
   EXPECT_EQ(serial.qoe_summary.count(), sharded.qoe_summary.count())
       << context;
   EXPECT_EQ(serial.qoe_summary.mean(), sharded.qoe_summary.mean()) << context;
@@ -695,6 +697,270 @@ TEST(ScaleReplay, ReplayMatchesShardedWithAbandonment) {
     EXPECT_EQ(sharded.result.abandoned, serial.result.abandoned);
     ExpectReplayParity(serial, sharded,
                        "abandonment shards=" + std::to_string(shards));
+  }
+}
+
+// ---- Loaded day: flat, solved and overloaded groups ------------------------
+//
+// Every group of TestTrace() (1 to 24 records per 10-min window, at most
+// 0.04 rps) plans far below SyntheticProfile()'s first level of 1.25 rps,
+// so under TestServerModel() no group reaches ComputePolicy. The loaded
+// model scales the profile's loads down 320-fold and moves its stable cap
+// to the second level, so the same day meets every regime: groups of one or
+// two records plan at or below the first level and are charged straight
+// from G, larger groups climb to plans that spread load, and the largest
+// overload a replica under every split.
+
+LoadProfile LoadedProfile() {
+  LoadProfile profile = SyntheticProfile();
+  profile.max_rps /= 320.0;
+  for (double& rps : profile.level_rps) rps /= 320.0;
+  profile.max_stable_rps = profile.level_rps[1];
+  return profile;
+}
+
+const ProfiledReplicaModel& LoadedServerModel() {
+  static const ProfiledReplicaModel model(3, LoadedProfile());
+  return model;
+}
+
+// Forwards what the policy asks G but not FlatUpTo, as a decorator written
+// before that query does, so a replay over it solves every group.
+class PassThroughModel : public ServerDelayModel {
+ public:
+  explicit PassThroughModel(const ServerDelayModel& base) : base_(base) {}
+
+  int NumDecisions() const override { return base_.NumDecisions(); }
+  DiscreteDistribution DelayDistribution(
+      int decision, std::span<const double> load_fractions,
+      double total_rps) const override {
+    return base_.DelayDistribution(decision, load_fractions, total_rps);
+  }
+  std::string Name() const override { return base_.Name(); }
+  bool IsOverloaded(int decision, std::span<const double> load_fractions,
+                    double total_rps) const override {
+    return base_.IsOverloaded(decision, load_fractions, total_rps);
+  }
+
+ protected:
+  const ServerDelayModel& base_;
+};
+
+TEST(ScaleReplay, LoadedOracleMatchesSharded) {
+  const auto& records = TestTrace().records;
+  const OracleReplay oracle =
+      ReplayOracle(records, TestSelector(), LoadedServerModel(),
+                   BaseReplayConfig(1).common.controller);
+  for (const int shards : {1, 2, 4, 7}) {
+    const ShardedReplayResult replay =
+        ReplayTraceSharded(records, TestSelector(), LoadedServerModel(),
+                           BaseReplayConfig(shards));
+    EXPECT_EQ(replay.stats.groups_merged, oracle.groups) << "shards=" << shards;
+    ASSERT_EQ(replay.result.outcomes.size(), oracle.outcomes.size())
+        << "shards=" << shards;
+    for (std::size_t i = 0; i < oracle.outcomes.size(); ++i) {
+      const RequestOutcome& want = oracle.outcomes[i];
+      const RequestOutcome& got = replay.result.outcomes[i];
+      ASSERT_TRUE(got.id == want.id && got.decision == want.decision &&
+                  Bits(got.server_delay_ms) == Bits(want.server_delay_ms) &&
+                  Bits(got.qoe) == Bits(want.qoe) && got.status == want.status)
+          << "shards=" << shards << ": outcome " << i << " (request "
+          << want.id << ") differs from the oracle";
+    }
+  }
+}
+
+TEST(ScaleReplay, LoadedShardCountsProduceByteIdenticalResults) {
+  const auto& records = TestTrace().records;
+  for (const bool abandonment : {false, true}) {
+    const auto config = abandonment ? AbandonmentReplayConfig
+                                    : BaseReplayConfig;
+    const ShardedReplayResult serial = ReplayTraceSharded(
+        records, TestSelector(), LoadedServerModel(), config(1));
+    for (const int shards : {2, 4, 7}) {
+      ExpectReplayParity(
+          serial,
+          ReplayTraceSharded(records, TestSelector(), LoadedServerModel(),
+                             config(shards)),
+          "loaded abandonment=" + std::to_string(abandonment) +
+              " shards=" + std::to_string(shards));
+    }
+  }
+}
+
+// The loaded day's exports, stock and with abandonment on. Taken at the
+// last commit that solved every group, so they also pin that the groups
+// now charged straight from G come out as the solve charged them.
+TEST(ScaleReplay, LoadedOutputBytesArePinned) {
+  const auto& records = TestTrace().records;
+  const ShardedReplayResult stock = ReplayTraceSharded(
+      records, TestSelector(), LoadedServerModel(), BaseReplayConfig(1));
+  EXPECT_EQ(Fnv1a64(stock.result.Serialize()), 0x5ff392106b92a68eULL);
+  EXPECT_EQ(Fnv1a64(stock.result.telemetry.SerializeText()),
+            0x4b1a7e6cee92eb84ULL);
+  EXPECT_EQ(Fnv1a64(stock.result.telemetry.SerializeJson()),
+            0x6ce203f6da22398fULL);
+
+  const ShardedReplayResult abandoning =
+      ReplayTraceSharded(records, TestSelector(), LoadedServerModel(),
+                         AbandonmentReplayConfig(1));
+  ASSERT_GT(abandoning.result.abandoned, 0u);
+  EXPECT_EQ(Fnv1a64(abandoning.result.Serialize()), 0x6bc309c24fc72de5ULL);
+  EXPECT_EQ(Fnv1a64(abandoning.result.telemetry.SerializeText()),
+            0x447592ac83e7d6e0ULL);
+  EXPECT_EQ(Fnv1a64(abandoning.result.telemetry.SerializeJson()),
+            0x0f1719f9ad32c121ULL);
+}
+
+// The fast path against a replay that solves every group: same bytes in
+// both outcome modes, stock and with abandonment, while the loaded day
+// takes both paths, plans that use every replica, and overload backlog.
+TEST(ScaleReplay, FlatGroupsMatchTheSolvedReplayByteForByte) {
+  const auto& records = TestTrace().records;
+  const PassThroughModel solve_every_group(LoadedServerModel());
+  // The slowest delay at the stable cap: a mean above it carries backlog.
+  const double slowest_stable_ms = LoadedProfile().delays[1].values().back();
+  for (const bool abandonment : {false, true}) {
+    for (const bool keep_outcomes : {true, false}) {
+      const std::string context =
+          "abandonment=" + std::to_string(abandonment) +
+          " keep_outcomes=" + std::to_string(keep_outcomes);
+      ShardedReplayConfig config =
+          abandonment ? AbandonmentReplayConfig(1) : BaseReplayConfig(1);
+      config.keep_outcomes = keep_outcomes;
+      const ShardedReplayResult fast = ReplayTraceSharded(
+          records, TestSelector(), LoadedServerModel(), config);
+      const ShardedReplayResult solved = ReplayTraceSharded(
+          records, TestSelector(), solve_every_group, config);
+      EXPECT_EQ(fast.result.Serialize(), solved.result.Serialize())
+          << context;
+      EXPECT_EQ(fast.result.telemetry.SerializeText(),
+                solved.result.telemetry.SerializeText())
+          << context;
+      EXPECT_EQ(fast.result.telemetry.SerializeJson(),
+                solved.result.telemetry.SerializeJson())
+          << context;
+      EXPECT_EQ(fast.stats.groups_merged, solved.stats.groups_merged)
+          << context;
+      EXPECT_GT(fast.stats.groups_solved, 0u) << context;
+      EXPECT_LT(fast.stats.groups_solved, solved.stats.groups_solved)
+          << context;
+      if (abandonment) {
+        // A group whose sessions had all quit earlier has nothing to plan.
+        EXPECT_GT(fast.result.abandoned, 0u) << context;
+        continue;
+      }
+      EXPECT_EQ(solved.stats.groups_solved, solved.stats.groups_merged)
+          << context;
+      if (!keep_outcomes) continue;
+      std::vector<int> served_by(3, 0);
+      bool overloaded = false;
+      for (const RequestOutcome& o : fast.result.outcomes) {
+        ++served_by[static_cast<std::size_t>(o.decision)];
+        overloaded = overloaded || o.server_delay_ms > slowest_stable_ms;
+      }
+      EXPECT_GT(*std::min_element(served_by.begin(), served_by.end()), 0);
+      EXPECT_TRUE(overloaded);
+    }
+  }
+  // Under TestServerModel() the whole day is flat, and still the same.
+  const ShardedReplayResult flat_day = ReplayTraceSharded(
+      records, TestSelector(), TestServerModel(), BaseReplayConfig(1));
+  EXPECT_EQ(flat_day.stats.groups_solved, 0u);
+  EXPECT_EQ(flat_day.result.Serialize(),
+            ReplayTraceSharded(records, TestSelector(),
+                               PassThroughModel(TestServerModel()),
+                               BaseReplayConfig(1))
+                .result.Serialize());
+}
+
+// Forwards FlatUpTo as well, recording each argument it is asked (serial
+// replays only).
+class FlatQueryLog final : public PassThroughModel {
+ public:
+  using PassThroughModel::PassThroughModel;
+
+  bool FlatUpTo(double decision_rps) const override {
+    asked_.push_back(decision_rps);
+    return base_.FlatUpTo(decision_rps);
+  }
+
+  const std::vector<double>& asked() const { return asked_; }
+
+ private:
+  mutable std::vector<double> asked_;
+};
+
+// One 10-min window of nine requests with distinct external delays. Planned
+// per request, nine weights of 1/9 sum to one ulp above 1, so the solve's
+// degenerate split offers decision 0 a little more than the whole rate.
+std::vector<TraceRecord> NineRequestGroup() {
+  std::vector<TraceRecord> records;
+  for (int i = 0; i < 9; ++i) {
+    TraceRecord r;
+    r.request_id = static_cast<RequestId>(i + 1);
+    r.user_id = static_cast<UserId>(i + 1);
+    r.session_id = static_cast<std::uint64_t>(i + 1);
+    r.arrival_ms = 1000.0 * static_cast<double>(i + 1);
+    r.external_delay_ms = 500.0 + 700.0 * static_cast<double>(i);
+    records.push_back(r);
+  }
+  return records;
+}
+
+// A group whose query lands exactly on the cap, where the first level and
+// the stable cap coincide: any split the solve tries past the cap would be
+// docked as overloaded and move the plan off decision 0. At the cap the
+// group is flat and charged from G exactly as the solve charges it; one
+// ulp lower it is solved.
+TEST(ScaleReplay, GroupOnTheFlatCapIsChargedFromG) {
+  const std::vector<TraceRecord> records = NineRequestGroup();
+  ShardedReplayConfig config = BaseReplayConfig(1);
+  config.common.controller.policy.per_request = true;
+  const FlatQueryLog log(TestServerModel());
+  ReplayTraceSharded(records, TestSelector(), log, config);
+  ASSERT_EQ(log.asked().size(), 1u);
+  const double query = log.asked().front();
+  for (const double cap : {query, std::nextafter(query, 0.0)}) {
+    LoadProfile profile = SyntheticProfile();
+    ASSERT_LT(cap, profile.level_rps[1]);
+    profile.level_rps.front() = cap;
+    profile.max_stable_rps = cap;
+    const ProfiledReplicaModel g(3, profile);
+    const ShardedReplayResult fast =
+        ReplayTraceSharded(records, TestSelector(), g, config);
+    const ShardedReplayResult solved = ReplayTraceSharded(
+        records, TestSelector(), PassThroughModel(g), config);
+    EXPECT_EQ(fast.stats.groups_solved, cap == query ? 0u : 1u);
+    EXPECT_EQ(solved.stats.groups_solved, 1u);
+    EXPECT_EQ(fast.result.Serialize(), solved.result.Serialize())
+        << "cap=" << cap;
+  }
+}
+
+// Under TestServerModel() no group reaches ComputePolicy, so the replay
+// checks up front the configs every solve rejects.
+TEST(ScaleReplay, FlatDayStillRejectsInvalidPolicyConfigs) {
+  const auto& records = TestTrace().records;
+  ASSERT_EQ(ReplayTraceSharded(records, TestSelector(), TestServerModel(),
+                               BaseReplayConfig(1))
+                .stats.groups_solved,
+            0u);
+  for (int bad = 0; bad < 3; ++bad) {
+    ShardedReplayConfig config = BaseReplayConfig(1);
+    PolicyConfig& policy = config.common.controller.policy;
+    if (bad == 0) policy.parallel_workers = 3;
+    if (bad == 1) {
+      policy.instability_penalty = std::numeric_limits<double>::quiet_NaN();
+    }
+    if (bad == 2) {
+      policy.objective.kind = ObjectiveKind::kTailPercentile;
+      policy.objective.percentile = 150.0;
+    }
+    EXPECT_THROW(ReplayTraceSharded(records, TestSelector(),
+                                    TestServerModel(), config),
+                 std::invalid_argument)
+        << "case " << bad;
   }
 }
 
