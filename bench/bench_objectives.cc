@@ -30,10 +30,11 @@ namespace {
 using namespace e2e;
 using namespace e2e::bench;
 
-ShardedReplayConfig ReplayConfig(double window_ms) {
+ShardedReplayConfig ReplayConfig(double window_ms, int shards) {
   ShardedReplayConfig config;
   config.common.seed = kSeed;
   config.common.controller.external.window_ms = window_ms;
+  config.common.controller.shards = shards;
   config.common.controller.policy.target_buckets = 8;
   config.common.controller.policy.max_bucket_span_ms = 2000.0;
   config.keep_outcomes = false;  // Distribution figures need aggregates only.
@@ -59,9 +60,12 @@ double HistogramPercentile(const std::vector<std::uint64_t>& bins, double p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv, {"window_ms"});
+  const Flags flags(argc, argv, {"window_ms", "shards"});
   // The paper's 10 s analysis windows: the slice below is full scale.
   const double window_ms = flags.GetDouble("window_ms", 10000.0);
+  // The replay's worker count (ControllerConfig::shards); the output is the
+  // same at any value.
+  const int shards = flags.GetInt("shards", 1);
 
   PrintHeader(
       "docs/OBJECTIVES.md — distributional objectives & abandonment",
@@ -120,7 +124,7 @@ int main(int argc, char** argv) {
   TextTable cdf({"Objective", "Mean QoE", "p5 (norm)", "p10 (norm)",
                  "p50 (norm)", "QoE stdev"});
   for (const Row& row : rows) {
-    ShardedReplayConfig config = ReplayConfig(window_ms);
+    ShardedReplayConfig config = ReplayConfig(window_ms, shards);
     config.common.controller.policy.objective = row.objective;
     const ShardedReplayResult result =
         ReplayTraceSharded(slice, selector, servers, config);
@@ -137,7 +141,7 @@ int main(int argc, char** argv) {
   TextTable load({"Planned-load factor", "Arrivals", "Abandoned",
                   "Abandonment rate"});
   for (const double factor : {0.5, 1.0, 2.0, 4.0, 8.0}) {
-    ShardedReplayConfig config = ReplayConfig(window_ms);
+    ShardedReplayConfig config = ReplayConfig(window_ms, shards);
     config.common.abandonment.enabled = true;
     config.common.controller.rps_planning_factor = factor;
     const ShardedReplayResult result =

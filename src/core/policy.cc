@@ -783,6 +783,14 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
 
 void ValidatePolicyConfig(const PolicyConfig& config) {
   ValidateSolveKnobs(config);
+  // The span overload buckets with these, and so does every replay group
+  // that is planned.
+  if (config.target_buckets < 1) {
+    throw std::invalid_argument("ComputePolicy: target_buckets < 1");
+  }
+  if (!(config.max_bucket_span_ms > 0.0)) {  // NaN fails too.
+    throw std::invalid_argument("ComputePolicy: max_bucket_span_ms not > 0");
+  }
   MakeObjective(config.objective);
 }
 

@@ -145,23 +145,25 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            std::span<const DelayMs> external_delays,
                            double total_rps, const PolicyConfig& config);
 
-/// The canonical entry point: takes a (possibly streamed/merged) Bucketizer,
-/// so sharded replays can accumulate per-window stats incrementally and
-/// still get byte-identical tables — the streaming bucket view is bitwise
-/// equal to the batch one, and when `config.per_request` the bucketizer's
-/// sorted sample multiset feeds the same duplicate-collapsing per-request
-/// path. The bucketizer's own target_buckets/max_span govern coarsening
-/// (config.target_buckets/max_bucket_span_ms are ignored here). Throws when
-/// the bucketizer is empty.
+/// The canonical entry point: takes a Bucketizer, batch-built or streamed
+/// sample by sample, and gives byte-identical tables either way — the
+/// streaming bucket view is bitwise equal to the batch one, and when
+/// `config.per_request` the bucketizer's sorted sample multiset feeds the
+/// same duplicate-collapsing per-request path. The bucketizer's own
+/// target_buckets/max_span govern coarsening (config.target_buckets/
+/// max_bucket_span_ms are ignored here). Throws when the bucketizer is
+/// empty.
 PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            const Bucketizer& external_delays, double total_rps,
                            const PolicyConfig& config);
 
-/// Throws std::invalid_argument for a config that every ComputePolicy call
-/// rejects: instability_penalty not finite and >= 0, parallel_workers != 1,
-/// or objective parameters out of range. A caller that may skip every
-/// solve (the sharded replay's flat groups) calls it once up front, so it
-/// rejects the same configs whatever the load.
+/// Throws std::invalid_argument for a config that every span-overload
+/// ComputePolicy call rejects: instability_penalty not finite and >= 0,
+/// parallel_workers != 1, objective parameters out of range,
+/// target_buckets < 1, or max_bucket_span_ms not > 0 (NaN included). A
+/// caller that may skip every solve and bucket build (the sharded replay's
+/// flat groups) calls it once up front, so it rejects the same configs
+/// whatever the load.
 void ValidatePolicyConfig(const PolicyConfig& config);
 
 }  // namespace e2e

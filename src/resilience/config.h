@@ -62,7 +62,7 @@ struct CloningModelConfig {
   /// apply from the window boundary on.
   double window_ms = 5000.0;
   /// Granularity of the streaming service-time summary (stats/bucketizer.h
-  /// — the same streaming bucketizer the policy solve rides).
+  /// — the bucketizer the policy solve buckets with, in its streaming form).
   int target_buckets = 32;
   double max_span_ms = 500.0;
   /// Minimum service-time samples in a window before the model overrides

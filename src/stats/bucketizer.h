@@ -4,10 +4,11 @@
 // runs over buckets instead of individual requests.
 //
 // Two construction modes share one bucketing algorithm:
-//  * batch — the one-shot constructor over a complete sample set;
+//  * batch — the one-shot constructor over a complete sample set (the
+//    full-trace replay builds one per group it plans, docs/SCALE.md);
 //  * streaming — an empty bucketizer that accumulates samples one at a time
-//    (Add), so the replay builds each group's stats as its records arrive
-//    instead of batch-collecting the whole window (docs/SCALE.md).
+//    (Add), as the db cluster's cloning model collects each window's
+//    service delays (db/cluster.h).
 // The buckets are always rebuilt from the ascending-sorted sample multiset,
 // so Adds in any order that accumulate the same multiset yield bit-identical
 // buckets, the batch constructor's over the same samples included.

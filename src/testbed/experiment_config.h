@@ -100,22 +100,25 @@ inline void RequireNoFaultPlan(const ExperimentConfig& config,
 }
 
 /// Guard for runners without a resilience layer (docs/RESILIENCE.md): an
-/// enabled mechanism throws, naming it, instead of being silently ignored.
+/// enabled mechanism throws, naming it and the runners that do run it,
+/// instead of being silently ignored.
 inline void RequireNoResilience(const ExperimentConfig& config,
                                 const char* runner) {
-  const auto reject = [runner](bool enabled, const char* mechanism) {
+  const auto reject = [runner](bool enabled, const char* mechanism,
+                               const char* runs_it) {
     if (enabled) {
       throw std::invalid_argument(std::string(runner) + ": resilience." +
-                                  mechanism +
-                                  " is not supported here; RunDbExperiment "
-                                  "runs every mechanism");
+                                  mechanism + " is not supported here; " +
+                                  runs_it);
     }
   };
   const resilience::ResilienceConfig& r = config.resilience;
-  reject(r.retry.enabled, "retry");
-  reject(r.hedge.enabled, "hedge");
-  reject(r.breaker.enabled, "breaker");
-  reject(r.admission.enabled, "admission");
+  reject(r.retry.enabled, "retry",
+         "RunDbExperiment and RunBrokerExperiment run it");
+  reject(r.hedge.enabled, "hedge", "RunDbExperiment runs it");
+  reject(r.breaker.enabled, "breaker",
+         "RunDbExperiment and RunBrokerExperiment run it");
+  reject(r.admission.enabled, "admission", "RunBrokerExperiment runs it");
 }
 
 /// Guard for runners that model no session quits (qoe/abandonment.h).

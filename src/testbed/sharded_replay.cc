@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
-#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -12,7 +11,6 @@
 
 #include "core/policy.h"
 #include "obs/export.h"
-#include "stats/bucketizer.h"
 #include "trace/windows.h"
 #include "util/clock.h"
 #include "util/thread_pool.h"
@@ -21,44 +19,42 @@
 namespace e2e {
 namespace {
 
-// One still-open (page, window) group: delays accumulate into the streaming
-// bucketizer as records arrive; the records themselves are needed again at
-// solve time for per-request decisions.
-struct OpenGroup {
-  OpenGroup(int target_buckets, double max_span)
-      : externals(target_buckets, max_span) {}
-
-  Bucketizer externals;
+// The records of one (page, window) group in arrival order. The open
+// window's buffers trade places with a merged pending slot's at each window
+// close, so their capacity is reused from window to window.
+struct GroupRecords {
   std::vector<const TraceRecord*> records;
-  /// Parallel to `records`: set when the record's session had already
-  /// abandoned before this window, so the record was excluded from
-  /// `externals` at routing time (always false with abandonment off).
+  /// With abandonment on, parallel to `records`: set when the record's
+  /// session had already abandoned before this window, so the record
+  /// carries no load. Empty with abandonment off.
   std::vector<std::uint8_t> pre_abandoned;
+  /// Records not pre-abandoned: the group's offered load.
+  std::size_t live = 0;
+
+  bool PreAbandoned(std::size_t i) const {
+    return !pre_abandoned.empty() && pre_abandoned[i] != 0;
+  }
+
+  void Clear() {
+    records.clear();
+    pre_abandoned.clear();
+    live = 0;
+  }
 };
 
-// A closed group waiting for the next flush.
+// A closed group waiting for the next flush, with what the flush decides
+// for it. A group with no live load or a flat one gets no plan.
 struct PendingGroup {
   int page_index = 0;
-  OpenGroup group;
+  GroupRecords group;
+  double rps = 0.0;       ///< Planned offered load; set when `live > 0`.
+  bool planned = false;   ///< Whether `plan` holds this group's solve.
+  PolicyResult plan;
 };
 
-// A solved group: the output slot of its pending group's index, merged
-// serially in index order.
-struct SolvedGroup {
-  std::vector<RequestOutcome> outcomes;
-  /// Whether the group ran ComputePolicy (false for a flat group).
-  bool solved = false;
-  PolicyStats policy_stats;
-  /// Page model's MaxQoe(), for per-page histogram normalization.
-  double max_qoe = 1.0;
-  /// Sessions that quit inside this group, in record order. Applied to the
-  /// global abandoned-session set only during the serial merge, so Solve()
-  /// stays a pure function and workers never race on shared state.
-  std::vector<std::uint64_t> newly_abandoned;
-};
-
-// The replay's config validation, its pure per-group solve, and the serial
-// merge that owns the abandonment session set and the result aggregates.
+// The replay's config validation, its pure per-group plan step, and the
+// serial charge that owns the abandonment session set and the result
+// aggregates.
 class ReplayEngine {
  public:
   ReplayEngine(const QoeModelSelector& qoe_of_page, const ServerDelayModel& g,
@@ -69,6 +65,8 @@ class ReplayEngine {
         ctrl_(config.common.controller),
         window_ms_(ctrl_.external.window_ms),
         abandonment_(config.common.abandonment),
+        flat_fractions_(static_cast<std::size_t>(g.NumDecisions()), 0.0),
+        mean_delay_(flat_fractions_.size()),
         // Telemetry on the frozen virtual clock: counters are bumped only
         // on the serial routing/merge paths, so exports are shard-count-
         // invariant.
@@ -79,8 +77,10 @@ class ReplayEngine {
             telemetry_.metrics.AddCounter("controller.windows_streamed")) {
     RequireNoFaultPlan(config.common, "ReplayTraceSharded");
     RequireNoResilience(config.common, "ReplayTraceSharded");
-    // Flat groups skip ComputePolicy, so check here what each solve would.
+    // Flat groups skip the bucket build and ComputePolicy, so check here
+    // what each would.
     ValidatePolicyConfig(ctrl_.policy);
+    flat_fractions_[0] = 1.0;
     // Session abandonment (qoe/abandonment.h). The global session set is
     // read on the serial routing path (membership only — never iterated)
     // and written on the serial merge path, so pool workers never touch
@@ -93,12 +93,11 @@ class ReplayEngine {
   }
 
   double window_ms() const { return window_ms_; }
-  const PolicyConfig& policy() const { return ctrl_.policy; }
   bool abandonment_on() const { return abandonment_on_; }
   void set_shards(int shards) { out_.stats.shards = shards; }
 
   /// True when `session_id` quit in an *earlier* analysis window (every
-  /// earlier window is merged before the current one routes/builds).
+  /// earlier window is merged before the current one routes).
   bool SessionGone(std::uint64_t session_id) const {
     return abandonment_on_ && abandoned_sessions_.count(session_id) > 0;
   }
@@ -111,34 +110,15 @@ class ReplayEngine {
     ++ctrl_stats_.ticks;
   }
 
-  // Solves one closed group: a pure function of (records, config), so any
-  // worker may run it in any order without touching the merged bytes.
-  SolvedGroup Solve(const PendingGroup& pg) const {
-    SolvedGroup sg;
-    const QoeModel& qoe = qoe_of_page_(PageTypeFromIndex(pg.page_index));
-    sg.max_qoe = qoe.MaxQoe();
-    sg.outcomes.reserve(pg.group.records.size());
-    // Offered load counts only records whose sessions are still here:
-    // abandonment removes a session from downstream window load (its
-    // delays were already excluded from the bucketizer at routing time).
-    std::size_t live = 0;
-    for (const std::uint8_t gone : pg.group.pre_abandoned) {
-      if (gone == 0) ++live;
-    }
-    if (live == 0) {
-      // Every record belongs to an abandoned session — nothing to plan.
-      for (const TraceRecord* r : pg.group.records) {
-        RequestOutcome o;
-        o.id = r->request_id;
-        o.arrival_ms = r->arrival_ms;
-        o.external_delay_ms = r->external_delay_ms;
-        o.status = RequestStatus::kAbandoned;
-        sg.outcomes.push_back(o);
-      }
-      return sg;
-    }
-    const double rps = static_cast<double>(live) / (window_ms_ / 1000.0) *
-                       ctrl_.rps_planning_factor;
+  // Classifies one closed group on the calling thread and returns whether
+  // it needs a plan. A group whose every record belongs to an abandoned
+  // session has nothing to plan; a flat one is charged straight from G.
+  bool NeedsPlan(PendingGroup& pg) const {
+    const std::size_t live = pg.group.live;
+    pg.planned = false;
+    if (live == 0) return false;
+    pg.rps = static_cast<double>(live) / (window_ms_ / 1000.0) *
+             ctrl_.rps_planning_factor;
     // The largest share of `rps` a plan can offer one decision. The climb's
     // unit shares units/n are at most 1. A SplitOf or load_fractions entry
     // sums k <= live bucket weights, each population/live rounded once (or
@@ -147,122 +127,92 @@ class ReplayEngine {
     // exact in double, and rounding is monotone, so no decision is offered
     // more than rps · max_share as G computes it (fraction · total_rps).
     const double max_share = 1.0 + static_cast<double>(live + 1) * 0x1p-51;
-    PolicyResult pr;
-    if (g_.FlatUpTo(rps * max_share)) {
-      // Every decision serves the same delays at every split a solve could
-      // try, so every allocation scores the same, the degenerate start
-      // wins and the table sends each bucket to decision 0. Its charge,
-      // G(0, load_fractions, rps), is then G(0, {1, 0, ...}, rps): skip the
-      // bucket build and the solve and install that one-row table.
-      pr.table.rows.emplace_back();
-      pr.table.load_fractions.assign(
-          static_cast<std::size_t>(g_.NumDecisions()), 0.0);
-      pr.table.load_fractions[0] = 1.0;
-    } else {
-      pr = ComputePolicy(qoe, g_, pg.group.externals, rps, ctrl_.policy);
-      sg.solved = true;
-      sg.policy_stats = pr.stats;
+    pg.planned = !g_.FlatUpTo(pg.rps * max_share);
+    return pg.planned;
+  }
+
+  // Plans one group that needs a plan: a pure function of its live delays
+  // (the multiset the group's load is) and the config, so any worker may
+  // run it in any order.
+  void Plan(PendingGroup& pg) const {
+    std::vector<double> delays;
+    delays.reserve(pg.group.live);
+    for (std::size_t i = 0; i < pg.group.records.size(); ++i) {
+      if (!pg.group.PreAbandoned(i)) {
+        delays.push_back(pg.group.records[i]->external_delay_ms);
+      }
     }
-    // Per-decision mean server delay under the installed split, computed
+    pg.plan = ComputePolicy(qoe_of_page_(PageTypeFromIndex(pg.page_index)), g_,
+                            delays, pg.rps, ctrl_.policy);
+  }
+
+  // Charges every record of one closed group from its plan and folds it
+  // into the result. Serial path only, and callers must present groups in
+  // ascending (window, page) order — that ordering is what makes the
+  // abandonment set and the aggregates shard-count-invariant.
+  void Merge(const PendingGroup& pg) {
+    const GroupRecords& group = pg.group;
+    ++out_.stats.groups_merged;
+    metric_merges_.Increment();
+    ++ctrl_stats_.recomputes;
+    ctrl_stats_.decisions += group.records.size();
+    ctrl_stats_.observations += group.records.size();
+    if (pg.planned) {
+      ++out_.stats.groups_solved;
+      ctrl_stats_.last_policy_stats = pg.plan.stats;
+    }
+    const QoeModel& qoe = qoe_of_page_(PageTypeFromIndex(pg.page_index));
+    const double max_qoe = qoe.MaxQoe();
+    // A flat group's solve would send every bucket to decision 0, whose
+    // charge G(0, load_fractions, rps) is then G(0, {1, 0, ...}, rps)
+    // (docs/SCALE.md §1).
+    const std::vector<double>& fractions =
+        pg.planned ? pg.plan.table.load_fractions : flat_fractions_;
+    // Per-decision mean server delay under the group's split, computed
     // once per decision actually used.
-    std::vector<double> mean_delay(
-        static_cast<std::size_t>(g_.NumDecisions()), -1.0);
+    std::fill(mean_delay_.begin(), mean_delay_.end(), -1.0);
     // Sessions that quit earlier in this same group (record order): their
     // later records cascade to kAbandoned without being served.
-    std::unordered_set<std::uint64_t> quit_here;
-    for (std::size_t i = 0; i < pg.group.records.size(); ++i) {
-      const TraceRecord* r = pg.group.records[i];
+    quit_here_.clear();
+    for (std::size_t i = 0; i < group.records.size(); ++i) {
+      const TraceRecord& r = *group.records[i];
       RequestOutcome o;
-      o.id = r->request_id;
-      o.arrival_ms = r->arrival_ms;
-      o.external_delay_ms = r->external_delay_ms;
-      if (pg.group.pre_abandoned[i] != 0 ||
-          (abandonment_on_ && quit_here.count(r->session_id) > 0)) {
+      o.id = r.request_id;
+      o.arrival_ms = r.arrival_ms;
+      o.external_delay_ms = r.external_delay_ms;
+      if (group.PreAbandoned(i) ||
+          (abandonment_on_ && quit_here_.count(r.session_id) > 0)) {
         o.status = RequestStatus::kAbandoned;
-        sg.outcomes.push_back(o);
+        Fold(o, max_qoe);
         continue;
       }
-      const DecisionTableRow& row = pr.table.LookupRow(r->external_delay_ms);
-      const auto d = static_cast<std::size_t>(row.decision);
-      if (mean_delay[d] < 0.0) {
-        mean_delay[d] =
-            g_.DelayDistribution(row.decision, pr.table.load_fractions, rps)
-                .Mean();
+      o.decision =
+          pg.planned ? pg.plan.table.LookupRow(r.external_delay_ms).decision
+                     : 0;
+      double& mean = mean_delay_[static_cast<std::size_t>(o.decision)];
+      if (mean < 0.0) {
+        mean = g_.DelayDistribution(o.decision, fractions, pg.rps).Mean();
       }
-      o.server_delay_ms = mean_delay[d];
-      o.decision = row.decision;
-      const double total_delay = r->external_delay_ms + mean_delay[d];
+      o.server_delay_ms = mean;
+      const double total_delay = r.external_delay_ms + mean;
       if (abandonment_on_ &&
-          abandonment_.Abandons(r->session_id,
-                                qoe.Classify(r->external_delay_ms),
+          abandonment_.Abandons(r.session_id,
+                                qoe.Classify(r.external_delay_ms),
                                 total_delay)) {
         // The user quit waiting on this very request: it consumed service
         // (decision and server delay stand) but yields no QoE, and the
-        // session is gone from here on.
+        // session is gone from the next analysis window on. Every window
+        // is merged before the next one routes, in (window, page) order,
+        // so when a quit lands cannot depend on the shard count.
         o.status = RequestStatus::kAbandoned;
-        quit_here.insert(r->session_id);
-        sg.newly_abandoned.push_back(r->session_id);
+        quit_here_.insert(r.session_id);
+        abandoned_sessions_.insert(r.session_id);
+        metric_abandoned_->Increment();
       } else {
         o.qoe = qoe.Qoe(total_delay);
         o.status = RequestStatus::kCompleted;
       }
-      sg.outcomes.push_back(o);
-    }
-    return sg;
-  }
-
-  // Folds one solved group into the result. Serial path only, and callers
-  // must present groups in ascending (window, page) order — that ordering
-  // is what makes the abandonment set and the aggregates
-  // shard-count-invariant.
-  void Merge(SolvedGroup& sg) {
-    ++out_.stats.groups_merged;
-    metric_merges_.Increment();
-    ++ctrl_stats_.recomputes;
-    ctrl_stats_.decisions += sg.outcomes.size();
-    ctrl_stats_.observations += sg.outcomes.size();
-    if (sg.solved) {
-      ++out_.stats.groups_solved;
-      ctrl_stats_.last_policy_stats = sg.policy_stats;
-    }
-    // Quits take effect from the next analysis window on; applying them
-    // here, in (window, page) order, is what makes the effect
-    // shard-count-invariant.
-    for (const std::uint64_t session : sg.newly_abandoned) {
-      abandoned_sessions_.insert(session);
-      if (metric_abandoned_ != nullptr) metric_abandoned_->Increment();
-    }
-    // Served-QoE distribution aggregates (summary + per-page-normalized
-    // histogram), maintained here on the serial path in both outcome
-    // modes so full-volume (aggregate-only) runs still yield a CDF.
-    for (const RequestOutcome& o : sg.outcomes) {
-      if (!o.Served()) continue;
-      out_.qoe_summary.Add(o.qoe);
-      const double unit = sg.max_qoe > 0.0 ? o.qoe / sg.max_qoe : 0.0;
-      const auto bin = static_cast<std::size_t>(std::clamp(
-          static_cast<int>(unit * 100.0), 0,
-          static_cast<int>(out_.qoe_histogram.size()) - 1));
-      ++out_.qoe_histogram[bin];
-    }
-    if (config_.keep_outcomes) {
-      out_.result.outcomes.insert(out_.result.outcomes.end(),
-                                  sg.outcomes.begin(), sg.outcomes.end());
-    } else {
-      for (const RequestOutcome& o : sg.outcomes) {
-        if (!o.Served()) {
-          ++abandoned_;  // Only kAbandoned reaches here in this replayer.
-          continue;
-        }
-        sum_qoe_ += o.qoe;
-        sum_server_ += o.server_delay_ms;
-        ++served_;
-        if (!first_seen_) {
-          first_seen_ = true;
-          first_arrival_ = last_arrival_ = o.arrival_ms;
-        }
-        first_arrival_ = std::min(first_arrival_, o.arrival_ms);
-        last_arrival_ = std::max(last_arrival_, o.arrival_ms);
-      }
+      Fold(o, max_qoe);
     }
   }
 
@@ -289,6 +239,35 @@ class ReplayEngine {
   }
 
  private:
+  // Folds one charged record into the result. The served-QoE distribution
+  // aggregates (summary + per-page-normalized histogram) are kept in both
+  // outcome modes, so full-volume (aggregate-only) runs still yield a CDF.
+  void Fold(const RequestOutcome& o, double max_qoe) {
+    if (o.Served()) {
+      out_.qoe_summary.Add(o.qoe);
+      const double unit = max_qoe > 0.0 ? o.qoe / max_qoe : 0.0;
+      const auto bin = static_cast<std::size_t>(std::clamp(
+          static_cast<int>(unit * 100.0), 0,
+          static_cast<int>(out_.qoe_histogram.size()) - 1));
+      ++out_.qoe_histogram[bin];
+    }
+    if (config_.keep_outcomes) {
+      out_.result.outcomes.push_back(o);
+    } else if (!o.Served()) {
+      ++abandoned_;  // Only kAbandoned reaches here in this replayer.
+    } else {
+      sum_qoe_ += o.qoe;
+      sum_server_ += o.server_delay_ms;
+      ++served_;
+      if (!first_seen_) {
+        first_seen_ = true;
+        first_arrival_ = last_arrival_ = o.arrival_ms;
+      }
+      first_arrival_ = std::min(first_arrival_, o.arrival_ms);
+      last_arrival_ = std::max(last_arrival_, o.arrival_ms);
+    }
+  }
+
   const QoeModelSelector& qoe_of_page_;
   const ServerDelayModel& g_;
   const ShardedReplayConfig& config_;
@@ -297,6 +276,11 @@ class ReplayEngine {
   AbandonmentModel abandonment_;
   bool abandonment_on_ = false;
   std::unordered_set<std::uint64_t> abandoned_sessions_;
+  /// The flat plan's split, {1, 0, ...}.
+  std::vector<double> flat_fractions_;
+  // Merge buffers, reused from group to group.
+  std::vector<double> mean_delay_;
+  std::unordered_set<std::uint64_t> quit_here_;
 
   obs::Telemetry telemetry_;
   obs::Counter& metric_merges_;
@@ -342,22 +326,31 @@ ShardedReplayResult ReplayTraceSharded(std::span<const TraceRecord> records,
 
   // Records arrive sorted by arrival and StreamByWindow closes windows in
   // ascending order, so only one window is ever open: one slot per page.
-  std::array<std::optional<OpenGroup>, kNumPageTypes> open;
-  // Closed groups, appended in page order at each window close, so the
-  // list is already in ascending (window, page) order.
+  std::array<GroupRecords, kNumPageTypes> open;
+  // The first `closed` slots hold the closed groups, appended in page order
+  // at each window close, so they are already in ascending (window, page)
+  // order. The slots outlive each flush and lend their buffers back to
+  // `open`.
   std::vector<PendingGroup> pending;
+  std::size_t closed = 0;
+  std::vector<std::size_t> to_plan;
 
-  // Solves every pending group (fanned out one index per group) and merges
-  // the results serially in index order, which is (window, page) order.
-  // Flush batching therefore cannot reach the output bytes
-  // (docs/SCALE.md).
+  // Classifies the closed groups on this thread, plans on the pool only
+  // those that need a plan (one index per group), then charges every group
+  // serially in index order, which is (window, page) order. Flush batching
+  // therefore cannot reach the output bytes (docs/SCALE.md).
   const auto flush = [&] {
-    std::vector<SolvedGroup> solved(pending.size());
-    pool.ParallelFor(pending.size(), [&](std::size_t i) {
-      solved[i] = engine.Solve(pending[i]);
-    });
-    for (SolvedGroup& sg : solved) engine.Merge(sg);
-    pending.clear();
+    to_plan.clear();
+    for (std::size_t i = 0; i < closed; ++i) {
+      if (engine.NeedsPlan(pending[i])) to_plan.push_back(i);
+    }
+    if (!to_plan.empty()) {
+      pool.ParallelFor(to_plan.size(), [&](std::size_t k) {
+        engine.Plan(pending[to_plan[k]]);
+      });
+    }
+    for (std::size_t i = 0; i < closed; ++i) engine.Merge(pending[i]);
+    closed = 0;
   };
 
   // Abandonment requires every window's quits to be merged into the global
@@ -373,19 +366,15 @@ ShardedReplayResult ReplayTraceSharded(std::span<const TraceRecord> records,
   StreamByWindow(
       records, engine.window_ms(),
       [&](const WindowKey& key, const TraceRecord& r) {
-        std::optional<OpenGroup>& group =
+        GroupRecords& group =
             open[static_cast<std::size_t>(Index(key.page_type))];
-        if (!group) {
-          group.emplace(engine.policy().target_buckets,
-                        engine.policy().max_bucket_span_ms);
-        }
         // A session that abandoned in an earlier window contributes no
         // load: its record is routed (for the conservation count and its
-        // kAbandoned outcome) but kept out of the group's bucketizer.
+        // kAbandoned outcome) but kept out of the group's live load.
         const bool gone = engine.SessionGone(r.session_id);
-        if (!gone) group->externals.Add(r.external_delay_ms);
-        group->records.push_back(&r);
-        group->pre_abandoned.push_back(gone ? 1 : 0);
+        group.records.push_back(&r);
+        if (engine.abandonment_on()) group.pre_abandoned.push_back(gone);
+        if (!gone) ++group.live;
         engine.RecordRouted();
       },
       [&](std::int64_t) {
@@ -393,13 +382,15 @@ ShardedReplayResult ReplayTraceSharded(std::span<const TraceRecord> records,
         // Every open group belongs to the window being closed (records are
         // sorted and all earlier windows were closed already).
         for (int page = 0; page < kNumPageTypes; ++page) {
-          std::optional<OpenGroup>& group =
-              open[static_cast<std::size_t>(page)];
-          if (!group) continue;
-          pending.push_back(PendingGroup{page, std::move(*group)});
-          group.reset();
+          GroupRecords& group = open[static_cast<std::size_t>(page)];
+          if (group.records.empty()) continue;
+          if (closed == pending.size()) pending.emplace_back();
+          PendingGroup& pg = pending[closed++];
+          pg.page_index = page;
+          std::swap(pg.group, group);
+          group.Clear();
         }
-        if (pending.size() >= flush_threshold) flush();
+        if (closed >= flush_threshold) flush();
       });
   flush();
   return engine.Finish(records.size());

@@ -1,25 +1,26 @@
 // Full-trace controller replay (docs/SCALE.md).
 //
 // Replays a whole recorded day through the E2E policy at full volume by
-// streaming the arrival-sorted trace once and solving each (page type ×
-// analysis window) group independently: the group's external delays
-// accumulate into a streaming Bucketizer as records arrive, and when the
-// window closes the group's decision table is computed and applied to its
-// records, unless G serves every decision the same delays at the group's
-// load, when no plan can change a request's QoE and the group is charged
-// straight from G. Because the trace is sorted, only one window is open at
-// a time.
-// Closed groups queue in (window, page) order; each flush solves them on a
-// pool of `ControllerConfig::shards` workers, one index per group, and
-// merges the solved groups serially in index order, so the output byte
-// stream is identical at any shard count (the scale test tier proves
-// shards ∈ {1, 2, 4, 7} byte-equal).
+// streaming the arrival-sorted trace once and planning each (page type ×
+// analysis window) group independently. Because the trace is sorted, only
+// one window is open at a time: the router appends each record to its
+// page's open group, and closed groups queue in (window, page) order. Each
+// flush classifies them on the calling thread. A group with no live load
+// needs no plan, and neither does one at whose load G serves every
+// decision the same delays: no plan can change a request's QoE, so it is
+// charged straight from G. The rest are planned on a pool of
+// `ControllerConfig::shards` workers, one index per group: buckets built
+// from the group's live delays, then ComputePolicy. The serial merge then
+// charges every record from its group's plan, in (window, page) order, so
+// the output byte stream is identical at any shard count (the scale test
+// tier proves shards ∈ {1, 2, 4, 7} byte-equal), and the serial part of a
+// sharded replay is the router and the merge.
 //
 // Peak memory is O(window × flush batch), not O(day): only the open window
 // and the groups awaiting a flush hold records, and with
-// `keep_outcomes == false` per-request outcomes are folded into running
-// aggregates at each merge instead of being retained (perfbench's
-// `replay_day` workload replays the paper's full 1.6M-load day this way).
+// `keep_outcomes == false` each charged record is folded into running
+// aggregates instead of being retained (perfbench's `replay_day` workload
+// replays the paper's full 1.6M-load day this way).
 #pragma once
 
 #include <cstdint>
@@ -96,7 +97,7 @@ struct ShardedReplayResult {
 /// rejects the configs a solve would.
 /// The shard count is `config.common.controller.shards`
 /// (ControllerConfig::shards): 0 picks ThreadPool::DefaultWorkers(), 1 is
-/// serial, N > 1 solves on min(N, DefaultWorkers()) pool workers and
+/// serial, N > 1 plans on min(N, DefaultWorkers()) pool workers and
 /// flushes every max(4, 2N) closed groups (negative throws). The replay
 /// charges planned delays, so it has no fault, retry, hedge, breaker or
 /// admission path: a fault plan or any enabled resilience mechanism throws
@@ -106,7 +107,7 @@ struct ShardedReplayResult {
 /// (external + planned mean server delay) exceeds its seeded patience quits:
 /// the triggering request and the session's later requests in the same
 /// group are marked kAbandoned, and from the *next* analysis window on the
-/// session's requests are excluded from group load (bucketizer and planned
+/// session's requests are excluded from group load (buckets and planned
 /// rps) entirely. Quits propagate through the global session set only on
 /// the serial merge path, and every window is flushed before the next one
 /// routes, so results stay byte-identical at any shard count

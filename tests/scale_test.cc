@@ -10,8 +10,9 @@
 //    GroupByWindow builds, closing window indices in ascending order.
 //  * ReplayTraceSharded: shard counts {1, 2, 4, 7} produce byte-for-byte
 //    identical ExperimentResult::Serialize() and telemetry exports, every
-//    outcome matches an oracle built from public headers only, and the
-//    exports, stock and with abandonment, hash to pinned values.
+//    outcome matches an oracle built from public headers only (stock and
+//    with abandonment), and the exports, stock and with abandonment, hash
+//    to pinned values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -31,6 +33,7 @@
 #include "core/policy.h"
 #include "core/server_delay_model.h"
 #include "proptest.h"
+#include "qoe/abandonment.h"
 #include "qoe/sigmoid_model.h"
 #include "stats/bucketizer.h"
 #include "stats/distribution.h"
@@ -508,6 +511,12 @@ TEST(ScaleReplay, InvalidConfigsThrow) {
       EXPECT_NE(std::string(e.what()).find("resilience." + mechanism),
                 std::string::npos)
           << e.what();
+      // Only the broker testbed runs admission control.
+      if (mechanism == "admission") {
+        EXPECT_NE(std::string(e.what()).find("RunBrokerExperiment"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
   // The live Controller validates the shard knob too.
@@ -530,50 +539,85 @@ TEST(ScaleReplay, InvalidConfigsThrow) {
 // ComputePolicy, and each record takes the LookupRow decision and is charged
 // Q(external + that decision's planned mean delay). It shares no code with
 // ReplayTraceSharded's routing, queueing or merge, so it checks them
-// independently. The stock config has no abandonment; that path is pinned
-// by shard-count parity below.
+// independently.
+//
+// With abandonment on (AbandonmentModel, QoeModel::Classify), a record whose
+// session quit in an earlier window is kAbandoned and kept out of its
+// group's buckets and rate; a record whose total delay exceeds its session's
+// patience is charged but abandoned, and so is every later record of that
+// session in the same group; the quit reaches other groups from the next
+// window on.
 
 struct OracleReplay {
   std::vector<RequestOutcome> outcomes;  // In (window, page, record) order.
   std::uint64_t groups = 0;
+  std::uint64_t kept_out = 0;  // Records of sessions gone before the window.
+  std::uint64_t quits = 0;     // Records whose own delay made a session quit.
+  std::uint64_t cascaded = 0;  // Later records of a session in its quit group.
 };
 
 OracleReplay ReplayOracle(std::span<const TraceRecord> records,
                           const QoeModelSelector& qoe_of_page,
                           const ServerDelayModel& g,
-                          const ControllerConfig& ctrl) {
+                          const ControllerConfig& ctrl,
+                          const AbandonmentConfig& abandonment = {}) {
+  const AbandonmentModel patience(abandonment);
   const double window_ms = ctrl.external.window_ms;
   OracleReplay out;
   std::map<PageType, std::vector<const TraceRecord*>> open;
+  std::set<std::uint64_t> gone;  // Sessions that quit in an earlier window.
   StreamByWindow(
       records, window_ms,
       [&](const WindowKey& key, const TraceRecord& r) {
         open[key.page_type].push_back(&r);
       },
       [&](std::int64_t) {
+        std::set<std::uint64_t> quit_in_window;
         for (const auto& [page, group] : open) {
           const QoeModel& qoe = qoe_of_page(page);
           Bucketizer externals(ctrl.policy.target_buckets,
                                ctrl.policy.max_bucket_span_ms);
           for (const TraceRecord* r : group) {
-            externals.Add(r->external_delay_ms);
+            if (gone.count(r->session_id) == 0) {
+              externals.Add(r->external_delay_ms);
+            }
           }
-          const double rps = static_cast<double>(group.size()) /
+          const double rps = static_cast<double>(externals.sample_count()) /
                              (window_ms / 1000.0) * ctrl.rps_planning_factor;
-          const PolicyResult pr =
-              ComputePolicy(qoe, g, externals, rps, ctrl.policy);
+          PolicyResult pr;
+          if (!externals.empty()) {
+            pr = ComputePolicy(qoe, g, externals, rps, ctrl.policy);
+          }
+          std::set<std::uint64_t> quit_in_group;
           for (const TraceRecord* r : group) {
             RequestOutcome o;
             o.id = r->request_id;
+            const bool kept_out = gone.count(r->session_id) > 0;
+            if (kept_out || quit_in_group.count(r->session_id) > 0) {
+              ++(kept_out ? out.kept_out : out.cascaded);
+              o.status = RequestStatus::kAbandoned;
+              out.outcomes.push_back(o);
+              continue;
+            }
             o.decision = pr.table.LookupRow(r->external_delay_ms).decision;
             o.server_delay_ms =
                 g.DelayDistribution(o.decision, pr.table.load_fractions, rps)
                     .Mean();
-            o.qoe = qoe.Qoe(r->external_delay_ms + o.server_delay_ms);
+            const double total = r->external_delay_ms + o.server_delay_ms;
+            if (patience.Abandons(r->session_id,
+                                  qoe.Classify(r->external_delay_ms), total)) {
+              ++out.quits;
+              o.status = RequestStatus::kAbandoned;
+              quit_in_group.insert(r->session_id);
+              quit_in_window.insert(r->session_id);
+            } else {
+              o.qoe = qoe.Qoe(total);
+            }
             out.outcomes.push_back(o);
           }
           ++out.groups;
         }
+        gone.insert(quit_in_window.begin(), quit_in_window.end());
         open.clear();
       });
   return out;
@@ -770,6 +814,50 @@ TEST(ScaleReplay, LoadedOracleMatchesSharded) {
   }
 }
 
+// The abandonment path against the oracle, on the stock day (every group
+// flat) and on the loaded day (flat, solved and overloaded groups): records
+// kept out of the load, the in-group quit cascade, and quits that apply from
+// the next window on.
+TEST(ScaleReplay, OracleMatchesShardedWithAbandonment) {
+  const auto& records = TestTrace().records;
+  const ShardedReplayConfig config = AbandonmentReplayConfig(1);
+  for (const bool loaded : {false, true}) {
+    const ServerDelayModel& g =
+        loaded ? static_cast<const ServerDelayModel&>(LoadedServerModel())
+               : TestServerModel();
+    const OracleReplay oracle =
+        ReplayOracle(records, TestSelector(), g, config.common.controller,
+                     config.common.abandonment);
+    // Each path is taken, or the comparison below would prove little.
+    EXPECT_GT(oracle.kept_out, 0u) << "loaded=" << loaded;
+    EXPECT_GT(oracle.quits, 0u) << "loaded=" << loaded;
+    EXPECT_GT(oracle.cascaded, 0u) << "loaded=" << loaded;
+    for (const int shards : {1, 4}) {
+      const std::string context = "loaded=" + std::to_string(loaded) +
+                                  " shards=" + std::to_string(shards);
+      const ShardedReplayResult replay = ReplayTraceSharded(
+          records, TestSelector(), g, AbandonmentReplayConfig(shards));
+      EXPECT_EQ(replay.stats.groups_merged, oracle.groups) << context;
+      // The loaded day plans some groups, so quits meet solved tables too.
+      if (loaded) {
+        EXPECT_GT(replay.stats.groups_solved, 0u) << context;
+      }
+      ASSERT_EQ(replay.result.outcomes.size(), oracle.outcomes.size())
+          << context;
+      for (std::size_t i = 0; i < oracle.outcomes.size(); ++i) {
+        const RequestOutcome& want = oracle.outcomes[i];
+        const RequestOutcome& got = replay.result.outcomes[i];
+        ASSERT_TRUE(got.id == want.id && got.decision == want.decision &&
+                    Bits(got.server_delay_ms) == Bits(want.server_delay_ms) &&
+                    Bits(got.qoe) == Bits(want.qoe) &&
+                    got.status == want.status)
+            << context << ": outcome " << i << " (request " << want.id
+            << ") differs from the oracle";
+      }
+    }
+  }
+}
+
 TEST(ScaleReplay, LoadedShardCountsProduceByteIdenticalResults) {
   const auto& records = TestTrace().records;
   for (const bool abandonment : {false, true}) {
@@ -961,6 +1049,25 @@ TEST(ScaleReplay, FlatDayStillRejectsInvalidPolicyConfigs) {
                                     TestServerModel(), config),
                  std::invalid_argument)
         << "case " << bad;
+  }
+  // No group builds buckets either, so the bucket parameters are checked up
+  // front too, by name.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [buckets, span] : {std::pair{0, 2000.0}, std::pair{8, 0.0},
+                                      std::pair{8, -1.0}, std::pair{8, nan}}) {
+    ShardedReplayConfig config = BaseReplayConfig(1);
+    config.common.controller.policy.target_buckets = buckets;
+    config.common.controller.policy.max_bucket_span_ms = span;
+    const std::string field =
+        buckets < 1 ? "target_buckets" : "max_bucket_span_ms";
+    try {
+      ReplayTraceSharded(records, TestSelector(), TestServerModel(), config);
+      ADD_FAILURE() << "expected std::invalid_argument for " << field << " "
+                    << (buckets < 1 ? buckets : span);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
   }
 }
 
