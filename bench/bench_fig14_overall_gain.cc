@@ -81,14 +81,16 @@ int main(int argc, char** argv) {
   TextTable table_b({"System", "Default QoE", "Slope (%)", "E2E (%)",
                      "Idealized (%)"});
   const bool telemetry = TelemetryRequested(flags);
-  // --resilience=on runs both testbeds with the full mitigation layer
+  // --resilience=on runs each testbed with every mechanism it has
   // (docs/RESILIENCE.md); decision counters land in the telemetry sidecars.
   const bool resilience_on = ResilienceRequested(flags);
   {
     auto config_for = [&](DbPolicy policy) {
       auto config = StandardDbConfig(policy, db_speedup);
       config.common.collect_telemetry = telemetry;
-      if (resilience_on) config.common.resilience = StandardResilience();
+      if (resilience_on) {
+        config.common.resilience = StandardResilience(Testbed::kDb);
+      }
       return config;
     };
     const auto def =
@@ -111,7 +113,9 @@ int main(int argc, char** argv) {
     auto config_for = [&](BrokerPolicy policy) {
       auto config = StandardBrokerConfig(policy, broker_speedup);
       config.common.collect_telemetry = telemetry;
-      if (resilience_on) config.common.resilience = StandardResilience();
+      if (resilience_on) {
+        config.common.resilience = StandardResilience(Testbed::kBroker);
+      }
       return config;
     };
     const auto def =

@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
   auto healthy_config = StandardDbConfig(DbPolicy::kE2e, kDbReferenceSpeedup);
   healthy_config.common.collect_telemetry = telemetry;
   if (resilience_on) {
-    default_config.common.resilience = StandardResilience();
-    healthy_config.common.resilience = StandardResilience();
+    default_config.common.resilience = StandardResilience(Testbed::kDb);
+    healthy_config.common.resilience = StandardResilience(Testbed::kDb);
   }
   const auto def = RunDbExperiment(slice, qoe, default_config);
   const auto healthy = RunDbExperiment(slice, qoe, healthy_config);
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   failing_config.common.collect_telemetry = telemetry;
   failing_config.common.fault_plan = plan;
   auto resilient_config = failing_config;
-  resilient_config.common.resilience = StandardResilience();
+  resilient_config.common.resilience = StandardResilience(Testbed::kDb);
   // Fifth run: the same failing scenario with the processor-sharing cloning
   // model deriving the hedge gates per window (the static knobs stay as the
   // floor — docs/RESILIENCE.md "Model-driven cloning").

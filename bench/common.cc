@@ -95,8 +95,10 @@ bool ResilienceRequested(const Flags& flags) {
   std::exit(2);
 }
 
-resilience::ResilienceConfig StandardResilience() {
-  return resilience::ResilienceConfig::AllOn();
+resilience::ResilienceConfig StandardResilience(Testbed testbed) {
+  return testbed == Testbed::kDb
+             ? resilience::ResilienceConfig::DbAllOn()
+             : resilience::ResilienceConfig::BrokerAllOn();
 }
 
 void WriteTelemetrySidecar(const Flags& flags, const std::string& label,

@@ -65,14 +65,19 @@ const std::vector<TraceRecord>& TestbedSlice();
 bool TelemetryRequested(const Flags& flags);
 
 /// Parses `--resilience={off,on}` (default off). `on` means the standard
-/// all-mechanisms-on mitigation layer (StandardResilience) — benches copy
-/// it into `common.resilience` for the runs that should be protected.
-/// Exits 2 on any other value.
+/// mitigation layer (StandardResilience) — benches copy it into
+/// `common.resilience` for the runs that should be protected. Exits 2 on
+/// any other value.
 bool ResilienceRequested(const Flags& flags);
 
-/// The bench-standard resilience configuration: every mechanism enabled at
-/// the docs/RESILIENCE.md default knobs.
-resilience::ResilienceConfig StandardResilience();
+/// The testbeds with a resilience layer.
+enum class Testbed { kDb, kBroker };
+
+/// The bench-standard resilience configuration for `testbed`: every
+/// mechanism that testbed runs, at the docs/RESILIENCE.md default knobs
+/// (db: retries, hedged reads, breakers; broker: retries, breakers,
+/// admission).
+resilience::ResilienceConfig StandardResilience(Testbed testbed);
 
 /// Writes `result.telemetry` as a sidecar of the `--metrics_out` path with
 /// `label` inserted before the extension (`out.txt` + label "db.e2e" ->

@@ -178,20 +178,32 @@ struct ResilienceConfig {
            admission.enabled;
   }
 
-  /// Every mechanism enabled at its default tuning (benches, tests).
-  static ResilienceConfig AllOn() {
+  /// Every mechanism the db testbed (RunDbExperiment) runs, at its default
+  /// tuning: retries, hedged reads and breakers. The runner rejects
+  /// admission control, which only the broker has.
+  static ResilienceConfig DbAllOn() {
     ResilienceConfig config;
     config.retry.enabled = true;
     config.hedge.enabled = true;
+    config.breaker.enabled = true;
+    return config;
+  }
+
+  /// Every mechanism the broker testbed (RunBrokerExperiment) runs, at its
+  /// default tuning: retries, breakers and admission control. The runner
+  /// rejects hedging, which only the db read path has.
+  static ResilienceConfig BrokerAllOn() {
+    ResilienceConfig config;
+    config.retry.enabled = true;
     config.breaker.enabled = true;
     config.admission.enabled = true;
     return config;
   }
 
-  /// AllOn() with the hedge gates derived by the processor-sharing cloning
-  /// model instead of the static knobs.
+  /// DbAllOn() with the hedge gates derived by the processor-sharing
+  /// cloning model instead of the static knobs.
   static ResilienceConfig ModelDriven() {
-    ResilienceConfig config = AllOn();
+    ResilienceConfig config = DbAllOn();
     config.hedge.mode = HedgeMode::kModelDriven;
     return config;
   }

@@ -49,7 +49,7 @@ DbExperimentConfig AdversaryHarness::ExperimentConfigFor(
   config.common.fault_plan = plan;
   config.common.resilience = config_.model_driven
                                  ? resilience::ResilienceConfig::ModelDriven()
-                                 : resilience::ResilienceConfig::AllOn();
+                                 : resilience::ResilienceConfig::DbAllOn();
   // Short replay: shrink the cloning-model window so model-driven gates
   // actually re-derive a few times inside the run.
   config.common.resilience.hedge.model.window_ms = 1000.0;

@@ -160,13 +160,13 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
   if (records.empty()) {
     throw std::invalid_argument("RunBrokerExperiment: no records");
   }
-  // The cloning model gates hedged clones, and cloning a publish would
-  // deliver it twice, so the broker has no hedge path for it to gate.
-  const resilience::HedgeConfig& hedge = config.common.resilience.hedge;
-  if (hedge.enabled && hedge.mode == resilience::HedgeMode::kModelDriven) {
+  // Cloning a publish would deliver it twice, so the broker has no hedge
+  // path, for static gates or for the cloning model's.
+  if (config.common.resilience.hedge.enabled) {
     throw std::invalid_argument(
-        "RunBrokerExperiment: resilience.hedge.mode = kModelDriven is not "
-        "supported; the broker has no hedge path");
+        "RunBrokerExperiment: resilience.hedge is not supported here in any "
+        "resilience.hedge.mode; the broker has no hedge path, and "
+        "RunDbExperiment runs it");
   }
   Rng root(config.common.seed);
   EventLoop loop;

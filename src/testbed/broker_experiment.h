@@ -43,9 +43,8 @@ struct BrokerExperimentConfig {
 
 /// Runs the experiment over `records` scored against `qoe`. Of the
 /// resilience layer the broker runs retries, per-queue breakers and
-/// admission; a publish has no hedge path, so static hedging is a no-op and
-/// `resilience.hedge.mode = kModelDriven` throws std::invalid_argument, as
-/// do empty `records`.
+/// admission; a publish has no hedge path, so `resilience.hedge.enabled`
+/// throws std::invalid_argument in either mode, as do empty `records`.
 ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
                                      const QoeModel& qoe,
                                      const BrokerExperimentConfig& config);

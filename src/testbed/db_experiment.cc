@@ -72,6 +72,13 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
   if (config.range_count == 0) {
     throw std::invalid_argument("RunDbExperiment: range_count must be > 0");
   }
+  // Admission control sheds and downgrades broker publishes; the read path
+  // has no queue for it to act on.
+  if (config.common.resilience.admission.enabled) {
+    throw std::invalid_argument(
+        "RunDbExperiment: resilience.admission is not supported here; "
+        "RunBrokerExperiment runs it");
+  }
   Rng root(config.common.seed);
   EventLoop loop;
   // Budget accounting runs on the sim's virtual clock unless the config

@@ -63,9 +63,11 @@ struct DbExperimentConfig {
 };
 
 /// Runs the experiment over `records` (one page type, arrival-ordered)
-/// scored against `qoe`. Deterministic in the seed. Throws
-/// std::invalid_argument on empty `records`, `dataset_keys` == 0 or
-/// `range_count` == 0.
+/// scored against `qoe`. Deterministic in the seed. Of the resilience
+/// layer the read path runs retries, hedged reads and breakers. Throws
+/// std::invalid_argument on empty `records`, `dataset_keys` == 0,
+/// `range_count` == 0 or `resilience.admission.enabled`, which only the
+/// broker runs.
 ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
                                  const QoeModel& qoe,
                                  const DbExperimentConfig& config);

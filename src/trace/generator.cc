@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "qoe/sigmoid_model.h"
 
@@ -16,7 +17,90 @@ namespace {
 constexpr double kExternalMu = 8.132;     // ln(3400 ms) median.
 constexpr double kExternalSigma = 0.790;  // quartiles ~2.0 s / ~5.8 s.
 
+constexpr double kMinuteMs = 60.0 * 1000.0;
+
+// The trace order. A closure, not a function, so std::sort inlines it.
+constexpr auto kArrivesBefore = [](const TraceRecord& a,
+                                   const TraceRecord& b) {
+  return a.arrival_ms < b.arrival_ms ||
+         (a.arrival_ms == b.arrival_ms && a.request_id < b.request_id);
+};
+
+// Sorts `records` by kArrivesBefore with buckets at least `width` ms wide:
+// counts the records per bucket, moves each misplaced record along its
+// cycle into its bucket, then sorts each bucket the same way at 1/64 of
+// the width. The bucket index is monotone in arrival, so each bucket holds
+// a contiguous range of the sorted order and no second buffer is needed.
+// Runs of at most 32 records, and runs whose records all share one bucket,
+// go to std::sort.
+void BucketSortByArrival(std::span<TraceRecord> records, double width) {
+  if (records.size() <= 32) {
+    std::sort(records.begin(), records.end(), kArrivesBefore);
+    return;
+  }
+  double first = records.front().arrival_ms;
+  double last = first;
+  for (const TraceRecord& r : records) {
+    first = std::min(first, r.arrival_ms);
+    last = std::max(last, r.arrival_ms);
+  }
+  // Never more buckets than records, however wide the span.
+  width =
+      std::max(width, (last - first) / static_cast<double>(records.size()));
+  const auto bucket_of = [first, width](const TraceRecord& r) {
+    return static_cast<std::size_t>((r.arrival_ms - first) / width);
+  };
+  const std::size_t buckets =
+      static_cast<std::size_t>((last - first) / width) + 1;
+  if (buckets == 1) {
+    std::sort(records.begin(), records.end(), kArrivesBefore);
+    return;
+  }
+
+  // end[b] is one past bucket b's range; head[b] is its first position
+  // not yet holding a record of bucket b.
+  std::vector<std::size_t> end(buckets, 0);
+  for (const TraceRecord& r : records) ++end[bucket_of(r)];
+  std::vector<std::size_t> head(buckets, 0);
+  for (std::size_t b = 1; b < buckets; ++b) {
+    head[b] = end[b - 1];
+    end[b] += end[b - 1];
+  }
+  for (std::size_t b = 0; b < buckets; ++b) {
+    while (head[b] < end[b]) {
+      TraceRecord& slot = records[head[b]];
+      std::size_t to = bucket_of(slot);
+      if (to != b) {
+        TraceRecord moving = slot;
+        do {
+          std::swap(moving, records[head[to]++]);
+          to = bucket_of(moving);
+        } while (to != b);
+        slot = moving;
+      }
+      ++head[b];
+    }
+  }
+
+  // The earliest and the latest record sit in different buckets, so every
+  // bucket is smaller than `records` and the recursion ends.
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    BucketSortByArrival(records.subspan(begin, end[b] - begin), width / 64.0);
+    begin = end[b];
+  }
+}
+
 }  // namespace
+
+void SortByArrival(std::span<TraceRecord> records) {
+  for (const TraceRecord& r : records) {
+    if (!std::isfinite(r.arrival_ms)) {
+      throw std::invalid_argument("SortByArrival: arrival_ms not finite");
+    }
+  }
+  BucketSortByArrival(records, kMinuteMs);
+}
 
 std::array<PageTypeParams, kNumPageTypes> TraceGenParams::DefaultPages() {
   std::array<PageTypeParams, kNumPageTypes> pages;
@@ -232,12 +316,7 @@ Trace TraceGenerator::Generate() const {
   // Ties in arrival keep request-id order. Ids are unique and grow in
   // generation order, so this total order is exactly what a stable sort
   // by arrival gives, without its merge buffer.
-  std::sort(trace.records.begin(), trace.records.end(),
-            [](const TraceRecord& a, const TraceRecord& b) {
-              return a.arrival_ms < b.arrival_ms ||
-                     (a.arrival_ms == b.arrival_ms &&
-                      a.request_id < b.request_id);
-            });
+  SortByArrival(trace.records);
   return trace;
 }
 

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 
 #include "qoe/session.h"
 #include "trace/record.h"
@@ -64,6 +65,13 @@ struct TraceGenParams {
 /// are 1.0; the off-peak hours used in Fig. 6 (00:00, 03:00, 22:00) average
 /// ~0.71, giving the paper's "40% more traffic at peak".
 const std::array<double, 24>& DiurnalLoadFactors();
+
+/// Sorts `records` in place by (arrival_ms, request_id): the order
+/// Generate() returns. An in-place bucket sort by arrival minute
+/// (docs/PERFORMANCE.md §5); with unique request ids that order is total,
+/// so the result is the one `std::sort` with that comparator gives. Throws
+/// std::invalid_argument if an arrival is not finite.
+void SortByArrival(std::span<TraceRecord> records);
 
 /// Generates one synthetic day of traffic.
 class TraceGenerator {

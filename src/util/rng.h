@@ -6,6 +6,7 @@
 // single top-level seed. Never use global RNG state.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -15,7 +16,18 @@
 namespace e2e {
 
 /// A seeded pseudo-random generator with the distribution helpers the
-/// reproduction needs. Cheap to copy; fork() derives independent streams.
+/// reproduction needs. Fork() derives independent streams.
+///
+/// The engine is MT19937-64 as the C++ standard defines `std::mt19937_64`:
+/// the same seeding, twist and tempering, so every word, every std
+/// distribution drawn through it and every Fork() equal what
+/// `std::mt19937_64` gives from the same seed (tests/util_test.cc keeps it
+/// as the oracle). It differs only in how the twist is compiled: libstdc++
+/// writes the twist's conditional xor as `(y & 1) ? a : 0`, which g++ 12
+/// turns into a jump on a random bit, and about half of those mispredict.
+/// Written as a mask it does not branch, and a word costs less than half
+/// as much (docs/PERFORMANCE.md §5). The state is the standard's 312
+/// words, about 2.5 KB, and a copy copies all of it.
 class Rng {
  public:
   /// Creates a generator from an explicit seed.
@@ -112,11 +124,45 @@ class Rng {
   /// Raw 64-bit draw (for seeding sub-components).
   std::uint64_t NextU64() { return engine_(); }
 
-  /// Access to the underlying engine for std distributions not wrapped here.
-  std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  /// MT19937-64 (w = 64, n = 312, m = 156, r = 31) with the standard's
+  /// parameters, as a uniform random bit generator the std distributions
+  /// accept: the same `result_type`, `min()` and `max()` as
+  /// `std::mt19937_64`, so each distribution consumes the same words.
+  class Engine {
+   public:
+    using result_type = std::uint64_t;
+
+    /// The standard's seeding: x[0] = seed,
+    /// x[i] = f · (x[i−1] ⊕ (x[i−1] ≫ 62)) + i.
+    explicit Engine(std::uint64_t seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    /// The next tempered word; twists all 312 words every 312th call.
+    result_type operator()() {
+      if (index_ >= kStateWords) Twist();
+      result_type z = state_[index_++];
+      z ^= (z >> 29) & 0x5555555555555555ULL;
+      z ^= (z << 17) & 0x71d67fffeda60000ULL;
+      z ^= (z << 37) & 0xfff7eee000000000ULL;
+      z ^= z >> 43;
+      return z;
+    }
+
+   private:
+    static constexpr std::size_t kStateWords = 312;
+
+    /// Regenerates every state word with the twist recurrence, the
+    /// conditional xor of the twist matrix written as a mask.
+    void Twist();
+
+    std::array<result_type, kStateWords> state_;  // Seeded in the ctor.
+    std::size_t index_ = kStateWords;             // The first call twists.
+  };
+
+  Engine engine_;
 };
 
 }  // namespace e2e

@@ -606,7 +606,7 @@ TEST(DbResilience, ServesEverythingAcrossPartition) {
   auto config = FastDbConfig(DbPolicy::kE2e);
   config.common.fault_plan =
       fault::FaultPlan::Parse("partition db r=1 t=[1s,4s]");
-  config.common.resilience = ResilienceConfig::AllOn();
+  config.common.resilience = ResilienceConfig::DbAllOn();
   const auto records = LoadedWorkload(800, 23, 90.0);
   const auto result = RunDbExperiment(records, TraceQoe(), config);
   EXPECT_EQ(result.outcomes.size(), records.size());
@@ -617,7 +617,7 @@ TEST(DbResilience, ServesEverythingAcrossPartition) {
 
 TEST(DbResilience, HedgesFireAndBalance) {
   auto config = FastDbConfig(DbPolicy::kE2e);
-  config.common.resilience = ResilienceConfig::AllOn();
+  config.common.resilience = ResilienceConfig::DbAllOn();
   // Hedge aggressively relative to this testbed's ~120 ms service times so
   // the clone path actually exercises under load.
   config.common.resilience.hedge.sensitive_delay_ms = 150.0;
@@ -634,7 +634,7 @@ TEST(DbResilience, BreakerOpensShowUpInStatsAndTelemetry) {
   config.common.collect_telemetry = true;
   config.common.fault_plan =
       fault::FaultPlan::Parse("delay db +20s r=0 t=[1s,4s]");
-  config.common.resilience = ResilienceConfig::AllOn();
+  config.common.resilience = ResilienceConfig::DbAllOn();
   // Pin the slow classification to an absolute threshold the fault clearly
   // breaches so the open is deterministic in this small run.
   config.common.resilience.breaker.slow_ms = 2000.0;
@@ -653,7 +653,7 @@ TEST(DbResilience, TwoRunsAreByteIdentical) {
   config.common.collect_telemetry = true;
   config.common.fault_plan = fault::FaultPlan::Parse(
       "delay db +800ms r=0 t=[1s,3s]; partition db r=2 t=[2s,4s]");
-  config.common.resilience = ResilienceConfig::AllOn();
+  config.common.resilience = ResilienceConfig::DbAllOn();
   const auto records = LoadedWorkload(600, 37, 90.0);
   const auto a = RunDbExperiment(records, TraceQoe(), config);
   const auto b = RunDbExperiment(records, TraceQoe(), config);
@@ -850,7 +850,7 @@ TEST(DbModelDriven, StaticModeHasNoModelArtifacts) {
   // telemetry export.
   auto config = FastDbConfig(DbPolicy::kE2e);
   config.common.collect_telemetry = true;
-  config.common.resilience = ResilienceConfig::AllOn();
+  config.common.resilience = ResilienceConfig::DbAllOn();
   config.common.resilience.hedge.sensitive_delay_ms = 150.0;
   config.common.resilience.hedge.insensitive_delay_ms = 400.0;
   const auto records = LoadedWorkload(1200, 29, 115.0);
@@ -1078,7 +1078,7 @@ TEST(BrokerResilience, RetriesRecoverDroppedPublishes) {
   failing.common.fault_plan =
       fault::FaultPlan::Parse("drop broker p=0.3 seed=5 t=[0s,10m]");
   auto resilient = failing;
-  resilient.common.resilience = ResilienceConfig::AllOn();
+  resilient.common.resilience = ResilienceConfig::BrokerAllOn();
   const auto off = RunBrokerExperiment(records, TraceQoe(), failing);
   const auto on = RunBrokerExperiment(records, TraceQoe(), resilient);
   ExpectConservation(off);
@@ -1095,7 +1095,7 @@ TEST(BrokerResilience, AdmissionShedsOnlyPastTheCliff) {
   auto config = FastBrokerConfig(BrokerPolicy::kE2e);
   config.common.fault_plan =
       fault::FaultPlan::Parse("overload broker x6 t=[1s,8s]");
-  config.common.resilience = ResilienceConfig::AllOn();
+  config.common.resilience = ResilienceConfig::BrokerAllOn();
   config.common.resilience.admission.shed_depth = 8;
   config.common.resilience.admission.downgrade_depth = 16;
   const auto result = RunBrokerExperiment(records, TraceQoe(), config);
@@ -1117,7 +1117,7 @@ TEST(BrokerResilience, TwoRunsAreByteIdentical) {
   config.common.collect_telemetry = true;
   config.common.fault_plan = fault::FaultPlan::Parse(
       "drop broker p=0.2 seed=9 t=[0s,10m]; overload broker x2 t=[1s,3s]");
-  config.common.resilience = ResilienceConfig::AllOn();
+  config.common.resilience = ResilienceConfig::BrokerAllOn();
   const auto records = LoadedWorkload(600, 47);
   const auto a = RunBrokerExperiment(records, TraceQoe(), config);
   const auto b = RunBrokerExperiment(records, TraceQoe(), config);
@@ -1185,7 +1185,7 @@ TEST(ResilienceProperties, DbRandomPlansConserveAndReplay) {
         auto config = FastDbConfig(DbPolicy::kE2e);
         config.common.seed = rng.NextU64();
         config.common.fault_plan = fault::FaultPlan::Parse(spec);
-        config.common.resilience = ResilienceConfig::AllOn();
+        config.common.resilience = ResilienceConfig::DbAllOn();
         const auto records =
             LoadedWorkload(400, rng.NextU64() % 1000 + 1, 90.0);
         const auto a = RunDbExperiment(records, TraceQoe(), config);
@@ -1208,7 +1208,7 @@ TEST(ResilienceProperties, BrokerRandomPlansConserveAndReplay) {
         auto config = FastBrokerConfig(BrokerPolicy::kE2e);
         config.common.seed = rng.NextU64();
         config.common.fault_plan = fault::FaultPlan::Parse(spec);
-        config.common.resilience = ResilienceConfig::AllOn();
+        config.common.resilience = ResilienceConfig::BrokerAllOn();
         const auto records =
             LoadedWorkload(400, rng.NextU64() % 1000 + 1, 60.0);
         const auto a = RunBrokerExperiment(records, TraceQoe(), config);

@@ -153,8 +153,9 @@ void ExpectSameBuckets(const Bucketizer& actual, const Bucketizer& expected) {
 // ---- Streaming bucketizer --------------------------------------------------
 
 TEST(ScaleBucketizer, ShuffledAddsEqualBatch) {
-  // The replay adds each record's delay as it arrives; the buckets must not
-  // depend on that order.
+  // The db cluster's cloning model adds each read's service delay to its
+  // window as the read completes; the buckets must not depend on that
+  // order.
   proptest::Check("shuffled-adds-equal-batch", [](Rng& rng) {
     const std::vector<double> samples = RandomSamples(rng);
     const int target = static_cast<int>(rng.UniformInt(1, 12));

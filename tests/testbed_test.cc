@@ -263,8 +263,8 @@ std::uint64_t CounterValue(const obs::TelemetrySnapshot& telemetry,
 // Pins every byte a small db-testbed run exports (results and both
 // telemetry exports), so a faster read path or event loop must keep them as
 // they are. The second run partitions a replica, so failover reads are
-// pinned too; the third turns every resilience mechanism on, so hedge
-// timers exercise the loop's Cancel path.
+// pinned too; the third turns every resilience mechanism the db runs on,
+// so hedge timers exercise the loop's Cancel path.
 TEST(DbExperiment, OutputBytesArePinned) {
   const auto records = LoadedWorkload(600);
   auto config = FastDbConfig(DbPolicy::kE2e);
@@ -288,7 +288,7 @@ TEST(DbExperiment, OutputBytesArePinned) {
             0x2c2e466078644d7dULL);
 
   config.common.fault_plan = fault::FaultPlan{};
-  config.common.resilience = resilience::ResilienceConfig::AllOn();
+  config.common.resilience = resilience::ResilienceConfig::DbAllOn();
   const auto resilient = RunDbExperiment(records, TraceQoe(), config);
   EXPECT_GT(CounterValue(resilient.telemetry, "sim.loop.cancelled"), 0u);
   EXPECT_EQ(Fnv1a64(resilient.Serialize()), 0x62931af484f4a6f6ULL);
@@ -324,6 +324,26 @@ TEST(DbExperiment, RejectsEmptyTableAndZeroRowReads) {
   config = FastDbConfig(DbPolicy::kE2e);
   config.range_count = 0;
   expect_rejected(config, "range_count");
+}
+
+// Admission control acts on the broker's queues; the read path has none, so
+// the runner rejects it by name instead of running without it.
+TEST(DbExperiment, RejectsAdmission) {
+  const auto records = LoadedWorkload(50);
+  auto config = FastDbConfig(DbPolicy::kE2e);
+  config.common.resilience = resilience::ResilienceConfig::DbAllOn();
+  config.common.resilience.admission.enabled = true;
+  try {
+    RunDbExperiment(records, TraceQoe(), config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("resilience.admission"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("RunBrokerExperiment"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DbExperiment, SelectorEntriesAreOneHot) {
@@ -384,8 +404,8 @@ TEST(BrokerExperiment, E2eBeatsDeadlineScheduling) {
 // Pins every byte a small broker-testbed run exports, as
 // DbExperiment.OutputBytesArePinned does for the db testbed: the consumers'
 // periodic pulls are the loop's in-order timers. The second run turns every
-// resilience mechanism on under drops and an overload, so the retry,
-// breaker and admission paths are pinned too.
+// resilience mechanism the broker runs on under drops and an overload, so
+// the retry, breaker and admission paths are pinned too.
 TEST(BrokerExperiment, OutputBytesArePinned) {
   const auto records = LoadedWorkload(800);
   auto config = FastBrokerConfig(BrokerPolicy::kE2e);
@@ -398,7 +418,7 @@ TEST(BrokerExperiment, OutputBytesArePinned) {
   EXPECT_EQ(Fnv1a64(result.telemetry.SerializeJson()),
             0x85c4de69c95290a3ULL);
 
-  config.common.resilience = resilience::ResilienceConfig::AllOn();
+  config.common.resilience = resilience::ResilienceConfig::BrokerAllOn();
   config.common.fault_plan = fault::FaultPlan::Parse(
       "drop broker p=0.2 seed=9 t=[0s,10m]; overload broker x4 t=[2s,8s]");
   const auto resilient = RunBrokerExperiment(records, TraceQoe(), config);
@@ -440,6 +460,28 @@ TEST(BrokerExperiment, RejectsModelDrivenHedging) {
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("resilience.hedge.mode"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Static hedge gates gate nothing either: the runner rejects hedging in
+// every mode.
+TEST(BrokerExperiment, RejectsStaticHedging) {
+  const auto records = LoadedWorkload(50);
+  auto config = FastBrokerConfig(BrokerPolicy::kE2e);
+  config.common.resilience = resilience::ResilienceConfig::BrokerAllOn();
+  config.common.resilience.hedge.enabled = true;
+  ASSERT_EQ(config.common.resilience.hedge.mode,
+            resilience::HedgeMode::kStatic);
+  try {
+    RunBrokerExperiment(records, TraceQoe(), config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("resilience.hedge"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("RunDbExperiment"),
               std::string::npos)
         << e.what();
   }

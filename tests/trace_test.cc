@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "stats/fairness.h"
 #include "stats/summary.h"
@@ -14,6 +18,7 @@
 #include "trace/record.h"
 #include "trace/replay.h"
 #include "trace/windows.h"
+#include "util/rng.h"
 #include "util/types.h"
 
 namespace e2e {
@@ -190,6 +195,97 @@ TEST(TraceGenerator, RecordBytesArePinned) {
   const Trace small = SmallTrace(0.002, 7);
   EXPECT_EQ(small.records.size(), 3159u);
   EXPECT_EQ(RecordHash(small), 0xc0b433f25eab988dULL);
+}
+
+// SortByArrival buckets by arrival minute and sorts each bucket the same
+// way at finer widths; the oracle sorts the whole span with std::sort and
+// the same comparator. Request ids are unique in every case, so both orders
+// are total and must agree record for record.
+void ExpectSortsLikeStdSort(std::vector<TraceRecord> records) {
+  std::vector<TraceRecord> expected = records;
+  std::sort(expected.begin(), expected.end(),
+            [](const TraceRecord& a, const TraceRecord& b) {
+              return std::tie(a.arrival_ms, a.request_id) <
+                     std::tie(b.arrival_ms, b.request_id);
+            });
+  SortByArrival(records);
+  ASSERT_EQ(records.size(), expected.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(records[i].request_id, expected[i].request_id) << "at " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(records[i].arrival_ms),
+              std::bit_cast<std::uint64_t>(expected[i].arrival_ms))
+        << "at " << i;
+    ASSERT_EQ(records[i].session_id, expected[i].session_id) << "at " << i;
+  }
+}
+
+// Records with ids 1..n at the given arrivals, in the given order.
+std::vector<TraceRecord> AtArrivals(const std::vector<double>& arrivals) {
+  std::vector<TraceRecord> records(arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    records[i].request_id = i + 1;
+    records[i].session_id = 1000 + i;
+    records[i].arrival_ms = arrivals[i];
+  }
+  return records;
+}
+
+TEST(SortByArrival, MatchesStdSortOnCraftedInputs) {
+  ExpectSortsLikeStdSort({});
+  ExpectSortsLikeStdSort(AtArrivals({42.0}));
+
+  Rng rng(3);
+  // Equal arrivals with distinct ids, in shuffled id order, on minute
+  // boundaries and inside minutes.
+  std::vector<double> ties;
+  for (int i = 0; i < 600; ++i) {
+    ties.push_back(static_cast<double>(rng.UniformInt(0, 5)) * 30000.0);
+  }
+  std::vector<TraceRecord> tied = AtArrivals(ties);
+  rng.Shuffle(tied);
+  ExpectSortsLikeStdSort(tied);
+
+  // Every record in one minute, in descending arrival order.
+  std::vector<double> one_minute;
+  for (int i = 0; i < 500; ++i) one_minute.push_back(125000.0 - i * 7.5);
+  ExpectSortsLikeStdSort(AtArrivals(one_minute));
+
+  // Two dense two-second clusters a minute apart, with ties: each minute's
+  // bucket and its busiest sub-buckets are split again.
+  std::vector<double> clustered;
+  for (int i = 0; i < 2000; ++i) {
+    const double offset = std::round(rng.Uniform(0.0, 2000.0) * 2.0) / 2.0;
+    clustered.push_back((i % 2 == 0 ? 0.0 : 60000.0) + offset);
+  }
+  ExpectSortsLikeStdSort(AtArrivals(clustered));
+
+  // Arrivals past 24:00 (a session's later loads), and a span so sparse
+  // that minute buckets would outnumber the records.
+  std::vector<double> late;
+  for (int i = 0; i < 300; ++i) {
+    late.push_back(rng.Uniform(86.0e6, 86.4e6 + 20 * 30000.0));
+  }
+  ExpectSortsLikeStdSort(AtArrivals(late));
+  std::vector<double> sparse = {0.0, 0.0, 61000.0};
+  for (int i = 0; i < 40; ++i) {
+    sparse.push_back((i % 2 == 0 ? 1.0 : -1.0) * std::pow(10.0, 0.4 * i));
+  }
+  ExpectSortsLikeStdSort(AtArrivals(sparse));
+}
+
+TEST(SortByArrival, MatchesStdSortOnAShuffledDay) {
+  Trace trace = SmallTrace(0.002, 7);
+  Rng rng(11);
+  rng.Shuffle(trace.records);
+  ExpectSortsLikeStdSort(trace.records);
+}
+
+TEST(SortByArrival, NonFiniteArrivalThrows) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<TraceRecord> records = AtArrivals({1.0, bad, 2.0});
+    EXPECT_THROW(SortByArrival(records), std::invalid_argument) << bad;
+  }
 }
 
 TEST(TraceGenerator, InvalidScaleThrows) {
