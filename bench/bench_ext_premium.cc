@@ -10,9 +10,9 @@
 #include <memory>
 #include <set>
 
+#include "broker/broker.h"
 #include "common.h"
 #include "core/controller.h"
-#include "testbed/broker_experiment.h"
 #include "testbed/metrics.h"
 #include "testbed/workloads.h"
 #include "trace/replay.h"
@@ -31,9 +31,8 @@ class ClassAwareScheduler final : public broker::MessageScheduler {
  public:
   ClassAwareScheduler() = default;
 
-  void SetClassTable(bool premium, std::vector<broker::TableScheduler::Entry>
-                                       entries) {
-    (premium ? premium_ : basic_).SetTable(std::move(entries));
+  void SetClassTable(bool premium, const DecisionTable& table) {
+    (premium ? premium_ : basic_) = table;
   }
 
   void MarkPremium(RequestId id, bool premium) {
@@ -43,12 +42,12 @@ class ClassAwareScheduler final : public broker::MessageScheduler {
   int AssignPriority(const broker::Message& message,
                      const broker::BrokerView& view) override {
     const bool premium = premium_ids_.contains(message.id);
-    broker::TableScheduler& table = premium ? premium_ : basic_;
-    broker::BrokerView band_view;
-    band_view.queue_depths.assign(kLevelsPerClass, 0);
-    const int within = table.HasTable()
-                           ? table.AssignPriority(message, band_view)
-                           : 0;
+    const DecisionTable& table = premium ? premium_ : basic_;
+    const int within =
+        table.rows.empty()
+            ? 0
+            : std::min(table.Lookup(message.external_delay_ms),
+                       kLevelsPerClass - 1);
     const int base = premium ? 0 : kLevelsPerClass;
     return std::min<int>(base + within,
                          static_cast<int>(view.queue_depths.size()) - 1);
@@ -57,8 +56,8 @@ class ClassAwareScheduler final : public broker::MessageScheduler {
   std::string Name() const override { return "class-aware-e2e"; }
 
  private:
-  broker::TableScheduler premium_{"premium"};
-  broker::TableScheduler basic_{"basic"};
+  DecisionTable premium_;
+  DecisionTable basic_;
   std::set<RequestId> premium_ids_;
 };
 
@@ -147,8 +146,7 @@ ExperimentResult RunClassAware(const std::vector<TraceRecord>& records,
           if (ctrl->Tick(loop.Now())) {
             const DecisionTable* table = ctrl->CurrentTable();
             if (table != nullptr) {
-              scheduler->SetClassTable(ctrl == &premium_ctrl,
-                                       ToSchedulerEntries(*table));
+              scheduler->SetClassTable(ctrl == &premium_ctrl, *table);
             }
           }
         }

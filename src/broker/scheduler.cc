@@ -15,18 +15,9 @@ int FifoScheduler::AssignPriority(const Message& /*message*/,
   return 0;
 }
 
-void TableScheduler::SetTable(std::vector<Entry> entries) {
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].lo < entries[i - 1].lo) {
-      throw std::invalid_argument("TableScheduler: entries not sorted");
-    }
-  }
-  for (const Entry& e : entries) {
-    if (e.priority < 0) {
-      throw std::invalid_argument("TableScheduler: negative priority");
-    }
-  }
-  entries_ = std::move(entries);
+void TableScheduler::SetTable(DecisionTable table) {
+  table.Validate();
+  table_ = std::move(table);
 }
 
 int TableScheduler::AssignPriority(const Message& message,
@@ -34,20 +25,10 @@ int TableScheduler::AssignPriority(const Message& message,
   if (view.queue_depths.empty()) {
     throw std::invalid_argument("TableScheduler: empty view");
   }
-  if (entries_.empty()) {
+  if (!HasTable()) {
     return 0;  // No table yet: behave like FIFO (fault-tolerance fallback).
   }
-  std::size_t lo = 0;
-  std::size_t hi = entries_.size();
-  while (lo + 1 < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (message.external_delay_ms >= entries_[mid].lo) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return std::min<int>(entries_[lo].priority,
+  return std::min<int>(table_.Lookup(message.external_delay_ms),
                        static_cast<int>(view.queue_depths.size()) - 1);
 }
 

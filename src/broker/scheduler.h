@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "util/rng.h"
+#include "core/policy.h"
 #include "util/types.h"
 
 namespace e2e::broker {
@@ -46,32 +46,31 @@ class FifoScheduler final : public MessageScheduler {
   std::string Name() const override { return "default-fifo"; }
 };
 
-/// Table-driven scheduler: external-delay bucket -> priority level. This is
-/// E2E's cached decision table applied to the broker; the slope-based
-/// baseline also uses this shape (with a different table).
+/// Table-driven scheduler: the controller's decision table (§5) applied to
+/// the broker, each row's decision read as a priority level. The
+/// slope-based baseline installs a table of the same shape.
 class TableScheduler final : public MessageScheduler {
  public:
-  /// One row: messages with external delay in [lo, hi) get `priority`.
-  struct Entry {
-    DelayMs lo = 0.0;
-    DelayMs hi = 0.0;
-    int priority = 0;
-  };
-
   explicit TableScheduler(std::string name) : name_(std::move(name)) {}
 
-  /// Atomically replaces the table. Entries must be sorted by `lo`.
-  void SetTable(std::vector<Entry> entries);
+  /// Atomically replaces the table; throws std::invalid_argument when
+  /// DecisionTable::Validate does.
+  void SetTable(DecisionTable table);
 
-  /// True when a table has been installed.
-  bool HasTable() const { return !entries_.empty(); }
+  /// True when a table with rows has been installed.
+  bool HasTable() const { return !table_.rows.empty(); }
 
+  /// The installed table.
+  const DecisionTable& table() const { return table_; }
+
+  /// The table's decision for the message, clamped to the view's levels;
+  /// 0 (FIFO) before any table is installed.
   int AssignPriority(const Message& message, const BrokerView& view) override;
   std::string Name() const override { return name_; }
 
  private:
   std::string name_;
-  std::vector<Entry> entries_;
+  DecisionTable table_;
 };
 
 /// Deadline-driven scheduler in the style of Timecard (§7.4): each request

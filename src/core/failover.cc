@@ -5,17 +5,10 @@
 namespace e2e {
 
 ReplicatedControllerGroup::ReplicatedControllerGroup(
-    std::unique_ptr<Controller> primary, std::unique_ptr<Controller> backup,
-    FailoverParams params)
-    : primary_(std::move(primary)),
-      backup_(std::move(backup)),
-      params_(params) {
+    std::unique_ptr<Controller> primary, std::unique_ptr<Controller> backup)
+    : primary_(std::move(primary)), backup_(std::move(backup)) {
   if (primary_ == nullptr || backup_ == nullptr) {
     throw std::invalid_argument("ReplicatedControllerGroup: null controller");
-  }
-  if (params_.election_delay_ms < 0.0) {
-    throw std::invalid_argument(
-        "ReplicatedControllerGroup: negative election delay");
   }
 }
 
@@ -45,10 +38,6 @@ bool ReplicatedControllerGroup::Tick(double now_ms) {
 
 int ReplicatedControllerGroup::Decide(DelayMs true_external_delay_ms) {
   return active_mutable().Decide(true_external_delay_ms);
-}
-
-void ReplicatedControllerGroup::FailPrimary(double now_ms) {
-  FailPrimary(now_ms, params_.election_delay_ms);
 }
 
 void ReplicatedControllerGroup::FailPrimary(double now_ms,

@@ -14,20 +14,12 @@
 
 namespace e2e {
 
-/// Failover configuration.
-struct FailoverParams {
-  /// Delay between primary failure and backup promotion (paper Fig. 18:
-  /// the backup is elected ~25 s after the failure).
-  double election_delay_ms = 25000.0;
-};
-
 /// A primary/backup controller pair behind the Controller-like interface.
 class ReplicatedControllerGroup {
  public:
   /// Both controllers must be configured identically (they are replicas).
   ReplicatedControllerGroup(std::unique_ptr<Controller> primary,
-                            std::unique_ptr<Controller> backup,
-                            FailoverParams params);
+                            std::unique_ptr<Controller> backup);
 
   /// Broadcast an observation to all live replicas (shared input state).
   void ObserveArrival(DelayMs external_delay_ms, double now_ms);
@@ -42,10 +34,10 @@ class ReplicatedControllerGroup {
   /// as the paper's clients keep their local lookup table.
   int Decide(DelayMs true_external_delay_ms);
 
-  /// Injects a primary failure at `now_ms` with the configured election
-  /// delay, or (second form) an explicit one — fault plans carry the
-  /// election window per crash clause ("crash ctrl t=60s for=30s").
-  void FailPrimary(double now_ms);
+  /// Injects a primary failure at `now_ms`; the backup is promoted
+  /// `election_delay_ms` later. Fault plans carry the election window per
+  /// crash clause ("crash ctrl t=60s for=30s"; paper Fig. 18: ~25 s).
+  /// Throws std::invalid_argument on a negative delay.
   void FailPrimary(double now_ms, double election_delay_ms);
 
   /// Sets the external-delay estimation error on every replica (Fig. 20a;
@@ -74,7 +66,6 @@ class ReplicatedControllerGroup {
  private:
   std::unique_ptr<Controller> primary_;
   std::unique_ptr<Controller> backup_;
-  FailoverParams params_;
   bool primary_failed_ = false;
   bool promoted_ = false;
   std::optional<double> election_deadline_ms_;

@@ -757,6 +757,18 @@ const DecisionTableRow& DecisionTable::LookupRow(
   return rows[lo];
 }
 
+void DecisionTable::Validate() const {
+  const int decisions = static_cast<int>(load_fractions.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i > 0 && rows[i].lo < rows[i - 1].lo) {
+      throw std::invalid_argument("DecisionTable: rows not sorted by lo");
+    }
+    if (rows[i].decision < 0 || rows[i].decision >= decisions) {
+      throw std::invalid_argument("DecisionTable: decision out of range");
+    }
+  }
+}
+
 PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            std::span<const DelayMs> external_delays,
                            double total_rps, const PolicyConfig& config) {

@@ -108,6 +108,11 @@ struct DecisionTable {
   /// Like Lookup but returns the whole matched row (decision plus its
   /// planned expected QoE and weight). Requires a non-empty table.
   const DecisionTableRow& LookupRow(DelayMs external_delay_ms) const;
+
+  /// Throws std::invalid_argument unless the rows ascend by `lo` and every
+  /// row's decision is in [0, load_fractions.size()) — what Lookup and the
+  /// services that install the table rely on.
+  void Validate() const;
 };
 
 /// Bookkeeping from one policy computation. All counts are deterministic

@@ -48,18 +48,19 @@ int LatencyAwareSelector::SelectReplica(const DbRequest& /*request*/,
   return best;
 }
 
-void TableSelector::SetTable(std::vector<Entry> entries) {
-  for (std::size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].lo < entries[i - 1].lo) {
-      throw std::invalid_argument("TableSelector: entries not sorted");
-    }
+void TableSelector::SetTable(DecisionTable table) {
+  table.Validate();
+  // Mostly the matched replica, with an epsilon spread that keeps every
+  // bucket sampling every replica. The spread both smooths bursts and keeps
+  // the sacrificial replica's backlog bounded.
+  const std::size_t decisions = table.load_fractions.size();
+  const double spread =
+      decisions > 1 ? epsilon_ / static_cast<double>(decisions - 1) : 0.0;
+  probabilities_.assign(decisions, std::vector<double>(decisions, spread));
+  for (std::size_t d = 0; d < decisions; ++d) {
+    probabilities_[d][d] = 1.0 - epsilon_;
   }
-  for (const Entry& e : entries) {
-    if (e.probabilities.empty()) {
-      throw std::invalid_argument("TableSelector: entry without probabilities");
-    }
-  }
-  entries_ = std::move(entries);
+  table_ = std::move(table);
 }
 
 int TableSelector::SelectReplica(const DbRequest& request,
@@ -67,7 +68,7 @@ int TableSelector::SelectReplica(const DbRequest& request,
   if (view.loads.empty()) {
     throw std::invalid_argument("TableSelector: empty view");
   }
-  if (entries_.empty()) {
+  if (!HasTable()) {
     // No table yet (or total controller failure): fall back to the default
     // load-balanced behaviour (§5, fault tolerance).
     const std::size_t n = view.loads.size();
@@ -75,19 +76,9 @@ int TableSelector::SelectReplica(const DbRequest& request,
     fallback_next_ = (fallback_next_ + 1) % n;
     return static_cast<int>(pick);
   }
-  // Binary search the bucket containing the request's external delay.
-  std::size_t lo = 0;
-  std::size_t hi = entries_.size();
-  while (lo + 1 < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (request.external_delay_ms >= entries_[mid].lo) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  const Entry& entry = entries_[lo];
-  const auto pick = rng_.Categorical(entry.probabilities);
+  const auto decision =
+      static_cast<std::size_t>(table_.Lookup(request.external_delay_ms));
+  const auto pick = rng_.Categorical(probabilities_[decision]);
   return static_cast<int>(
       std::min<std::size_t>(pick, view.loads.size() - 1));
 }

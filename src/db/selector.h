@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/policy.h"
 #include "util/rng.h"
 #include "util/types.h"
 
@@ -81,26 +82,25 @@ class LatencyAwareSelector final : public ReplicaSelector {
   std::size_t next_ = 0;
 };
 
-/// Probability-table selector: maps a request's external-delay bucket to a
-/// per-replica probability vector. This is how E2E's cached decision lookup
-/// table (§5) drives Cassandra: the E2E controller refreshes the table; the
-/// client only does an O(log k) lookup plus a categorical draw.
+/// Probability-table selector: the controller's decision table (§5) read
+/// as a per-replica probability vector for each row. This is how E2E's
+/// cached decision lookup table drives Cassandra: the controller refreshes
+/// the table; the client only does an O(log k) lookup plus a categorical
+/// draw.
 class TableSelector final : public ReplicaSelector {
  public:
-  /// One row: requests with external delay in [lo, hi) use `probabilities`.
-  struct Entry {
-    DelayMs lo = 0.0;
-    DelayMs hi = 0.0;
-    std::vector<double> probabilities;  // One weight per replica.
-  };
+  /// Each row sends its request to the row's decision with probability
+  /// 1 - `epsilon` and spreads `epsilon` evenly over the other replicas
+  /// (probabilistic rows, §5).
+  TableSelector(std::string name, Rng rng, double epsilon)
+      : name_(std::move(name)), rng_(rng), epsilon_(epsilon) {}
 
-  TableSelector(std::string name, Rng rng) : name_(std::move(name)), rng_(rng) {}
+  /// Atomically replaces the table; throws std::invalid_argument when
+  /// DecisionTable::Validate does.
+  void SetTable(DecisionTable table);
 
-  /// Atomically replaces the table. Entries must be sorted by `lo`.
-  void SetTable(std::vector<Entry> entries);
-
-  /// True when a table has been installed.
-  bool HasTable() const { return !entries_.empty(); }
+  /// True when a table with rows has been installed.
+  bool HasTable() const { return !table_.rows.empty(); }
 
   int SelectReplica(const DbRequest& request, const ClusterView& view) override;
   std::string Name() const override { return name_; }
@@ -108,7 +108,10 @@ class TableSelector final : public ReplicaSelector {
  private:
   std::string name_;
   Rng rng_;
-  std::vector<Entry> entries_;
+  double epsilon_;
+  DecisionTable table_;
+  /// One probability vector per decision, rebuilt on each install.
+  std::vector<std::vector<double>> probabilities_;
   std::size_t fallback_next_ = 0;
 };
 

@@ -143,17 +143,6 @@ std::shared_ptr<const ServerDelayModel> BuildBrokerServerModel(
       params.handling_cost_ms);
 }
 
-std::vector<broker::TableScheduler::Entry> ToSchedulerEntries(
-    const DecisionTable& table) {
-  std::vector<broker::TableScheduler::Entry> entries;
-  entries.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    entries.push_back(broker::TableScheduler::Entry{
-        .lo = row.lo, .hi = row.hi, .priority = row.decision});
-  }
-  return entries;
-}
-
 ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
                                      const QoeModel& qoe,
                                      const BrokerExperimentConfig& config) {
@@ -219,7 +208,7 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
       return c;
     };
     controllers = std::make_unique<ReplicatedControllerGroup>(
-        make("primary", 0x61ULL), make("backup", 0x62ULL), FailoverParams{});
+        make("primary", 0x61ULL), make("backup", 0x62ULL));
   }
 
   // --- Resilience layer --------------------------------------------------
@@ -435,7 +424,7 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
         if (controllers->Tick(loop.Now())) {
           const DecisionTable* table = controllers->active().CurrentTable();
           if (table != nullptr) {
-            table_scheduler->SetTable(ToSchedulerEntries(*table));
+            table_scheduler->SetTable(*table);
           }
         }
       });

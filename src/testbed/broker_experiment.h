@@ -53,8 +53,4 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
 std::shared_ptr<const ServerDelayModel> BuildBrokerServerModel(
     const broker::BrokerParams& params);
 
-/// Converts a decision table into TableScheduler entries.
-std::vector<broker::TableScheduler::Entry> ToSchedulerEntries(
-    const DecisionTable& table);
-
 }  // namespace e2e

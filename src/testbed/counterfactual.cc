@@ -3,22 +3,12 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 
 #include "matching/assignment.h"
 #include "trace/windows.h"
-#include "util/rng.h"
 
 namespace e2e {
 namespace {
-
-[[noreturn]] void UnsupportedClause(const fault::FaultSpec& spec,
-                                    const char* why) {
-  throw std::invalid_argument(
-      std::string("ApplyFaultPlanToTrace: unsupported clause '") +
-      spec.ToString() + "': " + why +
-      "; use RunDbExperiment/RunBrokerExperiment for this plan");
-}
 
 // Re-assigns the group's server delays according to the policy; returns the
 // new delay for each request (indexed as the group).
@@ -111,73 +101,6 @@ ReshuffleResult ReshuffleWithinWindows(std::span<const TraceRecord> records,
     result.new_mean_qoe = new_sum / n;
   }
   return result;
-}
-
-std::vector<TraceRecord> ApplyFaultPlanToTrace(
-    std::span<const TraceRecord> records, const fault::FaultPlan& plan) {
-  plan.Validate();
-  std::vector<TraceRecord> out(records.begin(), records.end());
-  for (const auto& spec : plan.faults) {
-    const auto in_window = [&spec](const TraceRecord& r) {
-      return r.arrival_ms >= spec.start_ms && r.arrival_ms < spec.end_ms;
-    };
-    switch (spec.kind) {
-      case fault::FaultKind::kDelayMessages:
-      case fault::FaultKind::kDelayReplica:
-        if (spec.replica != -1) {
-          UnsupportedClause(spec, "the trace has no replicas to target");
-        }
-        for (auto& r : out) {
-          if (in_window(r)) r.server_delay_ms += spec.delta_ms;
-        }
-        break;
-      case fault::FaultKind::kOverloadReplica:
-      case fault::FaultKind::kOverloadBroker:
-        if (spec.replica != -1) {
-          UnsupportedClause(spec, "the trace has no replicas to target");
-        }
-        for (auto& r : out) {
-          if (in_window(r)) r.server_delay_ms *= spec.factor;
-        }
-        break;
-      case fault::FaultKind::kDropMessages: {
-        // One seeded stream per clause, drawn in record order, so the
-        // dropped set replays bit-identically.
-        Rng drops(spec.seed ^ 0xd20bc1a5ULL);
-        std::vector<TraceRecord> kept;
-        kept.reserve(out.size());
-        for (const auto& r : out) {
-          if (in_window(r) && drops.Bernoulli(spec.probability)) continue;
-          kept.push_back(r);
-        }
-        out = std::move(kept);
-        break;
-      }
-      case fault::FaultKind::kCrashController:
-        UnsupportedClause(spec, "the trace simulator has no controller");
-      case fault::FaultKind::kPartitionReplica:
-        UnsupportedClause(spec, "the trace has no replicas to partition");
-      case fault::FaultKind::kSkewEstimator:
-        UnsupportedClause(spec, "the trace simulator reads oracle delays");
-    }
-  }
-  return out;
-}
-
-ReshuffleResult ReshuffleWithinWindows(std::span<const TraceRecord> records,
-                                       const QoeModelSelector& qoe_of_page,
-                                       ReshufflePolicy policy,
-                                       double window_ms,
-                                       const ExperimentConfig& config,
-                                       std::size_t min_group) {
-  if (config.fault_plan.empty()) {
-    return ReshuffleWithinWindows(records, qoe_of_page, policy, window_ms,
-                                  min_group);
-  }
-  const std::vector<TraceRecord> faulted =
-      ApplyFaultPlanToTrace(records, config.fault_plan);
-  return ReshuffleWithinWindows(faulted, qoe_of_page, policy, window_ms,
-                                min_group);
 }
 
 }  // namespace e2e

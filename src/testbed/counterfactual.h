@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "qoe/qoe_model.h"
-#include "testbed/experiment_config.h"
 #include "trace/record.h"
 
 namespace e2e {
@@ -67,34 +66,6 @@ ReshuffleResult ReshuffleWithinWindows(std::span<const TraceRecord> records,
                                        const QoeModelSelector& qoe_of_page,
                                        ReshufflePolicy policy,
                                        double window_ms,
-                                       std::size_t min_group = 2);
-
-/// Applies a fault plan to a recorded trace for the trace-driven simulator
-/// path, which has no event loop to hang a FaultInjector on. Clause windows
-/// gate on each record's arrival time. Supported kinds transform the
-/// records deterministically:
-///   * `delay broker +D` / `delay db +D` (untargeted): adds D to the
-///     server-side delay of every record in the window;
-///   * `overload broker xF` / `overload db xF` (untargeted): multiplies the
-///     server-side delay of every record in the window by F;
-///   * `drop broker p=P seed=S`: removes records in the window with
-///     probability P (seeded stream, iteration order = record order).
-/// Every other kind (crash ctrl, partition db, skew est, replica-targeted
-/// clauses) needs testbed machinery the trace simulator does not model and
-/// throws std::invalid_argument naming the offending clause — a plan is
-/// never silently ignored.
-std::vector<TraceRecord> ApplyFaultPlanToTrace(
-    std::span<const TraceRecord> records, const fault::FaultPlan& plan);
-
-/// Config-aware trace-simulator entry: applies `config.fault_plan` to the
-/// records via ApplyFaultPlanToTrace (hard error on unsupported clause
-/// kinds), then reshuffles. With an empty plan this is exactly the plain
-/// overload.
-ReshuffleResult ReshuffleWithinWindows(std::span<const TraceRecord> records,
-                                       const QoeModelSelector& qoe_of_page,
-                                       ReshufflePolicy policy,
-                                       double window_ms,
-                                       const ExperimentConfig& config,
                                        std::size_t min_group = 2);
 
 }  // namespace e2e

@@ -34,30 +34,6 @@ std::shared_ptr<const ServerDelayModel> BuildDbServerModel(
                                                 std::move(profile));
 }
 
-std::vector<db::TableSelector::Entry> ToSelectorEntries(
-    const DecisionTable& table, double epsilon) {
-  std::vector<db::TableSelector::Entry> entries;
-  entries.reserve(table.rows.size());
-  const std::size_t decisions = table.load_fractions.size();
-  for (const auto& row : table.rows) {
-    db::TableSelector::Entry entry;
-    entry.lo = row.lo;
-    entry.hi = row.hi;
-    // Probabilistic rows (the paper's Sec 5 table stores per-replica
-    // probabilities): mostly the matched replica, with an epsilon spread
-    // that keeps every bucket sampling every replica. The spread both
-    // smooths bursts and keeps the sacrificial replica's backlog bounded.
-    entry.probabilities.assign(
-        decisions, decisions > 1
-                       ? epsilon / static_cast<double>(decisions - 1)
-                       : 0.0);
-    entry.probabilities[static_cast<std::size_t>(row.decision)] =
-        1.0 - epsilon;
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
-
 ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
                                  const QoeModel& qoe,
                                  const DbExperimentConfig& config) {
@@ -128,10 +104,10 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
       return c;
     };
     controllers = std::make_unique<ReplicatedControllerGroup>(
-        make("primary", 0x51ULL), make("backup", 0x52ULL), FailoverParams{});
+        make("primary", 0x51ULL), make("backup", 0x52ULL));
     table_selector = std::make_shared<db::TableSelector>(
         config.policy == DbPolicy::kSlope ? "slope-table" : "e2e-table",
-        root.Fork(2));
+        root.Fork(2), config.table_epsilon);
     selector = table_selector;
   } else if (config.policy == DbPolicy::kLatencyAware) {
     selector = std::make_shared<db::LatencyAwareSelector>();
@@ -353,7 +329,7 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
           const DecisionTable* table =
               controllers->active().CurrentTable();
           if (table != nullptr) {
-            table_selector->SetTable(ToSelectorEntries(*table, config.table_epsilon));
+            table_selector->SetTable(*table);
           }
         }
       });

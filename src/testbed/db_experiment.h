@@ -53,7 +53,7 @@ struct DbExperimentConfig {
   double external_delay_error = 0.0;
   double rps_error = 0.0;
 
-  /// Epsilon spread of the probabilistic table rows (see ToSelectorEntries).
+  /// Epsilon spread of the probabilistic table rows (see db::TableSelector).
   double table_epsilon = 0.10;
 
   /// External-delay source for the controller (QoE is always scored with
@@ -75,11 +75,5 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
 /// Builds the profiled server-delay model matching `config`'s cluster.
 std::shared_ptr<const ServerDelayModel> BuildDbServerModel(
     const DbExperimentConfig& config);
-
-/// Converts a decision table into TableSelector entries: each bucket row
-/// routes to its matched replica with probability 1 - epsilon and spreads
-/// epsilon across the others (probabilistic rows, Sec 5).
-std::vector<db::TableSelector::Entry> ToSelectorEntries(
-    const DecisionTable& table, double epsilon = 0.0);
 
 }  // namespace e2e

@@ -143,8 +143,7 @@ ExperimentResult RunMultiAgentExperiment(std::span<const TraceRecord> records,
           const DecisionTable* table = controller->CurrentTable();
           if (table != nullptr) {
             // The same global table goes to every agent (§9).
-            const auto entries = ToSchedulerEntries(*table);
-            for (auto& scheduler : schedulers) scheduler->SetTable(entries);
+            for (auto& scheduler : schedulers) scheduler->SetTable(*table);
           }
         }
       });

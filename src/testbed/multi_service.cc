@@ -16,7 +16,7 @@ namespace {
 
 // One service's moving parts.
 struct Service {
-  std::shared_ptr<broker::TableScheduler> table;
+  std::shared_ptr<broker::TableScheduler> scheduler;
   std::unique_ptr<broker::MessageBroker> broker;
   std::unique_ptr<Controller> controller;
   // Realized mean queueing delay per priority level (EWMA), used to
@@ -42,18 +42,13 @@ struct Service {
   }
 
   // Predicted residual delay for a request with this (raw) external delay:
-  // look its priority up in the current table and use that level's realized
-  // mean; before any table/history exists, fall back to the overall mean.
-  // Non-const: AssignPriority is a mutating interface (schedulers may keep
-  // state), though TableScheduler's lookup happens not to mutate.
-  double PredictDelayMs(DelayMs raw_external) {
-    if (table != nullptr && table->HasTable() &&
+  // look its priority up in the installed table and use that level's
+  // realized mean; before any table/history exists, fall back to the
+  // overall mean.
+  double PredictDelayMs(DelayMs raw_external) const {
+    if (scheduler != nullptr && scheduler->HasTable() &&
         !delay_by_priority.empty()) {
-      broker::BrokerView view;
-      view.queue_depths.assign(delay_by_priority.size(), 0);
-      broker::Message probe;
-      probe.external_delay_ms = raw_external;
-      const int priority = table->AssignPriority(probe, view);
+      const int priority = scheduler->table().Lookup(raw_external);
       const double known = delay_by_priority[static_cast<std::size_t>(
           std::min<int>(priority,
                         static_cast<int>(delay_by_priority.size()) - 1))];
@@ -100,10 +95,10 @@ ExperimentResult RunMultiServiceExperiment(
     const bool service_uses_e2e =
         config.use_e2e && !(s == 1 && config.service_b_legacy_fifo);
     if (service_uses_e2e) {
-      services[s].table = std::make_shared<broker::TableScheduler>(
+      services[s].scheduler = std::make_shared<broker::TableScheduler>(
           std::string("service-") + (s == 0 ? "a" : "b"));
       services[s].broker = std::make_unique<broker::MessageBroker>(
-          loop, *params[s], services[s].table);
+          loop, *params[s], services[s].scheduler);
       services[s].controller = std::make_unique<Controller>(
           std::string("ctrl-") + (s == 0 ? "a" : "b"),
           config.common.controller, qoe_shared,
@@ -197,7 +192,7 @@ ExperimentResult RunMultiServiceExperiment(
           if (service.controller->Tick(loop.Now())) {
             const DecisionTable* table = service.controller->CurrentTable();
             if (table != nullptr) {
-              service.table->SetTable(ToSchedulerEntries(*table));
+              service.scheduler->SetTable(*table);
             }
           }
         }
@@ -209,10 +204,10 @@ ExperimentResult RunMultiServiceExperiment(
   for (auto& service : services) service.broker->StopConsumers();
   loop.Run();
 
-  for (const auto& service : services) {
+  for (int s = 0; s < 2; ++s) {
     result.service_busy_ms +=
-        static_cast<double>(service.broker->delivered_count()) *
-        config.service_a.handling_cost_ms;
+        static_cast<double>(services[s].broker->delivered_count()) *
+        params[s]->handling_cost_ms;
   }
   if (telemetry.enabled()) result.telemetry = telemetry.Snapshot();
   result.Finalize();

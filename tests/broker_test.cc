@@ -70,9 +70,10 @@ TEST(MessageBroker, HigherPriorityDrainsFirst) {
   EventLoop loop;
   auto table = std::make_shared<TableScheduler>("t");
   // Sensitive band (2000-5800) gets priority 0; the rest priority 3.
-  table->SetTable({{.lo = 0.0, .hi = 2000.0, .priority = 3},
-                   {.lo = 2000.0, .hi = 5800.0, .priority = 0},
-                   {.lo = 5800.0, .hi = 1e9, .priority = 3}});
+  table->SetTable({.rows = {{.lo = 0.0, .hi = 2000.0, .decision = 3},
+                            {.lo = 2000.0, .hi = 5800.0, .decision = 0},
+                            {.lo = 5800.0, .hi = 1e9, .decision = 3}},
+                   .load_fractions = std::vector<double>(4)});
   MessageBroker broker(loop, FastParams(), table);
   std::vector<RequestId> delivered;
   loop.Schedule(0.0, [&] {
@@ -116,7 +117,8 @@ TEST(MessageBroker, QueueingDelayTracked) {
 TEST(MessageBroker, ViewReportsDepths) {
   EventLoop loop;
   auto table = std::make_shared<TableScheduler>("t");
-  table->SetTable({{.lo = 0.0, .hi = 1e9, .priority = 2}});
+  table->SetTable({.rows = {{.lo = 0.0, .hi = 1e9, .decision = 2}},
+                   .load_fractions = std::vector<double>(3)});
   MessageBroker broker(loop, FastParams(), table);
   loop.Schedule(0.0, [&] {
     broker.Publish(Message{}, nullptr);
@@ -155,18 +157,23 @@ TEST(TableScheduler, FallsBackToFifoWithoutTable) {
 
 TEST(TableScheduler, ClampsPriorityToLevels) {
   TableScheduler scheduler("t");
-  scheduler.SetTable({{.lo = 0.0, .hi = 1e9, .priority = 7}});
+  scheduler.SetTable({.rows = {{.lo = 0.0, .hi = 1e9, .decision = 7}},
+                      .load_fractions = std::vector<double>(8)});
   BrokerView view{.queue_depths = {0, 0, 0}};  // Only 3 levels.
   EXPECT_EQ(scheduler.AssignPriority(Message{}, view), 2);
 }
 
 TEST(TableScheduler, RejectsBadTables) {
   TableScheduler scheduler("t");
-  EXPECT_THROW(scheduler.SetTable({{.lo = 5.0, .hi = 9.0, .priority = 0},
-                                   {.lo = 1.0, .hi = 5.0, .priority = 1}}),
-               std::invalid_argument);
-  EXPECT_THROW(scheduler.SetTable({{.lo = 0.0, .hi = 1.0, .priority = -1}}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      scheduler.SetTable({.rows = {{.lo = 5.0, .hi = 9.0, .decision = 0},
+                                   {.lo = 1.0, .hi = 5.0, .decision = 1}},
+                          .load_fractions = std::vector<double>(2)}),
+      std::invalid_argument);
+  EXPECT_THROW(
+      scheduler.SetTable({.rows = {{.lo = 0.0, .hi = 1.0, .decision = -1}},
+                          .load_fractions = std::vector<double>(1)}),
+      std::invalid_argument);
 }
 
 TEST(DeadlineScheduler, SmallerSlackGetsHigherPriority) {
@@ -200,8 +207,9 @@ TEST(MessageBroker, TryPullReturnsHighestPriority) {
   BrokerParams params = FastParams();
   params.num_consumers = 1;
   auto table = std::make_shared<TableScheduler>("t");
-  table->SetTable({{.lo = 0.0, .hi = 1000.0, .priority = 2},
-                   {.lo = 1000.0, .hi = 1e9, .priority = 0}});
+  table->SetTable({.rows = {{.lo = 0.0, .hi = 1000.0, .decision = 2},
+                            {.lo = 1000.0, .hi = 1e9, .decision = 0}},
+                   .load_fractions = std::vector<double>(3)});
   MessageBroker broker(loop, params, table);
   broker.StopConsumers();  // Drive manually.
   loop.Schedule(0.0, [&] {

@@ -1103,8 +1103,7 @@ TEST(Controller, RejectsUnusablePlanningInputs) {
 
 TEST(Failover, BackupTakesOverAfterElection) {
   ReplicatedControllerGroup group(MakeController("primary", 1),
-                                  MakeController("backup", 2),
-                                  FailoverParams{.election_delay_ms = 5000.0});
+                                  MakeController("backup", 2));
   Rng rng(15);
   for (int i = 0; i < 400; ++i) {
     group.ObserveArrival(rng.LogNormal(8.1, 0.8), i * 2.0);
@@ -1113,7 +1112,7 @@ TEST(Failover, BackupTakesOverAfterElection) {
   const int before = group.Decide(3000.0);
   EXPECT_GE(before, 0);
 
-  group.FailPrimary(2000.0);
+  group.FailPrimary(2000.0, 5000.0);
   EXPECT_TRUE(group.InElection());
   // During the election the stale table still answers.
   EXPECT_GE(group.Decide(3000.0), 0);
@@ -1149,8 +1148,7 @@ TEST(Controller, AdoptStateFromCopiesTableAndDecisions) {
 
 TEST(Failover, PromotedBackupAdoptsThePrimaryTable) {
   ReplicatedControllerGroup group(MakeController("primary", 1),
-                                  MakeController("backup", 2),
-                                  FailoverParams{.election_delay_ms = 5000.0});
+                                  MakeController("backup", 2));
   Rng rng(17);
   for (int i = 0; i < 400; ++i) {
     group.ObserveArrival(rng.LogNormal(8.1, 0.8), i * 2.0);
@@ -1163,7 +1161,7 @@ TEST(Failover, PromotedBackupAdoptsThePrimaryTable) {
     before.push_back(group.Decide(external));
   }
 
-  group.FailPrimary(2000.0);
+  group.FailPrimary(2000.0, 5000.0);
   EXPECT_FALSE(group.promoted());
   group.Tick(8000.0);  // Election complete: backup promoted.
   EXPECT_TRUE(group.promoted());
@@ -1177,9 +1175,8 @@ TEST(Failover, PromotedBackupAdoptsThePrimaryTable) {
 }
 
 TEST(Failover, ExplicitElectionWindowOverridesTheDefault) {
-  ReplicatedControllerGroup group(
-      MakeController("primary", 1), MakeController("backup", 2),
-      FailoverParams{.election_delay_ms = 25000.0});
+  ReplicatedControllerGroup group(MakeController("primary", 1),
+                                  MakeController("backup", 2));
   // A fault-plan crash clause carries its own election window.
   group.FailPrimary(1000.0, 2000.0);
   EXPECT_TRUE(group.InElection());
@@ -1193,14 +1190,13 @@ TEST(Failover, ExplicitElectionWindowOverridesTheDefault) {
 
 TEST(Failover, RecoveredPrimaryStaysStandbyAfterPromotion) {
   ReplicatedControllerGroup group(MakeController("primary", 1),
-                                  MakeController("backup", 2),
-                                  FailoverParams{.election_delay_ms = 1000.0});
+                                  MakeController("backup", 2));
   Rng rng(18);
   for (int i = 0; i < 400; ++i) {
     group.ObserveArrival(rng.LogNormal(8.1, 0.8), i * 2.0);
   }
   group.Tick(1000.0);
-  group.FailPrimary(2000.0);
+  group.FailPrimary(2000.0, 1000.0);
   group.Tick(3500.0);
   ASSERT_TRUE(group.promoted());
   // The promoted backup keeps serving and resumes recomputation.
@@ -1214,22 +1210,16 @@ TEST(Failover, RecoveredPrimaryStaysStandbyAfterPromotion) {
 
 TEST(Failover, DoubleFailureIsIdempotent) {
   ReplicatedControllerGroup group(MakeController("primary", 1),
-                                  MakeController("backup", 2),
-                                  FailoverParams{.election_delay_ms = 1000.0});
-  group.FailPrimary(0.0);
-  group.FailPrimary(500.0);  // No effect.
+                                  MakeController("backup", 2));
+  group.FailPrimary(0.0, 1000.0);
+  group.FailPrimary(500.0, 1000.0);  // No effect.
   group.Tick(2000.0);
   EXPECT_EQ(group.active().name(), "backup");
 }
 
 TEST(Failover, InvalidConstructionThrows) {
-  EXPECT_THROW(ReplicatedControllerGroup(nullptr, MakeController("b"),
-                                         FailoverParams{}),
+  EXPECT_THROW(ReplicatedControllerGroup(nullptr, MakeController("b")),
                std::invalid_argument);
-  EXPECT_THROW(
-      ReplicatedControllerGroup(MakeController("a"), MakeController("b"),
-                                FailoverParams{.election_delay_ms = -1.0}),
-      std::invalid_argument);
 }
 
 }  // namespace

@@ -150,10 +150,11 @@ TEST(LoadBalancedSelector, RotatesOnTies) {
 }
 
 TEST(TableSelector, RoutesByExternalDelayBucket) {
-  TableSelector selector("t", Rng(1));
-  selector.SetTable({{.lo = 0.0, .hi = 2000.0, .probabilities = {1, 0, 0}},
-                     {.lo = 2000.0, .hi = 5800.0, .probabilities = {0, 1, 0}},
-                     {.lo = 5800.0, .hi = 1e9, .probabilities = {0, 0, 1}}});
+  TableSelector selector("t", Rng(1), 0.0);
+  selector.SetTable({.rows = {{.lo = 0.0, .hi = 2000.0, .decision = 0},
+                              {.lo = 2000.0, .hi = 5800.0, .decision = 1},
+                              {.lo = 5800.0, .hi = 1e9, .decision = 2}},
+                     .load_fractions = std::vector<double>(3)});
   ClusterView view{.loads = {0, 0, 0}, .recent_delay_ms = {}};
   DbRequest fast{.id = 1, .external_delay_ms = 500.0};
   DbRequest mid{.id = 2, .external_delay_ms = 3000.0};
@@ -167,7 +168,7 @@ TEST(TableSelector, RoutesByExternalDelayBucket) {
 }
 
 TEST(TableSelector, FallsBackRoundRobinWithoutTable) {
-  TableSelector selector("t", Rng(1));
+  TableSelector selector("t", Rng(1), 0.0);
   ClusterView view{.loads = {0, 0, 0}, .recent_delay_ms = {}};
   std::set<int> picks;
   for (int i = 0; i < 3; ++i) {
@@ -178,13 +179,16 @@ TEST(TableSelector, FallsBackRoundRobinWithoutTable) {
 }
 
 TEST(TableSelector, RejectsBadTables) {
-  TableSelector selector("t", Rng(1));
+  TableSelector selector("t", Rng(1), 0.0);
   EXPECT_THROW(
-      selector.SetTable({{.lo = 5.0, .hi = 9.0, .probabilities = {1.0}},
-                         {.lo = 1.0, .hi = 5.0, .probabilities = {1.0}}}),
+      selector.SetTable({.rows = {{.lo = 5.0, .hi = 9.0, .decision = 0},
+                                  {.lo = 1.0, .hi = 5.0, .decision = 0}},
+                         .load_fractions = std::vector<double>(1)}),
       std::invalid_argument);
+  // A row whose decision names no replica.
   EXPECT_THROW(
-      selector.SetTable({{.lo = 0.0, .hi = 1.0, .probabilities = {}}}),
+      selector.SetTable({.rows = {{.lo = 0.0, .hi = 1.0, .decision = 0}},
+                         .load_fractions = {}}),
       std::invalid_argument);
 }
 
@@ -294,8 +298,9 @@ TEST(ReadExecutor, UsesSelectorDecision) {
   ClusterParams params;
   Cluster cluster(loop, params, Rng(5));
   cluster.LoadDataset(100, 8);
-  auto selector = std::make_shared<TableSelector>("t", Rng(2));
-  selector->SetTable({{.lo = 0.0, .hi = 1e9, .probabilities = {0, 0, 1}}});
+  auto selector = std::make_shared<TableSelector>("t", Rng(2), 0.0);
+  selector->SetTable({.rows = {{.lo = 0.0, .hi = 1e9, .decision = 2}},
+                      .load_fractions = std::vector<double>(3)});
   ReadExecutor executor(cluster, selector);
   int observed_replica = -1;
   loop.Schedule(0.0, [&] {

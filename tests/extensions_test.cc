@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "fnv1a.h"
 #include "qoe/sigmoid_model.h"
 #include "testbed/multi_agent.h"
 #include "testbed/multi_service.h"
@@ -120,6 +121,19 @@ TEST(MultiAgent, RejectsResilienceAndAbandonment) {
                  "abandonment.enabled");
 }
 
+// Pins every byte one E2E run exports (results and both telemetry
+// exports): the global table goes to every agent's table scheduler.
+TEST(MultiAgent, OutputBytesArePinned) {
+  const auto records = Workload(1500, 190.0, 43);
+  auto config = AgentConfig(AgentSharding::kRoundRobin, true);
+  config.common.collect_telemetry = true;
+  const auto result = RunMultiAgentExperiment(records, TraceQoe(), config);
+  EXPECT_EQ(result.outcomes.size(), records.size());
+  EXPECT_EQ(Fnv1a64(result.Serialize()), 0x070aea43f8d866eeULL);
+  EXPECT_EQ(Fnv1a64(result.telemetry.SerializeText()), 0x3de146873ec04b82ULL);
+  EXPECT_EQ(Fnv1a64(result.telemetry.SerializeJson()), 0xe36f8a6b9078c73bULL);
+}
+
 // ---- Multi-service ----------------------------------------------------------
 
 MultiServiceConfig ServiceConfig(CrossServiceMode mode, bool use_e2e) {
@@ -167,6 +181,31 @@ TEST(MultiService, DependencyAwareBeatsIsolated) {
       records, TraceQoe(),
       ServiceConfig(CrossServiceMode::kDependencyAware, true));
   EXPECT_GE(aware.mean_qoe, isolated.mean_qoe - 0.002);
+}
+
+// Pins every byte one dependency-aware E2E run exports. Both services run
+// E2E, so each request's effective external delay reads the sibling's
+// installed table.
+TEST(MultiService, OutputBytesArePinned) {
+  const auto records = Workload(1500, 72.0, 59);
+  auto config = ServiceConfig(CrossServiceMode::kDependencyAware, true);
+  config.service_b_legacy_fifo = false;
+  config.common.collect_telemetry = true;
+  const auto result = RunMultiServiceExperiment(records, TraceQoe(), config);
+  EXPECT_EQ(result.outcomes.size(), records.size());
+  EXPECT_EQ(Fnv1a64(result.Serialize()), 0x04f128f2c1d6fee6ULL);
+  EXPECT_EQ(Fnv1a64(result.telemetry.SerializeText()), 0x8b990f1815a82d05ULL);
+  EXPECT_EQ(Fnv1a64(result.telemetry.SerializeJson()), 0x86fffc72e0fbe8a6ULL);
+}
+
+// Each service's deliveries are metered at its own handling cost.
+TEST(MultiService, BusyTimeChargesEachServiceItsOwnCost) {
+  const auto records = Workload(400, 40.0);
+  auto config = ServiceConfig(CrossServiceMode::kIsolated, false);
+  const auto base = RunMultiServiceExperiment(records, TraceQoe(), config);
+  config.service_b.handling_cost_ms *= 10.0;
+  const auto costly = RunMultiServiceExperiment(records, TraceQoe(), config);
+  EXPECT_GT(costly.service_busy_ms, base.service_busy_ms);
 }
 
 TEST(MultiService, EmptyRecordsThrow) {

@@ -517,89 +517,6 @@ TEST(CorrelatedFaults, SurvivorsRequiresTargetedParent) {
                std::invalid_argument);
 }
 
-// ---- Fault plans on the trace simulator ------------------------------------
-
-std::vector<TraceRecord> TinyTrace() {
-  std::vector<TraceRecord> records;
-  for (int i = 0; i < 5; ++i) {
-    TraceRecord r;
-    r.request_id = static_cast<RequestId>(i + 1);
-    r.arrival_ms = 1000.0 * i;
-    r.external_delay_ms = 2000.0;
-    r.server_delay_ms = 100.0;
-    records.push_back(r);
-  }
-  return records;
-}
-
-TEST(TraceFaults, DelayAddsWithinWindowOnly) {
-  const auto records = TinyTrace();
-  const auto out = ApplyFaultPlanToTrace(
-      records, fault::FaultPlan::Parse("delay db +50ms t=[0s,2.5s]"));
-  ASSERT_EQ(out.size(), records.size());
-  EXPECT_DOUBLE_EQ(out[0].server_delay_ms, 150.0);
-  EXPECT_DOUBLE_EQ(out[2].server_delay_ms, 150.0);
-  EXPECT_DOUBLE_EQ(out[3].server_delay_ms, 100.0);
-}
-
-TEST(TraceFaults, OverloadMultipliesWithinWindow) {
-  const auto records = TinyTrace();
-  const auto out = ApplyFaultPlanToTrace(
-      records, fault::FaultPlan::Parse("overload db x3 t=[1s,3.5s]"));
-  EXPECT_DOUBLE_EQ(out[0].server_delay_ms, 100.0);
-  EXPECT_DOUBLE_EQ(out[1].server_delay_ms, 300.0);
-  EXPECT_DOUBLE_EQ(out[4].server_delay_ms, 100.0);
-}
-
-TEST(TraceFaults, DropIsSeededAndReproducible) {
-  const auto records = LoadedWorkload(500);
-  const auto plan =
-      fault::FaultPlan::Parse("drop broker p=0.5 seed=11 t=[0s,10m]");
-  const auto a = ApplyFaultPlanToTrace(records, plan);
-  const auto b = ApplyFaultPlanToTrace(records, plan);
-  EXPECT_LT(a.size(), records.size());
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].request_id, b[i].request_id);
-  }
-}
-
-TEST(TraceFaults, UnsupportedClausesHardError) {
-  const auto records = TinyTrace();
-  const char* unsupported[] = {
-      "crash ctrl t=1s for=1s",
-      "partition db r=0",
-      "skew est err=0.2",
-      "delay db +1s r=1",  // The trace has no replicas to target.
-      "overload db x2 r=0",
-  };
-  for (const char* spec : unsupported) {
-    EXPECT_THROW(
-        ApplyFaultPlanToTrace(records, fault::FaultPlan::Parse(spec)),
-        std::invalid_argument)
-        << "spec: " << spec;
-  }
-}
-
-TEST(TraceFaults, ReshuffleConfigOverloadAppliesPlanOrThrows) {
-  const auto records = LoadedWorkload(400);
-  const auto selector = [](PageType) -> const QoeModel& { return TraceQoe(); };
-  ExperimentConfig clean;
-  const auto base = ReshuffleWithinWindows(
-      records, selector, ReshufflePolicy::kRecorded, 10000.0, clean);
-  ExperimentConfig faulted;
-  faulted.fault_plan = fault::FaultPlan::Parse("delay db +2s");
-  const auto slowed = ReshuffleWithinWindows(
-      records, selector, ReshufflePolicy::kRecorded, 10000.0, faulted);
-  EXPECT_LT(slowed.old_mean_qoe, base.old_mean_qoe);
-  ExperimentConfig unsupported;
-  unsupported.fault_plan = fault::FaultPlan::Parse("crash ctrl t=1s for=1s");
-  EXPECT_THROW(ReshuffleWithinWindows(records, selector,
-                                      ReshufflePolicy::kRecorded, 10000.0,
-                                      unsupported),
-               std::invalid_argument);
-}
-
 // ---- DB experiment with the full layer --------------------------------------
 
 TEST(DbResilience, ServesEverythingAcrossPartition) {

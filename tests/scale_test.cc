@@ -25,13 +25,13 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/controller.h"
 #include "core/policy.h"
 #include "core/server_delay_model.h"
+#include "fnv1a.h"
 #include "proptest.h"
 #include "qoe/abandonment.h"
 #include "qoe/sigmoid_model.h"
@@ -690,16 +690,6 @@ ShardedReplayConfig AbandonmentReplayConfig(int shards) {
   config.common.abandonment.patience_slow_ms = 5000.0;
   config.common.abandonment.seed = 11;
   return config;
-}
-
-// Byte-wise FNV-1a-64.
-std::uint64_t Fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 // Pins every byte the replay exports (results and both telemetry exports),

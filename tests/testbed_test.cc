@@ -7,6 +7,7 @@
 #include <string>
 #include <string_view>
 
+#include "fnv1a.h"
 #include "qoe/sigmoid_model.h"
 #include "testbed/broker_experiment.h"
 #include "testbed/counterfactual.h"
@@ -241,16 +242,6 @@ TEST(DbExperiment, FailoverKeepsServing) {
   EXPECT_GT(result.mean_qoe, 0.0);
 }
 
-// Byte-wise FNV-1a-64.
-std::uint64_t Fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // Value of the named counter in a run's telemetry (0 when absent).
 std::uint64_t CounterValue(const obs::TelemetrySnapshot& telemetry,
                            std::string_view name) {
@@ -346,18 +337,6 @@ TEST(DbExperiment, RejectsAdmission) {
   }
 }
 
-TEST(DbExperiment, SelectorEntriesAreOneHot) {
-  DecisionTable table;
-  table.rows = {{.lo = 0.0, .hi = 10.0, .decision = 1},
-                {.lo = 10.0, .hi = 20.0, .decision = 0}};
-  table.load_fractions = {0.5, 0.5};
-  const auto entries = ToSelectorEntries(table);
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_DOUBLE_EQ(entries[0].probabilities[1], 1.0);
-  EXPECT_DOUBLE_EQ(entries[0].probabilities[0], 0.0);
-  EXPECT_DOUBLE_EQ(entries[1].probabilities[0], 1.0);
-}
-
 // ---- Broker experiment --------------------------------------------------------
 
 BrokerExperimentConfig FastBrokerConfig(BrokerPolicy policy) {
@@ -430,17 +409,6 @@ TEST(BrokerExperiment, OutputBytesArePinned) {
             0xe6d024178593dd62ULL);
   EXPECT_EQ(Fnv1a64(resilient.telemetry.SerializeJson()),
             0x92267e9978bef34aULL);
-}
-
-TEST(BrokerExperiment, SchedulerEntriesMatchTable) {
-  DecisionTable table;
-  table.rows = {{.lo = 0.0, .hi = 10.0, .decision = 2},
-                {.lo = 10.0, .hi = 20.0, .decision = 0}};
-  table.load_fractions = {0.5, 0.0, 0.5};
-  const auto entries = ToSchedulerEntries(table);
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].priority, 2);
-  EXPECT_EQ(entries[1].priority, 0);
 }
 
 TEST(BrokerExperiment, EmptyRecordsThrow) {
