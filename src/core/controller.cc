@@ -33,6 +33,13 @@ Controller::Controller(std::string name, ControllerConfig config,
     throw std::invalid_argument(
         "Controller: rps_planning_factor not finite and > 0");
   }
+  // Here, not at the first recompute, which comes late or never.
+  ValidatePolicyConfig(config_.policy);
+  const int workers = ThreadPool::DefaultWorkers();
+  if (workers > 1 &&
+      PolicyPoolPays(config_.policy, server_model_->NumDecisions())) {
+    pool_ = std::make_unique<ThreadPool>(workers);
+  }
 }
 
 void Controller::ObserveArrival(DelayMs external_delay_ms, double now_ms) {
@@ -114,12 +121,13 @@ bool Controller::Tick(double now_ms) {
   PolicyResult result = [&] {
     if (penalties_ms_.empty()) {
       return ComputePolicy(*qoe_, *server_model_, estimated, rps,
-                           config_.policy);
+                           config_.policy, pool_.get());
     }
     // Placement co-design: solve against the penalty-shifted view of the
     // cluster so weight drifts off replicas resilience cannot rescue.
     const PenalizedServerModel penalized(*server_model_, penalties_ms_);
-    return ComputePolicy(*qoe_, penalized, estimated, rps, config_.policy);
+    return ComputePolicy(*qoe_, penalized, estimated, rps, config_.policy,
+                         pool_.get());
   }();
   const double cost_us = clock_->NowMicros() - start_us;
   span.End();

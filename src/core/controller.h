@@ -18,6 +18,7 @@
 #include "qoe/qoe_model.h"
 #include "util/clock.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace e2e {
 
@@ -41,9 +42,9 @@ struct ControllerConfig {
   /// and flushes closed groups in batches of max(4, 2 · shards), merging
   /// them in (window, page) order — byte-identical output at any shard
   /// count. Groups are not partitioned by it. 0 = one worker per core (the
-  /// replay's header has the convention). The pool's workers are the only
-  /// threads a policy solve ever runs on; each solve itself is serial. The
-  /// live Controller serves one stream and ignores this.
+  /// replay's header has the convention). Each replay solve runs on the
+  /// worker that plans its group, with no pool of its own. The live
+  /// Controller serves one stream and ignores this.
   int shards = 1;
 };
 
@@ -74,12 +75,23 @@ struct ControllerStats {
 };
 
 /// One controller instance serving one shared-resource service.
+///
+/// When its policy and G offer enough neighbours per climb step for a pool
+/// to pay (PolicyPoolPays) and the host has more than one core, the
+/// controller owns a ThreadPool of ThreadPool::DefaultWorkers() workers and
+/// hands it to every ComputePolicy, which fans each climb round's mapping
+/// solves out on it. The tables and stats are byte-identical to a
+/// pool-free solve. A controller with a smaller G, such as the db
+/// testbed's three replicas, starts no thread.
 class Controller {
  public:
   /// `clock` drives the recompute/lookup budget accounting in `stats()`.
   /// It defaults to VirtualClock::Frozen() so experiment runs stay
   /// byte-reproducible; pass &RealClock::Instance() (or an EventLoopClock)
   /// to measure something else. The clock must outlive the controller.
+  /// Throws std::invalid_argument for a null model, a negative shard
+  /// count, an rps_planning_factor not finite and > 0, or a policy config
+  /// ValidatePolicyConfig rejects.
   Controller(std::string name, ControllerConfig config, QoeModelPtr qoe,
              std::shared_ptr<const ServerDelayModel> server_model,
              std::uint64_t seed, const Clock* clock = nullptr);
@@ -158,6 +170,7 @@ class Controller {
   ControllerConfig config_;
   QoeModelPtr qoe_;
   std::shared_ptr<const ServerDelayModel> server_model_;
+  std::unique_ptr<ThreadPool> pool_;  // Null: every solve runs inline.
   ExternalDelayModel external_model_;
   DecisionTableCache cache_;
   const Clock* clock_;

@@ -13,9 +13,14 @@
 #include "matching/assignment.h"
 #include "matching/transportation.h"
 #include "stats/bucketizer.h"
+#include "util/thread_pool.h"
 
 namespace e2e {
 namespace {
+
+// The fewest mapping solves one climb round hands to a ThreadPool
+// (PolicyPoolPays); a smaller round solves inline.
+constexpr int kMinPooledSolves = 8;
 
 // Internal bucket view used by the solver.
 struct PolicyBucket {
@@ -164,7 +169,7 @@ class HashIndex {
 
 // One evaluated allocation: its objective value and its bucket→decision
 // mapping with each bucket's planned expected QoE. The spans alias the
-// evaluator's arena and stay valid until its next Evaluate or Reset.
+// evaluator's arena and stay valid until its next EvaluateAll or Reset.
 struct Evaluation {
   double objective_value = 0.0;
   std::span<const int> decision_of_bucket;
@@ -176,13 +181,22 @@ struct Evaluation {
 // state) lives in flat buffers that Reset() empties without freeing, so a
 // thread that reuses one evaluator across solves evaluates allocations
 // without heap allocation once the buffers have grown to its largest solve.
+//
+// The allocations one EvaluateAll call misses are evaluated together, in
+// lockstep rounds: first every one's mapping solve at its unit split, then
+// each refine round's solves. Everything that calls a model, reads a cache
+// or writes shared state runs on the calling thread, allocation by
+// allocation in batch order. Only a round's mapping solves (SolveRound) may
+// run on the pool: each is a pure function of its allocation and the
+// columns already in the cache, and writes only its own mapping.
 class AllocationEvaluator {
  public:
   // Binds the evaluator to one solve and empties it. The arguments must
   // outlive the solve.
   void Reset(const QoeModel& qoe, const ServerDelayModel& g,
              const Objective& objective, std::span<const PolicyBucket> buckets,
-             double total_rps, const PolicyConfig& config, PolicyStats& stats) {
+             double total_rps, const PolicyConfig& config, PolicyStats& stats,
+             ThreadPool* pool) {
     qoe_ = &qoe;
     g_ = &g;
     objective_ = &objective;
@@ -190,6 +204,8 @@ class AllocationEvaluator {
     total_rps_ = total_rps;
     config_ = &config;
     stats_ = &stats;
+    pool_ = PolicyPoolPays(config, g.NumDecisions()) ? pool : nullptr;
+    decisions_ = static_cast<std::size_t>(g.NumDecisions());
     evaluation_index_.Clear();
     entry_units_.clear();
     entry_objective_.clear();
@@ -201,25 +217,45 @@ class AllocationEvaluator {
     column_qoe_.clear();
   }
 
-  // Evaluates the allocation `units` (buckets per decision, summing to
-  // buckets_.size()), caching by allocation vector. Only a cache miss
-  // counts toward the stats.
+  // Evaluates the allocations laid out back to back in `batch`, D units
+  // each (buckets per decision, summing to buckets_.size()), caching by
+  // allocation vector, and returns each one's cache entry in batch order.
+  // Only a cache miss counts toward the stats. The span is valid until the
+  // next call.
+  std::span<const std::uint32_t> EvaluateAll(std::span<const int> batch) {
+    const std::size_t first_new = evaluation_index_.size();
+    batch_entries_.clear();
+    for (std::size_t at = 0; at < batch.size(); at += decisions_) {
+      const std::span<const int> units = batch.subspan(at, decisions_);
+      const std::uint64_t hash = UnitsHash(units);
+      std::uint32_t entry =
+          evaluation_index_.Find(hash, [&](std::uint32_t e) {
+            return std::equal(units.begin(), units.end(),
+                              UnitsOf(e).begin());
+          });
+      if (entry == HashIndex::kNone) {
+        ++stats_->allocations_evaluated;
+        entry = static_cast<std::uint32_t>(evaluation_index_.size());
+        entry_units_.insert(entry_units_.end(), units.begin(), units.end());
+        evaluation_index_.Insert(hash);
+      }
+      batch_entries_.push_back(entry);
+    }
+    EvaluateNew(first_new);
+    return batch_entries_;
+  }
+
+  // Evaluates one allocation.
   Evaluation Evaluate(std::span<const int> units) {
-    const std::uint64_t hash = UnitsHash(units);
-    const std::uint32_t hit =
-        evaluation_index_.Find(hash, [&](std::uint32_t entry) {
-          return std::equal(units.begin(), units.end(),
-                            entry_units_.begin() +
-                                static_cast<std::ptrdiff_t>(entry *
-                                                            units.size()));
-        });
-    if (hit != HashIndex::kNone) return EntryOf(hit);
-    ++stats_->allocations_evaluated;
-    const std::size_t entry = evaluation_index_.size();
-    EvaluateUncached(units);
-    entry_units_.insert(entry_units_.end(), units.begin(), units.end());
-    evaluation_index_.Insert(hash);
-    return EntryOf(entry);
+    return EntryOf(EvaluateAll(units).front());
+  }
+
+  Evaluation EntryOf(std::size_t entry) const {
+    const std::size_t n = buckets_.size();
+    return Evaluation{
+        entry_objective_[entry],
+        std::span<const int>(entry_decision_).subspan(entry * n, n),
+        std::span<const double>(entry_expected_).subspan(entry * n, n)};
   }
 
  private:
@@ -231,12 +267,25 @@ class AllocationEvaluator {
     std::vector<std::uint32_t> columns;
   };
 
-  Evaluation EntryOf(std::size_t entry) const {
-    const std::size_t n = buckets_.size();
-    return Evaluation{
-        entry_objective_[entry],
-        std::span<const int>(entry_decision_).subspan(entry * n, n),
-        std::span<const double>(entry_expected_).subspan(entry * n, n)};
+  // One allocation in evaluation: its cache entry, where its mapping goes,
+  // and the state its refine loop carries from round to round. The vectors
+  // keep their storage from one batch to the next.
+  struct Pending {
+    std::size_t entry = 0;
+    std::span<int> decision_of_bucket;  // The entry's n arena slots.
+    std::span<double> expected_qoe_of_bucket;
+    std::vector<double> fractions;  // The split the last solve ran at.
+    std::vector<double> actual;     // The split its mapping creates.
+    GOutputs at_split;              // G's outputs at `fractions`.
+    std::vector<std::uint32_t> solved_columns;  // The columns of the solve
+                                                // before the current one.
+    bool refining = false;  // Not yet converged, and rounds remain.
+    bool solve = false;     // This round's mapping problem is a new one.
+  };
+
+  std::span<const int> UnitsOf(std::size_t entry) const {
+    return std::span<const int>(entry_units_)
+        .subspan(entry * decisions_, decisions_);
   }
 
   // Column `entry` of the column cache: n per-bucket expected QoEs. Valid
@@ -246,72 +295,154 @@ class AllocationEvaluator {
     return std::span<const double>(column_qoe_).subspan(entry * n, n);
   }
 
-  // Each evaluation is a small fixed point between the two subproblems
-  // ("E2E solves the two subproblems iteratively", §4.2): the mapping is
-  // solved against G at some load split, and the split implied by the
-  // mapping (sum of the *population weights* of the buckets routed to each
-  // decision — NOT the unit counts, which diverge once the max-span rule
-  // splits buckets unevenly) is fed back into G until it stops moving. The
-  // reported QoE is therefore consistent with the load the installed table
-  // would actually create. Appends the evaluation's mapping and score as
-  // the next cache entry (its units are the caller's to append).
-  void EvaluateUncached(std::span<const int> units) {
-    // The mapping in progress is the arena's next n entries.
+  // Evaluates the cache entries from `first` on, which EvaluateAll appended
+  // with their units only. Each evaluation is a small fixed point between
+  // the two subproblems ("E2E solves the two subproblems iteratively",
+  // §4.2): the mapping is solved against G at some load split, and the
+  // split implied by the mapping (sum of the *population weights* of the
+  // buckets routed to each decision — NOT the unit counts, which diverge
+  // once the max-span rule splits buckets unevenly) is fed back into G
+  // until it stops moving. The reported QoE is therefore consistent with
+  // the load the installed table would actually create. The evaluations
+  // advance together, one round at a time, so each round's solves can run
+  // at once.
+  void EvaluateNew(std::size_t first) {
+    const std::size_t end = evaluation_index_.size();
+    const std::size_t count = end - first;
+    if (count == 0) return;
     const std::size_t n = buckets_.size();
-    const std::size_t at = entry_decision_.size();
-    entry_decision_.resize(at + n);
-    entry_expected_.resize(at + n);
-    const std::span<int> decision_of_bucket =
-        std::span<int>(entry_decision_).subspan(at, n);
-    const std::span<double> expected_qoe_of_bucket =
-        std::span<double>(entry_expected_).subspan(at, n);
+    entry_decision_.resize(end * n);
+    entry_expected_.resize(end * n);
+    entry_objective_.resize(end);
+    if (pending_.size() < count) pending_.resize(count);
 
-    // Seed split: unit share (exact when buckets are equal-population).
+    // Round 0: solve each at its unit share (exact when buckets are
+    // equal-population), with no G outputs from an earlier solve.
     const double total_units = static_cast<double>(n);
-    fractions_.resize(units.size());
-    for (std::size_t d = 0; d < units.size(); ++d) {
-      fractions_[d] = static_cast<double>(units[d]) / total_units;
+    for (std::size_t k = 0; k < count; ++k) {
+      Pending& p = pending_[k];
+      p.entry = first + k;
+      p.decision_of_bucket =
+          std::span<int>(entry_decision_).subspan(p.entry * n, n);
+      p.expected_qoe_of_bucket =
+          std::span<double>(entry_expected_).subspan(p.entry * n, n);
+      const std::span<const int> units = UnitsOf(p.entry);
+      std::size_t assigned = 0;
+      for (const int u : units) assigned += static_cast<std::size_t>(u);
+      if (assigned != n) {
+        throw std::logic_error("AllocationEvaluator: allocation != buckets");
+      }
+      p.fractions.resize(decisions_);
+      for (std::size_t d = 0; d < decisions_; ++d) {
+        p.fractions[d] = static_cast<double>(units[d]) / total_units;
+      }
+      p.refining = true;
+      p.at_split.columns.clear();
+      PrepareSolve(p);
     }
+    SolveRound(count);
 
-    // G's outputs at the split of the last solve; none before the first.
-    at_split_.columns.clear();
-    SolveWithFractions(units, fractions_, decision_of_bucket,
-                       expected_qoe_of_bucket);
-    SplitOf(decision_of_bucket, units.size(), actual_);
+    // Refine rounds: re-solve each mapping at the split the last one
+    // created until that split stops moving.
     const int max_rounds = config_->refine_fractions ? 3 : 0;
     for (int round = 0; round < max_rounds; ++round) {
-      double moved = 0.0;
-      for (std::size_t d = 0; d < actual_.size(); ++d) {
-        moved += std::abs(actual_[d] - fractions_[d]);
+      bool any = false;
+      for (std::size_t k = 0; k < count; ++k) {
+        Pending& p = pending_[k];
+        if (!p.refining) continue;
+        double moved = 0.0;
+        for (std::size_t d = 0; d < decisions_; ++d) {
+          moved += std::abs(p.actual[d] - p.fractions[d]);
+        }
+        if (moved < 0.02) {  // Converged.
+          p.refining = false;
+          continue;
+        }
+        p.fractions.swap(p.actual);
+        // Where G's columns did not move, the mapping stands, the round's
+        // SplitOf reproduces `fractions` bitwise, and the next round stops.
+        PrepareSolve(p);
+        any = true;
       }
-      if (moved < 0.02) break;  // Converged.
-      fractions_.swap(actual_);
-      // Where G's columns did not move, the mapping stands, this SplitOf
-      // reproduces `fractions_` bitwise, and the next round stops.
-      SolveWithFractions(units, fractions_, decision_of_bucket,
-                         expected_qoe_of_bucket);
-      SplitOf(decision_of_bucket, units.size(), actual_);
+      if (!any) break;
+      SolveRound(count);
     }
-    // Score at the split the final mapping actually creates, docked by the
-    // elective-overload safety margin (see PolicyConfig). Usually the refine
-    // loop stops with that split bitwise equal to the one the last solve
-    // ran at (moved == 0). G is a pure function of its arguments, so the
-    // solve's distributions and columns are then exactly what scoring would
-    // fetch again; only a split that moved asks G anew.
-    if (!SameBytes(actual_, fractions_)) QueryG(actual_);
-    double objective_value = ScoreMapping(decision_of_bucket);
+
+    for (std::size_t k = 0; k < count; ++k) Score(pending_[k]);
+  }
+
+  // Asks G for the problem of `p`'s next mapping solve, at p.fractions, and
+  // fetches every column; p.solve says whether those columns differ from
+  // the solve before it. On a refine round p.at_split still holds the
+  // columns of the solve just run (the first round finds none), and when G's
+  // columns at the new split are those same columns the mapping problem is
+  // bitwise that solve's, so the mapping stands. Compares every column, not
+  // only those the allocation uses, so the problem is the last one whatever
+  // a mapping algorithm reads.
+  void PrepareSolve(Pending& p) {
+    p.solved_columns.assign(p.at_split.columns.begin(),
+                            p.at_split.columns.end());
+    QueryG(p.fractions, p.at_split);
+    for (std::size_t d = 0; d < p.at_split.columns.size(); ++d) {
+      p.at_split.columns[d] = QoeColumn(p.at_split.delay_of_decision[d]);
+    }
+    p.solve = p.at_split.columns != p.solved_columns;
+  }
+
+  // Runs the mapping solves of this round's refining evaluations among the
+  // first `count` pending ones, then records the split each mapping
+  // creates. The solves go to the pool when there are enough of them to pay
+  // for its fork/join.
+  void SolveRound(std::size_t count) {
+    round_solves_.clear();
+    for (std::size_t k = 0; k < count; ++k) {
+      const Pending& p = pending_[k];
+      if (!p.refining || !p.solve) continue;
+      round_solves_.push_back(k);
+      if (config_->mapping == MappingAlgorithm::kTransportation) {
+        ++stats_->transport_solves;
+      } else if (config_->mapping == MappingAlgorithm::kOptimalMatching) {
+        ++stats_->matchings_solved;
+      }
+    }
+    if (pool_ != nullptr &&
+        round_solves_.size() >= static_cast<std::size_t>(kMinPooledSolves)) {
+      // Captures only `this`, so std::function stores it without a heap
+      // allocation.
+      pool_->ParallelFor(round_solves_.size(), [this](std::size_t i) {
+        SolveMapping(pending_[round_solves_[i]]);
+      });
+    } else {
+      for (const std::size_t k : round_solves_) SolveMapping(pending_[k]);
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      Pending& p = pending_[k];
+      if (p.refining) SplitOf(p.decision_of_bucket, p.actual);
+    }
+  }
+
+  // Scores `p`'s final mapping at the split it actually creates, docked by
+  // the elective-overload safety margin (see PolicyConfig), into its cache
+  // entry. Usually the refine loop stops with that split bitwise equal to
+  // the one the last solve ran at (moved == 0). G is a pure function of its
+  // arguments, so the solve's distributions and columns are then exactly
+  // what scoring would fetch again; only a split that moved asks G anew.
+  void Score(Pending& p) {
+    if (!SameBytes(p.actual, p.fractions)) QueryG(p.actual, p.at_split);
+    double objective_value = ScoreMapping(p.decision_of_bucket, p.at_split);
     if (config_->instability_penalty > 0.0) {
       // IsOverloaded depends only on (decision, fractions, rate), so ask
       // once per decision instead of once per bucket; the per-bucket mass
       // accumulation below keeps its historical order.
-      overloaded_.assign(units.size(), 0);
-      for (std::size_t d = 0; d < units.size(); ++d) {
+      overloaded_.assign(decisions_, 0);
+      for (std::size_t d = 0; d < decisions_; ++d) {
         overloaded_[d] =
-            g_->IsOverloaded(static_cast<int>(d), actual_, total_rps_) ? 1 : 0;
+            g_->IsOverloaded(static_cast<int>(d), p.actual, total_rps_) ? 1
+                                                                        : 0;
       }
       double overloaded_mass = 0.0;
-      for (std::size_t b = 0; b < n; ++b) {
-        if (overloaded_[static_cast<std::size_t>(decision_of_bucket[b])] !=
+      for (std::size_t b = 0; b < buckets_.size(); ++b) {
+        if (overloaded_[static_cast<std::size_t>(p.decision_of_bucket[b])] !=
             0) {
           overloaded_mass += buckets_[b].weight;
         }
@@ -319,13 +450,13 @@ class AllocationEvaluator {
       objective_value -=
           config_->instability_penalty * qoe_->Qoe(0.0) * overloaded_mass;
     }
-    entry_objective_.push_back(objective_value);
+    entry_objective_[p.entry] = objective_value;
   }
 
   // The split a mapping creates: each decision's summed bucket weight.
   void SplitOf(std::span<const int> decision_of_bucket,
-               std::size_t num_decisions, std::vector<double>& split) const {
-    split.assign(num_decisions, 0.0);
+               std::vector<double>& split) const {
+    split.assign(decisions_, 0.0);
     for (std::size_t b = 0; b < buckets_.size(); ++b) {
       split[static_cast<std::size_t>(decision_of_bucket[b])] +=
           buckets_[b].weight;
@@ -333,17 +464,14 @@ class AllocationEvaluator {
   }
 
   // Asks G for every decision's delay distribution when the load splits as
-  // `fractions` at the planned rate, into at_split_. Columns start
-  // unfetched.
-  void QueryG(std::span<const double> fractions) {
-    const int num_decisions = g_->NumDecisions();
-    at_split_.delay_of_decision.clear();
-    for (int d = 0; d < num_decisions; ++d) {
-      at_split_.delay_of_decision.push_back(
-          g_->DelayDistribution(d, fractions, total_rps_));
+  // `fractions` at the planned rate, into `out`. Columns start unfetched.
+  void QueryG(std::span<const double> fractions, GOutputs& out) const {
+    out.delay_of_decision.clear();
+    for (std::size_t d = 0; d < decisions_; ++d) {
+      out.delay_of_decision.push_back(
+          g_->DelayDistribution(static_cast<int>(d), fractions, total_rps_));
     }
-    at_split_.columns.assign(static_cast<std::size_t>(num_decisions),
-                             HashIndex::kNone);
+    out.columns.assign(decisions_, HashIndex::kNone);
   }
 
   // Per-bucket expected-QoE column for one slot delay distribution:
@@ -385,15 +513,16 @@ class AllocationEvaluator {
     return entry;
   }
 
-  // Objective score of a fixed mapping under G's outputs at_split_. Builds
+  // Objective score of a fixed mapping under G's outputs `at_split`. Builds
   // one QoeBucketView per bucket, in bucket-index order; per-bucket QoE
   // distributions (the view's value/probability spans) are only
   // materialized when the objective asks for them, and for the mean fast
   // path the expected-QoE accumulation is byte-for-byte the historical
   // ExpectedQoe loop (shared with the mapping solves through the column
-  // cache). Columns at_split_ lacks are fetched lazily, so decisions no
+  // cache). Columns `at_split` lacks are fetched lazily, so decisions no
   // bucket routed to cost nothing.
-  double ScoreMapping(std::span<const int> decision_of_bucket) {
+  double ScoreMapping(std::span<const int> decision_of_bucket,
+                      GOutputs& at_split) {
     const std::size_t n = buckets_.size();
     const bool need_distribution = objective_->NeedsDistribution();
     views_.assign(n, QoeBucketView{});
@@ -401,14 +530,14 @@ class AllocationEvaluator {
     // bucket; sized before any view takes a span into it.
     std::size_t stride = 0;
     if (need_distribution) {
-      for (const DiscreteDistribution& f : at_split_.delay_of_decision) {
+      for (const DiscreteDistribution& f : at_split.delay_of_decision) {
         stride = std::max(stride, f.values().size());
       }
       qoe_values_.resize(n * stride);
     }
     for (std::size_t b = 0; b < n; ++b) {
       const std::size_t d = static_cast<std::size_t>(decision_of_bucket[b]);
-      const DiscreteDistribution& f = at_split_.delay_of_decision[d];
+      const DiscreteDistribution& f = at_split.delay_of_decision[d];
       QoeBucketView& view = views_[b];
       view.weight = buckets_[b].weight;
       if (need_distribution) {
@@ -428,62 +557,40 @@ class AllocationEvaluator {
         view.qoe_values = qv;
         view.probabilities = probs;
       } else {
-        if (at_split_.columns[d] == HashIndex::kNone) {
-          at_split_.columns[d] = QoeColumn(f);
+        if (at_split.columns[d] == HashIndex::kNone) {
+          at_split.columns[d] = QoeColumn(f);
         }
-        view.expected_qoe = column_qoe_[at_split_.columns[d] * n + b];
+        view.expected_qoe = column_qoe_[at_split.columns[d] * n + b];
       }
     }
     return objective_->Score(views_);
   }
 
-  // Solves the mapping for allocation `units` against G at `fractions`,
-  // writing the mapping into `decision_of_bucket`/`expected_qoe_of_bucket`
-  // and G's outputs (every column fetched) into at_split_. On a refine
-  // round at_split_ still holds the columns of the solve just run (an
-  // evaluation's first solve finds none), and when G's columns at
-  // `fractions` are those same columns the mapping problem is bitwise that
-  // solve's, so the mapping stands.
-  void SolveWithFractions(std::span<const int> units,
-                          std::span<const double> fractions,
-                          std::span<int> decision_of_bucket,
-                          std::span<double> expected_qoe_of_bucket) {
+  // Solves `p`'s mapping against the columns PrepareSolve fetched into
+  // p.at_split, writing it into p.decision_of_bucket/expected_qoe_of_bucket
+  // and nothing else, so solves of one round may run concurrently. Counted
+  // by SolveRound. No score here: Score always re-scores the final mapping
+  // at the split it actually creates, so an intermediate mean would be dead
+  // weight (and wrong for non-mean objectives).
+  void SolveMapping(const Pending& p) const {
     const std::size_t n = buckets_.size();
-    std::size_t assigned = 0;
-    for (const int u : units) assigned += static_cast<std::size_t>(u);
-    if (assigned != n) {
-      throw std::logic_error("AllocationEvaluator: allocation != buckets");
-    }
-
-    // Per-decision delay distributions under this allocation. Edge weights
-    // depend only on (bucket, decision) — all slots of one decision share a
-    // byte-identical weight column, fetched through the content-keyed
-    // column cache, so two column entries are equal exactly when their
-    // contents are.
-    solved_columns_.assign(at_split_.columns.begin(), at_split_.columns.end());
-    QueryG(fractions);
-    const std::vector<DiscreteDistribution>& delay_of_decision =
-        at_split_.delay_of_decision;
-    for (std::size_t d = 0; d < at_split_.columns.size(); ++d) {
-      at_split_.columns[d] = QoeColumn(delay_of_decision[d]);
-    }
-    const std::vector<std::uint32_t>& qoe_col = at_split_.columns;
-    // Compare every column, not only those the allocation uses, so the
-    // problem is the last one whatever a mapping algorithm reads.
-    if (qoe_col == solved_columns_) return;
-
+    const std::span<const int> units = UnitsOf(p.entry);
+    const std::vector<std::uint32_t>& qoe_col = p.at_split.columns;
     if (config_->mapping == MappingAlgorithm::kTransportation) {
-      SolveTransport(units, decision_of_bucket, expected_qoe_of_bucket);
-    } else if (config_->mapping == MappingAlgorithm::kOptimalMatching) {
-      // Expanded mapping kept for cross-checks: units[d] slots per
-      // decision, one column per slot.
-      std::vector<int> decision_of_slot;
-      decision_of_slot.reserve(n);
-      for (std::size_t d = 0; d < units.size(); ++d) {
-        for (int u = 0; u < units[d]; ++u) {
-          decision_of_slot.push_back(static_cast<int>(d));
-        }
+      SolveTransport(units, qoe_col, p.decision_of_bucket,
+                     p.expected_qoe_of_bucket);
+      return;
+    }
+    // Expanded mapping: units[d] slots per decision.
+    std::vector<int> decision_of_slot;
+    decision_of_slot.reserve(n);
+    for (std::size_t d = 0; d < units.size(); ++d) {
+      for (int u = 0; u < units[d]; ++u) {
+        decision_of_slot.push_back(static_cast<int>(d));
       }
+    }
+    if (config_->mapping == MappingAlgorithm::kOptimalMatching) {
+      // Kept for cross-checks: one column per slot.
       WeightMatrix weights(n, n);
       for (std::size_t s = 0; s < n; ++s) {
         const std::span<const double> col =
@@ -493,71 +600,60 @@ class AllocationEvaluator {
         }
       }
       const AssignmentResult matching = SolveMaxWeightAssignment(weights);
-      ++stats_->matchings_solved;
       for (std::size_t b = 0; b < n; ++b) {
         const int d = decision_of_slot[matching.column_of_row[b]];
-        decision_of_bucket[b] = d;
-        expected_qoe_of_bucket[b] =
+        p.decision_of_bucket[b] = d;
+        p.expected_qoe_of_bucket[b] =
             Column(qoe_col[static_cast<std::size_t>(d)])[b];
       }
-    } else {
-      // Slope-based mapping: steepest-slope bucket gets the lowest-mean-
-      // delay slot (§7.1). This is exactly the policy that ignores the
-      // magnitude of server-side delays (§3.2).
-      std::vector<int> decision_of_slot;
-      decision_of_slot.reserve(n);
-      for (std::size_t d = 0; d < units.size(); ++d) {
-        for (int u = 0; u < units[d]; ++u) {
-          decision_of_slot.push_back(static_cast<int>(d));
-        }
-      }
-      std::vector<std::size_t> bucket_order(n);
-      std::iota(bucket_order.begin(), bucket_order.end(), std::size_t{0});
-      std::stable_sort(bucket_order.begin(), bucket_order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return qoe_->Sensitivity(buckets_[a].representative) >
-                         qoe_->Sensitivity(buckets_[b].representative);
-                });
-      std::vector<std::size_t> slot_order(n);
-      std::iota(slot_order.begin(), slot_order.end(), std::size_t{0});
-      std::vector<double> slot_mean(n);
-      for (std::size_t s = 0; s < n; ++s) {
-        slot_mean[s] =
-            delay_of_decision[static_cast<std::size_t>(decision_of_slot[s])]
-                .Mean();
-      }
-      std::stable_sort(slot_order.begin(), slot_order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  return slot_mean[a] < slot_mean[b];
-                });
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t b = bucket_order[i];
-        const int d = decision_of_slot[slot_order[i]];
-        decision_of_bucket[b] = d;
-        expected_qoe_of_bucket[b] =
-            Column(qoe_col[static_cast<std::size_t>(d)])[b];
-      }
+      return;
     }
-
-    // No score here: EvaluateUncached always re-scores the final mapping at
-    // the split it actually creates, so an intermediate mean would be dead
-    // weight (and wrong for non-mean objectives).
+    // Slope-based mapping: steepest-slope bucket gets the lowest-mean-
+    // delay slot (§7.1). This is exactly the policy that ignores the
+    // magnitude of server-side delays (§3.2).
+    std::vector<std::size_t> bucket_order(n);
+    std::iota(bucket_order.begin(), bucket_order.end(), std::size_t{0});
+    std::stable_sort(bucket_order.begin(), bucket_order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return qoe_->Sensitivity(buckets_[a].representative) >
+                              qoe_->Sensitivity(buckets_[b].representative);
+                     });
+    std::vector<std::size_t> slot_order(n);
+    std::iota(slot_order.begin(), slot_order.end(), std::size_t{0});
+    std::vector<double> slot_mean(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      slot_mean[s] = p.at_split
+                         .delay_of_decision[static_cast<std::size_t>(
+                             decision_of_slot[s])]
+                         .Mean();
+    }
+    std::stable_sort(slot_order.begin(), slot_order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return slot_mean[a] < slot_mean[b];
+                     });
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t b = bucket_order[i];
+      const int d = decision_of_slot[slot_order[i]];
+      p.decision_of_bucket[b] = d;
+      p.expected_qoe_of_bucket[b] =
+          Column(qoe_col[static_cast<std::size_t>(d)])[b];
+    }
   }
 
   // Collapsed mapping: n unit-supply buckets × D capacitated decisions,
   // O(n²·D) instead of Hungarian's O(n³) over the expanded slot matrix
   // (matching/transportation.h). Edge weight (b, d) is bucket b's weight
   // times entry b of decision d's column; the negated weights go straight
-  // into this thread's scratch (replay shards solve concurrently).
+  // into the scratch of the thread that runs the solve.
   void SolveTransport(std::span<const int> units,
+                      std::span<const std::uint32_t> columns,
                       std::span<int> decision_of_bucket,
-                      std::span<double> expected_qoe_of_bucket) {
+                      std::span<double> expected_qoe_of_bucket) const {
     const std::size_t n = buckets_.size();
-    ++stats_->transport_solves;
     thread_local TransportationScratch scratch;
     const std::span<double> cost = scratch.Costs(n, units.size());
     for (std::size_t d = 0; d < units.size(); ++d) {
-      const std::span<const double> col = Column(at_split_.columns[d]);
+      const std::span<const double> col = Column(columns[d]);
       for (std::size_t b = 0; b < n; ++b) {
         cost[d * n + b] = -(buckets_[b].weight * col[b]);
       }
@@ -567,7 +663,7 @@ class AllocationEvaluator {
     for (std::size_t b = 0; b < n; ++b) {
       const std::size_t d = mapping.column_of_row[b];
       decision_of_bucket[b] = static_cast<int>(d);
-      expected_qoe_of_bucket[b] = Column(at_split_.columns[d])[b];
+      expected_qoe_of_bucket[b] = Column(columns[d])[b];
     }
   }
 
@@ -579,6 +675,9 @@ class AllocationEvaluator {
   double total_rps_ = 0.0;
   const PolicyConfig* config_ = nullptr;
   PolicyStats* stats_ = nullptr;
+  ThreadPool* pool_ = nullptr;  // Null: every solve runs inline.
+                                // Set only where PolicyPoolPays.
+  std::size_t decisions_ = 0;   // D: units per allocation.
 
   // The evaluation cache. Entry e's allocation is entry_units_[e·D, +D),
   // its score entry_objective_[e], and its mapping the n entries at e·n of
@@ -598,14 +697,12 @@ class AllocationEvaluator {
   std::vector<std::size_t> column_content_end_;
   std::vector<double> column_qoe_;
 
-  // Per-evaluation working state, reused across evaluations.
-  std::vector<double> fractions_;  // The split the last solve ran at.
-  std::vector<double> actual_;     // The split its mapping creates.
-  GOutputs at_split_;              // G's outputs at the split of the last solve.
-  std::vector<std::uint32_t> solved_columns_;  // The columns of the solve
-                                               // before the current one.
-  std::vector<char> overloaded_;               // By decision.
-  std::vector<QoeBucketView> views_;           // By bucket (ScoreMapping).
+  // Working state, reused across batches.
+  std::vector<std::uint32_t> batch_entries_;  // EvaluateAll's answer.
+  std::vector<Pending> pending_;              // The batch's misses.
+  std::vector<std::size_t> round_solves_;     // Pending indexes to solve.
+  std::vector<char> overloaded_;              // By decision.
+  std::vector<QoeBucketView> views_;          // By bucket (ScoreMapping).
   std::vector<double> qoe_values_;  // What the views' qoe_values alias.
 };
 
@@ -626,7 +723,8 @@ void ValidateSolveKnobs(const PolicyConfig& config) {
 
 PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
                        const std::vector<PolicyBucket>& buckets,
-                       double total_rps, const PolicyConfig& config) {
+                       double total_rps, const PolicyConfig& config,
+                       ThreadPool* pool) {
   // NaN fails every comparison, and +inf would plan every decision as
   // overloaded, so both are rejected with the non-positive rates.
   if (!std::isfinite(total_rps) || total_rps <= 0.0) {
@@ -637,6 +735,10 @@ PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
   result.stats.buckets = static_cast<int>(buckets.size());
 
   const int num_decisions = g.NumDecisions();
+  if (num_decisions < 1) {
+    throw std::invalid_argument("ComputePolicy: G has no decisions");
+  }
+  const auto decisions = static_cast<std::size_t>(num_decisions);
   const std::unique_ptr<const Objective> objective =
       MakeObjective(config.objective);
 
@@ -646,40 +748,45 @@ PolicyResult RunPolicy(const QoeModel& qoe, const ServerDelayModel& g,
   // the same thread, so one evaluator per thread suffices.
   thread_local AllocationEvaluator evaluator;
   evaluator.Reset(qoe, g, *objective, buckets, total_rps, config,
-                  result.stats);
+                  result.stats, pool);
 
-  // Best-improvement hill climbing over single-unit transfers.
+  // Best-improvement hill climbing over single-unit transfers. A step
+  // evaluates all of its neighbours in one batch, laid out back to back.
+  std::vector<int> neighbors;
+  neighbors.reserve(decisions * (decisions - 1) * decisions);
   auto climb = [&](std::vector<int> start) {
     double qoe_now = evaluator.Evaluate(start).objective_value;
-    std::vector<int> neighbor;
     for (int step = 0; step < config.max_hill_climb_steps; ++step) {
       // Deterministic sweep: single-unit transfers in (from, to)
       // lexicographic order with a strict improvement test, so the first of
       // equally good neighbors wins.
-      neighbor = start;
-      std::size_t best_from = 0;
-      std::size_t best_to = 0;
-      double best_neighbor_qoe = qoe_now;
-      for (std::size_t from = 0; from < start.size(); ++from) {
+      neighbors.clear();
+      for (std::size_t from = 0; from < decisions; ++from) {
         if (start[from] == 0) continue;
-        for (std::size_t to = 0; to < start.size(); ++to) {
+        for (std::size_t to = 0; to < decisions; ++to) {
           if (to == from) continue;
-          --neighbor[from];
-          ++neighbor[to];
-          const double neighbor_qoe =
-              evaluator.Evaluate(neighbor).objective_value;
-          ++neighbor[from];
-          --neighbor[to];
-          if (neighbor_qoe > best_neighbor_qoe) {
-            best_neighbor_qoe = neighbor_qoe;
-            best_from = from;
-            best_to = to;
-          }
+          const std::size_t at = neighbors.size();
+          neighbors.insert(neighbors.end(), start.begin(), start.end());
+          --neighbors[at + from];
+          ++neighbors[at + to];
         }
       }
-      if (best_from == best_to) break;  // Local optimum.
-      --start[best_from];
-      ++start[best_to];
+      const std::span<const std::uint32_t> entries =
+          evaluator.EvaluateAll(neighbors);
+      std::size_t best = entries.size();
+      double best_neighbor_qoe = qoe_now;
+      for (std::size_t k = 0; k < entries.size(); ++k) {
+        const double neighbor_qoe =
+            evaluator.EntryOf(entries[k]).objective_value;
+        if (neighbor_qoe > best_neighbor_qoe) {
+          best_neighbor_qoe = neighbor_qoe;
+          best = k;
+        }
+      }
+      if (best == entries.size()) break;  // Local optimum.
+      std::copy_n(neighbors.begin() + static_cast<std::ptrdiff_t>(
+                                          best * decisions),
+                  decisions, start.begin());
       qoe_now = best_neighbor_qoe;
       ++result.stats.hill_climb_steps;
     }
@@ -771,7 +878,8 @@ void DecisionTable::Validate() const {
 
 PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            std::span<const DelayMs> external_delays,
-                           double total_rps, const PolicyConfig& config) {
+                           double total_rps, const PolicyConfig& config,
+                           ThreadPool* pool) {
   // Thin wrapper: batch-load into a Bucketizer and delegate, so both entry
   // points share one solver path.
   if (external_delays.empty()) {
@@ -780,17 +888,22 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
   return ComputePolicy(qoe, g,
                        Bucketizer(external_delays, config.target_buckets,
                                   config.max_bucket_span_ms),
-                       total_rps, config);
+                       total_rps, config, pool);
 }
 
 PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            const Bucketizer& external_delays, double total_rps,
-                           const PolicyConfig& config) {
+                           const PolicyConfig& config, ThreadPool* pool) {
   if (external_delays.empty()) {
     throw std::invalid_argument("ComputePolicy: no external delays");
   }
   return RunPolicy(qoe, g, BuildBuckets(external_delays, config), total_rps,
-                   config);
+                   config, pool);
+}
+
+bool PolicyPoolPays(const PolicyConfig& config, int num_decisions) {
+  return config.mapping != MappingAlgorithm::kSlopeBased &&
+         num_decisions * (num_decisions - 1) >= kMinPooledSolves;
 }
 
 void ValidatePolicyConfig(const PolicyConfig& config) {

@@ -22,6 +22,7 @@
 namespace e2e {
 
 class Bucketizer;
+class ThreadPool;
 
 /// Bottom-level mapping algorithm. kTransportation and kOptimalMatching
 /// compute the same optimum — the n×n assignment's slot columns are
@@ -53,10 +54,11 @@ struct PolicyConfig {
   /// Hill-climbing bound; the search almost always converges much earlier.
   int max_hill_climb_steps = 512;
 
-  /// Vestigial: every policy solve runs on its caller's thread, and
-  /// ComputePolicy throws std::invalid_argument for any value but 1. The
-  /// field stays only because the repository benchmark
-  /// (perfbench/workloads.cc) sets it; it goes when that file next changes.
+  /// Vestigial: ComputePolicy throws std::invalid_argument for any value
+  /// but 1. It does not control the solve's fan-out, which the ThreadPool
+  /// passed to ComputePolicy does. The field stays only because the
+  /// repository benchmark (perfbench/workloads.cc) sets it; it goes when
+  /// that file next changes.
   int parallel_workers = 1;
 
   /// Refine load fractions once from the matched bucket weights and re-run
@@ -139,6 +141,15 @@ struct PolicyResult {
   PolicyStats stats;
 };
 
+/// Whether a ThreadPool can ever shorten a solve with `config` against a G
+/// with `num_decisions` decisions. One climb step offers at most
+/// num_decisions · (num_decisions − 1) neighbours, and a round of fewer
+/// than eight mapping solves runs inline, since fork/join would cost more
+/// than it saves. The slope-based mapping reads the QoE model, so its
+/// solves always run on the calling thread. ComputePolicy ignores a pool
+/// where this is false.
+bool PolicyPoolPays(const PolicyConfig& config, int num_decisions);
+
 /// Computes the objective-optimizing decision table for the requests
 /// described by `external_delays` arriving at `total_rps`, against the given
 /// QoE curve and server-delay model. Thin wrapper over the Bucketizer
@@ -148,7 +159,8 @@ struct PolicyResult {
 /// byte-identical by construction. Throws when inputs are empty/invalid.
 PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            std::span<const DelayMs> external_delays,
-                           double total_rps, const PolicyConfig& config);
+                           double total_rps, const PolicyConfig& config,
+                           ThreadPool* pool = nullptr);
 
 /// The canonical entry point: takes a Bucketizer, batch-built or streamed
 /// sample by sample, and gives byte-identical tables either way — the
@@ -158,9 +170,17 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
 /// target_buckets/max_span govern coarsening (config.target_buckets/
 /// max_bucket_span_ms are ignored here). Throws when the bucketizer is
 /// empty.
+///
+/// With a `pool`, each climb round's transportation or Hungarian mapping
+/// solves run on its workers (docs/PERFORMANCE.md §11). Every G and Q call,
+/// every cache insert and every stats count stays on the calling thread,
+/// and each solve is a pure function of its allocation and its columns, so
+/// the result and the stats are byte-identical at any worker count and
+/// without a pool. The pool must not be running another ParallelFor.
 PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            const Bucketizer& external_delays, double total_rps,
-                           const PolicyConfig& config);
+                           const PolicyConfig& config,
+                           ThreadPool* pool = nullptr);
 
 /// Throws std::invalid_argument for a config that every span-overload
 /// ComputePolicy call rejects: instability_penalty not finite and >= 0,

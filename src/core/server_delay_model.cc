@@ -107,6 +107,9 @@ bool ProfiledReplicaModel::IsOverloaded(
   if (decision < 0 || decision >= replicas_) {
     throw std::out_of_range("ProfiledReplicaModel: bad decision");
   }
+  if (static_cast<int>(load_fractions.size()) != replicas_) {
+    throw std::invalid_argument("ProfiledReplicaModel: fraction size");
+  }
   const double replica_rps =
       std::max(0.0, load_fractions[static_cast<std::size_t>(decision)]) *
       total_rps;
@@ -203,6 +206,9 @@ bool PriorityQueueModel::IsOverloaded(int decision,
                                       double total_rps) const {
   if (decision < 0 || decision >= levels_) {
     throw std::out_of_range("PriorityQueueModel: bad decision");
+  }
+  if (static_cast<int>(load_fractions.size()) != levels_) {
+    throw std::invalid_argument("PriorityQueueModel: fraction size");
   }
   const double lambda_ms = total_rps / 1000.0;
   const double mu_ms =

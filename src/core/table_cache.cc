@@ -9,6 +9,15 @@ namespace e2e {
 
 DecisionTableCache::DecisionTableCache(TableCacheParams params)
     : params_(params) {
+  // The divergence histogram's support: an infinite bound leaves the
+  // refresh test unable to fire (+inf puts every sample in bin 0) or its
+  // binning undefined (-inf).
+  if (!std::isfinite(params_.support_lo_ms)) {
+    throw std::invalid_argument("DecisionTableCache: support_lo_ms not finite");
+  }
+  if (!std::isfinite(params_.support_hi_ms)) {
+    throw std::invalid_argument("DecisionTableCache: support_hi_ms not finite");
+  }
   // Written so that a NaN fails every test.
   if (!(params_.js_threshold >= 0.0) || params_.js_bins < 1 ||
       !(params_.support_lo_ms < params_.support_hi_ms) ||

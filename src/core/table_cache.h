@@ -19,7 +19,8 @@ struct TableCacheParams {
   double js_threshold = 0.04;
   /// Histogram bins for the divergence test.
   int js_bins = 16;
-  /// Histogram support (ms); external delays clamp into this range.
+  /// Histogram support (ms); external delays clamp into this range. Both
+  /// bounds must be finite, with lo < hi.
   double support_lo_ms = 0.0;
   double support_hi_ms = 30000.0;
   /// Relative offered-load change that also invalidates the table.

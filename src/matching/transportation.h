@@ -52,7 +52,8 @@ struct TransportationResult {
 /// working memory whose per-column row lists share one flat rows×cols
 /// array, so a solve allocates nothing once the buffers have grown to the
 /// largest instance seen. One scratch serves one thread at a time; the
-/// threads are the sharded replay's shards, since a policy solve is serial.
+/// policy keeps one per thread, since the sharded replay's shards and a
+/// climb round's pooled mapping solves run concurrently.
 class TransportationScratch {
  public:
   /// Sizes the cost buffer for a rows×cols instance and returns it for the

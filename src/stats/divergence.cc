@@ -14,10 +14,19 @@ double Log2(double x) { return std::log(x) / std::log(2.0); }
 }  // namespace
 
 FixedHistogram::FixedHistogram(double lo, double hi, int bins)
-    : lo_(lo), hi_(hi), counts_(static_cast<std::size_t>(bins), 0) {
+    : lo_(lo), hi_(hi) {
+  // An infinite bound makes Add's bin NaN (lo = -inf, cast to long is
+  // undefined) or 0 for every finite sample (hi = +inf).
+  if (!std::isfinite(lo)) {
+    throw std::invalid_argument("FixedHistogram: lo not finite");
+  }
+  if (!std::isfinite(hi)) {
+    throw std::invalid_argument("FixedHistogram: hi not finite");
+  }
   if (!(lo < hi) || bins < 1) {
     throw std::invalid_argument("FixedHistogram: need lo < hi and bins >= 1");
   }
+  counts_.assign(static_cast<std::size_t>(bins), 0);
 }
 
 void FixedHistogram::Add(double x) {

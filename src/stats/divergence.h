@@ -15,7 +15,8 @@ namespace e2e {
 class FixedHistogram {
  public:
   /// Bins [lo, hi) into `bins` equal-width buckets; values outside the range
-  /// clamp to the first/last bucket. Throws unless lo < hi and bins >= 1.
+  /// clamp to the first/last bucket. Throws std::invalid_argument unless lo
+  /// and hi are finite, lo < hi and bins >= 1.
   FixedHistogram(double lo, double hi, int bins);
 
   /// Adds one observation.

@@ -160,9 +160,11 @@ ExperimentResult RunMultiServiceExperiment(
         // that also needs the slower service B includes B's expected
         // residual delay: if B will hold the request for seconds anyway,
         // A should not spend a fast slot on it (the paper's Fig. 11
-        // argument lifted across services).
+        // argument lifted across services). A service with no controller
+        // (legacy FIFO) reads no external delay, so its leg asks for none.
         DelayMs effective_external = rec.external_delay_ms;
-        if (config.mode == CrossServiceMode::kDependencyAware && needs_b) {
+        if (config.mode == CrossServiceMode::kDependencyAware && needs_b &&
+            services[s].controller != nullptr) {
           effective_external +=
               services[1 - s].PredictDelayMs(rec.external_delay_ms);
         }

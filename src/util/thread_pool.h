@@ -1,5 +1,7 @@
-// Deterministic fork/join worker pool: the sharded replay's fan-out
-// (docs/SCALE.md), the one place the solve path runs threads.
+// Deterministic fork/join worker pool, the one place the program runs
+// threads. Two fan-outs use it: the sharded replay plans its groups on it
+// (docs/SCALE.md), and a policy solve given a pool runs each climb round's
+// mapping solves on it (docs/PERFORMANCE.md §11).
 //
 // The repo's replay guarantee is byte-exact output for identical seeds, so
 // parallelism is only admissible when the *result* is independent of thread

@@ -19,6 +19,7 @@
 #include "qoe/sigmoid_model.h"
 #include "stats/distribution.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -117,6 +118,49 @@ TEST_P(PolicyAllocations, EvaluationsDoNotAllocateOnAWarmThread) {
   PolicyResult climbed;
   const std::uint64_t full_allocations = AllocationsOf(
       [&] { climbed = ComputePolicy(qoe, g, externals, 160.0, full); });
+
+  EXPECT_EQ(climbed.stats.allocations_evaluated,
+            warm.stats.allocations_evaluated);
+  ASSERT_GT(climbed.stats.hill_climb_steps, 2);
+  ASSERT_GE(climbed.stats.allocations_evaluated,
+            2 * one_step.stats.allocations_evaluated);
+  EXPECT_LE(full_allocations, capped_allocations + 4)
+      << "capped: " << capped_allocations << " allocations for "
+      << one_step.stats.allocations_evaluated << " evaluations; full: "
+      << full_allocations << " for " << climbed.stats.allocations_evaluated;
+}
+
+TEST_P(PolicyAllocations, PooledEvaluationsDoNotAllocateOnWarmThreads) {
+  // The same solves with each climb round's mapping solves on a 4-worker
+  // pool. The counter is process-wide, so it sees the workers too: each
+  // worker's transportation scratch grows during the warm solves, and the
+  // ParallelFor closure captures only the evaluator, so std::function
+  // stores it in place. A warm round then allocates nothing on any thread.
+  const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
+  const PriorityQueueModel g(8, 5.0, 1);
+  Rng rng(2019);
+  std::vector<double> externals;
+  for (int i = 0; i < 600; ++i) externals.push_back(rng.LogNormal(7.6, 0.7));
+  PolicyConfig capped;
+  capped.objective.kind = GetParam();
+  capped.target_buckets = 36;
+  capped.max_hill_climb_steps = 1;
+  PolicyConfig full = capped;
+  full.max_hill_climb_steps = 512;
+  ThreadPool pool(4);
+
+  // Two warm solves, so every worker has solved an instance this size.
+  ComputePolicy(qoe, g, externals, 160.0, full, &pool);
+  const PolicyResult warm = ComputePolicy(qoe, g, externals, 160.0, full, &pool);
+
+  PolicyResult one_step;
+  const std::uint64_t capped_allocations = AllocationsOf([&] {
+    one_step = ComputePolicy(qoe, g, externals, 160.0, capped, &pool);
+  });
+  PolicyResult climbed;
+  const std::uint64_t full_allocations = AllocationsOf([&] {
+    climbed = ComputePolicy(qoe, g, externals, 160.0, full, &pool);
+  });
 
   EXPECT_EQ(climbed.stats.allocations_evaluated,
             warm.stats.allocations_evaluated);

@@ -7,6 +7,8 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "trace/generator.h"
 #include "trace/windows.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace e2e {
 namespace {
@@ -230,6 +233,20 @@ TEST(ProfiledReplicaModel, DelayGrowsWithFraction) {
                std::invalid_argument);
 }
 
+TEST(ProfiledReplicaModel, IsOverloadedRejectsAMissizedSplit) {
+  // Decision 2 of a two-entry split would be read past its end.
+  const ProfiledReplicaModel g(3, ReplayDayProfile());
+  const std::vector<double> short_split = {0.5, 0.5};
+  const std::vector<double> long_split = {0.25, 0.25, 0.25, 0.25};
+  for (const auto& split : {short_split, long_split}) {
+    EXPECT_THROW(g.IsOverloaded(2, split, 100.0), std::invalid_argument);
+    EXPECT_THROW(g.DelayDistribution(2, split, 100.0), std::invalid_argument);
+  }
+  const std::vector<double> thirds(3, 1.0 / 3.0);
+  EXPECT_FALSE(g.IsOverloaded(2, thirds, 30.0));
+  EXPECT_TRUE(g.IsOverloaded(2, thirds, 600.0));
+}
+
 TEST(ProfiledReplicaModel, FlatUpToHoldsExactlyUpToTheFirstLevelAndStableCap) {
   LoadProfile profile;
   profile.max_rps = 20.0;
@@ -313,6 +330,21 @@ TEST(PriorityQueueModel, OverloadIsClampedNotInfinite) {
   EXPECT_GT(wait, 1000.0);
 }
 
+TEST(PriorityQueueModel, IsOverloadedRejectsAMissizedSplit) {
+  // Decision 7 sums the shares of levels 0..7, past the end of a short
+  // split; the model throws as DelayDistribution does instead of reading it.
+  const PriorityQueueModel g(8, 5.0, 1);
+  const std::vector<double> short_split = {0.5, 0.5};
+  const std::vector<double> long_split(9, 1.0 / 9.0);
+  for (const auto& split : {short_split, long_split}) {
+    EXPECT_THROW(g.IsOverloaded(7, split, 100.0), std::invalid_argument);
+    EXPECT_THROW(g.DelayDistribution(7, split, 100.0), std::invalid_argument);
+  }
+  const std::vector<double> eighths(8, 0.125);
+  EXPECT_FALSE(g.IsOverloaded(7, eighths, 100.0));
+  EXPECT_TRUE(g.IsOverloaded(7, eighths, 1000.0));
+}
+
 TEST(PriorityQueueModel, DistributionIsRightSkewedAroundMean) {
   const PriorityQueueModel model(2, 5.0, 1);
   const std::vector<double> even = {0.5, 0.5};
@@ -343,6 +375,10 @@ TEST(ComputePolicy, ValidatesInputs) {
                std::invalid_argument);
   const std::vector<double> externals = {1000.0, 2000.0};
   EXPECT_THROW(ComputePolicy(qoe, g, externals, 0.0, PolicyConfig{}),
+               std::invalid_argument);
+  // A G with no decision has no allocation to climb from.
+  const LinearReplicaModel empty(0, 50.0, 10.0);
+  EXPECT_THROW(ComputePolicy(qoe, empty, externals, 100.0, PolicyConfig{}),
                std::invalid_argument);
 
   // A rate or penalty no plan can use is rejected by name. On a profiled G
@@ -786,12 +822,23 @@ TEST(ComputePolicy, FlatModelRoutesEveryBucketToDecisionZero) {
   EXPECT_LT(loaded.table.load_fractions[0], 1.0);
 }
 
+// Pools of 1, 2, 4 and 7 workers. One worker starts no thread; 7 is more
+// than most hosts' cores, so workers also queue for a core.
+std::vector<std::unique_ptr<ThreadPool>> TestPools() {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const int workers : {1, 2, 4, 7}) {
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  }
+  return pools;
+}
+
 TEST(ComputePolicy, BrokerWindowGoldenLock) {
   // The live controller's D = 8 recompute, pinned bit for bit: the 8-level
   // broker G (one 5 ms consumer) at 16 target buckets, over page type 1's
   // 16:00-16:10 window of a seed-20190819, 0.1-scale day, planned at
   // 160 rps (utilization 0.8). Any change to the evaluation path that moves
-  // a table byte or the search's work fails here.
+  // a table byte or the search's work fails here. The same bytes come
+  // back when the climb rounds' solves run on a pool of any size.
   TraceGenParams params;
   params.seed = 20190819;
   params.scale = 0.1;
@@ -807,8 +854,6 @@ TEST(ComputePolicy, BrokerWindowGoldenLock) {
   const PriorityQueueModel g(8, 5.0, 1);
   PolicyConfig config;
   config.target_buckets = 16;
-  const PolicyResult result = ComputePolicy(qoe, g, externals, 160.0, config);
-
   const DecisionTableRow kRows[] = {
       {0x1.9e859bc1cbc9fp+7, 0x1.dc441548da39bp+9, 3,
        0x1.e0b9ae05d9d41p-1, 0x1.fab8be054742p-5},
@@ -879,26 +924,223 @@ TEST(ComputePolicy, BrokerWindowGoldenLock) {
       0x1.3fb79c7723d14p-2, 0x1.7f0eb437ccb98p-3, 0x1.8212d9eba4018p-3,
       0x1.fab8be054742p-4, 0x1.42bbc22afb195p-3, 0x1.b25535291881bp-7,
       0x1.51d07eae2f815p-7, 0x1.e29790668d01ep-8};
-  ASSERT_EQ(result.table.rows.size(), std::size(kRows));
-  for (std::size_t i = 0; i < std::size(kRows); ++i) {
-    const DecisionTableRow& row = result.table.rows[i];
-    EXPECT_EQ(row.lo, kRows[i].lo) << "row " << i;
-    EXPECT_EQ(row.hi, kRows[i].hi) << "row " << i;
-    EXPECT_EQ(row.decision, kRows[i].decision) << "row " << i;
-    EXPECT_EQ(row.expected_qoe, kRows[i].expected_qoe) << "row " << i;
-    EXPECT_EQ(row.weight, kRows[i].weight) << "row " << i;
+  const auto pools = TestPools();
+  std::vector<ThreadPool*> solve_pools = {nullptr};
+  for (const auto& pool : pools) solve_pools.push_back(pool.get());
+  for (ThreadPool* const solve_pool : solve_pools) {
+    SCOPED_TRACE(solve_pool == nullptr
+                     ? std::string("inline")
+                     : std::to_string(solve_pool->workers()) + " workers");
+    const PolicyResult result =
+        ComputePolicy(qoe, g, externals, 160.0, config, solve_pool);
+    ASSERT_EQ(result.table.rows.size(), std::size(kRows));
+    for (std::size_t i = 0; i < std::size(kRows); ++i) {
+      const DecisionTableRow& row = result.table.rows[i];
+      EXPECT_EQ(row.lo, kRows[i].lo) << "row " << i;
+      EXPECT_EQ(row.hi, kRows[i].hi) << "row " << i;
+      EXPECT_EQ(row.decision, kRows[i].decision) << "row " << i;
+      EXPECT_EQ(row.expected_qoe, kRows[i].expected_qoe) << "row " << i;
+      EXPECT_EQ(row.weight, kRows[i].weight) << "row " << i;
+    }
+    EXPECT_EQ(result.table.load_fractions, kLoadFractions);
+    EXPECT_EQ(result.table.objective_value, 0x1.15a73c0dc5dadp-1);
+    EXPECT_EQ(result.stats.buckets, 32);
+    EXPECT_EQ(result.stats.hill_climb_steps, 50);
+    EXPECT_EQ(result.stats.allocations_evaluated, 2084);
+    EXPECT_EQ(result.stats.matchings_solved, 0);
+    EXPECT_EQ(result.stats.transport_solves, 4167);
+    EXPECT_EQ(result.stats.warm_resolves, 0);
   }
-  EXPECT_EQ(result.table.load_fractions, kLoadFractions);
-  EXPECT_EQ(result.table.objective_value, 0x1.15a73c0dc5dadp-1);
-  EXPECT_EQ(result.stats.buckets, 32);
-  EXPECT_EQ(result.stats.hill_climb_steps, 50);
-  EXPECT_EQ(result.stats.allocations_evaluated, 2084);
-  EXPECT_EQ(result.stats.matchings_solved, 0);
-  EXPECT_EQ(result.stats.transport_solves, 4167);
-  EXPECT_EQ(result.stats.warm_resolves, 0);
+}
+
+// ---- Pooled mapping solves ------------------------------------------------
+
+// Every byte a solve returns, the doubles in hexfloat: each row, the load
+// split, the score and every PolicyStats field.
+std::string PolicyBytes(const PolicyResult& result) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  for (const DecisionTableRow& row : result.table.rows) {
+    out << row.lo << ' ' << row.hi << ' ' << row.decision << ' '
+        << row.expected_qoe << ' ' << row.weight << '\n';
+  }
+  out << "load_fractions";
+  for (const double f : result.table.load_fractions) out << ' ' << f;
+  const PolicyStats& stats = result.stats;
+  out << "\nobjective_value " << result.table.objective_value
+      << "\nbuckets " << stats.buckets << " hill_climb_steps "
+      << stats.hill_climb_steps << " allocations_evaluated "
+      << stats.allocations_evaluated << " matchings_solved "
+      << stats.matchings_solved << " transport_solves "
+      << stats.transport_solves << " warm_resolves " << stats.warm_resolves
+      << '\n';
+  return out.str();
+}
+
+// Expects the solve to return the same bytes through every pool as inline.
+void ExpectPoolsChangeNoByte(
+    const QoeModel& qoe, const ServerDelayModel& g,
+    std::span<const double> externals, double rps, const PolicyConfig& config,
+    const std::vector<std::unique_ptr<ThreadPool>>& pools) {
+  const std::string inline_bytes =
+      PolicyBytes(ComputePolicy(qoe, g, externals, rps, config));
+  for (const auto& pool : pools) {
+    EXPECT_EQ(
+        PolicyBytes(ComputePolicy(qoe, g, externals, rps, config, pool.get())),
+        inline_bytes)
+        << pool->workers() << " workers";
+  }
+}
+
+constexpr ObjectiveKind kAllObjectives[] = {
+    ObjectiveKind::kMeanQoe, ObjectiveKind::kTailPercentile,
+    ObjectiveKind::kMeanMinusStdev, ObjectiveKind::kFairnessConstrainedMean};
+constexpr MappingAlgorithm kAllMappings[] = {
+    MappingAlgorithm::kTransportation, MappingAlgorithm::kOptimalMatching,
+    MappingAlgorithm::kSlopeBased};
+
+TEST(ComputePolicy, PoolPaysFromFourDecisionsAndNeverForTheSlopeMapping) {
+  // A step's D·(D − 1) neighbours against the eight solves a pooled round
+  // needs: D = 3 (the db replicas, 6 neighbours) never fans out.
+  PolicyConfig config;
+  EXPECT_FALSE(PolicyPoolPays(config, 1));
+  EXPECT_FALSE(PolicyPoolPays(config, 3));
+  EXPECT_TRUE(PolicyPoolPays(config, 4));
+  EXPECT_TRUE(PolicyPoolPays(config, 8));
+  config.mapping = MappingAlgorithm::kOptimalMatching;
+  EXPECT_TRUE(PolicyPoolPays(config, 8));
+  config.mapping = MappingAlgorithm::kSlopeBased;
+  EXPECT_FALSE(PolicyPoolPays(config, 8));
+}
+
+TEST(ComputePolicy, PoolsChangeNoByteOnTheBrokerG) {
+  // The live controller's G and load, whose climb steps offer up to 56
+  // neighbours, so most rounds fan out: every objective and mapping (the
+  // slope-based one always solves inline).
+  const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
+  const PriorityQueueModel g(8, 5.0, 1);
+  Rng rng(2019);
+  std::vector<double> externals;
+  for (int i = 0; i < 600; ++i) externals.push_back(rng.LogNormal(7.6, 0.7));
+  const auto pools = TestPools();
+  for (const ObjectiveKind kind : kAllObjectives) {
+    for (const MappingAlgorithm mapping : kAllMappings) {
+      SCOPED_TRACE(ToString(kind) + " mapping " +
+                   std::to_string(static_cast<int>(mapping)));
+      PolicyConfig config;
+      config.objective.kind = kind;
+      config.mapping = mapping;
+      // The expanded Hungarian solve is O(n³); keep its instance small.
+      config.target_buckets =
+          mapping == MappingAlgorithm::kOptimalMatching ? 8 : 16;
+      ExpectPoolsChangeNoByte(qoe, g, externals, 160.0, config, pools);
+    }
+  }
+}
+
+TEST(ComputePolicy, PoolsChangeNoByteOnRandomInstances) {
+  // D = 3 never fans out (a step offers at most 6 neighbours), D = 5 and
+  // D = 8 do. Each case draws its G (a priority queue or profiled
+  // replicas), its load, its delays and its solve knobs.
+  const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
+  const auto pools = TestPools();
+  Rng rng(0xF0F0);
+  for (const int decisions : {3, 5, 8}) {
+    for (const ObjectiveKind kind : kAllObjectives) {
+      for (const MappingAlgorithm mapping : kAllMappings) {
+        SCOPED_TRACE("D " + std::to_string(decisions) + " " +
+                     ToString(kind) + " mapping " +
+                     std::to_string(static_cast<int>(mapping)));
+        std::unique_ptr<ServerDelayModel> g;
+        double rps = 0.0;
+        if (rng.Bernoulli(0.5)) {
+          const double interval_ms = rng.Uniform(2.0, 8.0);
+          g = std::make_unique<PriorityQueueModel>(decisions, interval_ms, 1);
+          rps = rng.Uniform(0.4, 1.1) * 1000.0 / interval_ms;
+        } else {
+          g = std::make_unique<ProfiledReplicaModel>(decisions,
+                                                     ReplayDayProfile());
+          rps = rng.Uniform(20.0, 110.0) * static_cast<double>(decisions);
+        }
+        std::vector<double> externals;
+        const int requests = static_cast<int>(rng.Uniform(60.0, 500.0));
+        for (int i = 0; i < requests; ++i) {
+          externals.push_back(rng.LogNormal(rng.Uniform(7.2, 8.2), 0.7));
+        }
+        PolicyConfig config;
+        config.objective.kind = kind;
+        config.mapping = mapping;
+        config.target_buckets = static_cast<int>(rng.Uniform(
+            decisions, mapping == MappingAlgorithm::kOptimalMatching ? 10.0
+                                                                      : 20.0));
+        config.refine_fractions = rng.Bernoulli(0.8);
+        config.instability_penalty = rng.Bernoulli(0.8) ? 0.15 : 0.0;
+        ExpectPoolsChangeNoByte(qoe, *g, externals, rps, config, pools);
+      }
+    }
+  }
+}
+
+// Counts Qoe calls into a base curve (serial use only).
+class CountingQoeModel final : public QoeModel {
+ public:
+  explicit CountingQoeModel(const QoeModel& base) : base_(base) {}
+
+  double Qoe(DelayMs total_delay) const override {
+    ++calls_;
+    return base_.Qoe(total_delay);
+  }
+  std::string Name() const override { return base_.Name(); }
+  DelayMs SensitiveLo() const override { return base_.SensitiveLo(); }
+  DelayMs SensitiveHi() const override { return base_.SensitiveHi(); }
+
+  int calls() const { return calls_; }
+
+ private:
+  const QoeModel& base_;
+  mutable int calls_ = 0;
+};
+
+TEST(ComputePolicy, PoolsChangeNoGOrQCall) {
+  // Every model call stays on the calling thread, and there are as many:
+  // the counting decorators are not thread-safe, so a call from a worker
+  // would also be a data race for the tsan leg to report.
+  const auto curve = SigmoidQoeModel::TraceTimeOnSite();
+  const PriorityQueueModel broker(8, 5.0, 1);
+  Rng rng(77);
+  std::vector<double> externals;
+  for (int i = 0; i < 400; ++i) externals.push_back(rng.LogNormal(7.6, 0.7));
+  PolicyConfig config;
+  config.target_buckets = 20;
+  const CountingQoeModel inline_qoe(curve);
+  const CountingServerModel inline_g(broker);
+  const PolicyResult inline_result =
+      ComputePolicy(inline_qoe, inline_g, externals, 160.0, config);
+  ThreadPool pool(4);
+  const CountingQoeModel pooled_qoe(curve);
+  const CountingServerModel pooled_g(broker);
+  const PolicyResult pooled_result =
+      ComputePolicy(pooled_qoe, pooled_g, externals, 160.0, config, &pool);
+  EXPECT_EQ(PolicyBytes(pooled_result), PolicyBytes(inline_result));
+  EXPECT_GT(inline_g.calls(), 0);
+  EXPECT_EQ(pooled_g.calls(), inline_g.calls());
+  EXPECT_GT(inline_qoe.calls(), 0);
+  EXPECT_EQ(pooled_qoe.calls(), inline_qoe.calls());
 }
 
 // ---- Table cache -----------------------------------------------------------
+
+// Expects `f` to throw std::invalid_argument with `field` in its message.
+template <typename F>
+void ExpectInvalidNaming(F&& f, const std::string& field) {
+  try {
+    f();
+    ADD_FAILURE() << "expected std::invalid_argument naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
 
 DecisionTable OneRowTable() {
   DecisionTable table;
@@ -964,6 +1206,17 @@ TEST(DecisionTableCache, InvalidInputs) {
                std::invalid_argument);
   EXPECT_THROW(DecisionTableCache(TableCacheParams{.support_hi_ms = nan}),
                std::invalid_argument);
+  // An infinite support bound: +inf would put every sample in bin 0, so the
+  // J-S refresh test could never fire. Each names its field.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-kInf, kInf}) {
+    ExpectInvalidNaming(
+        [&] { DecisionTableCache(TableCacheParams{.support_lo_ms = bad}); },
+        "support_lo_ms");
+    ExpectInvalidNaming(
+        [&] { DecisionTableCache(TableCacheParams{.support_hi_ms = bad}); },
+        "support_hi_ms");
+  }
   DecisionTableCache cache(TableCacheParams{});
   EXPECT_THROW(cache.Install(DecisionTable{}, {}, 0.0),
                std::invalid_argument);
@@ -1099,6 +1352,24 @@ TEST(Controller, RejectsUnusablePlanningInputs) {
   EXPECT_EQ(controller.load_discount(), 0.0);
   controller.SetLoadDiscount(0.25);
   EXPECT_EQ(controller.load_discount(), 0.25);
+
+  // A policy config every solve would reject fails at construction, not at
+  // the first recompute (which never comes if no window fills).
+  const auto rejects_policy = [&](void (*edit)(PolicyConfig&),
+                                  const char* field) {
+    ControllerConfig config = FastControllerConfig();
+    edit(config.policy);
+    ExpectInvalidNaming([&] { Controller("c", config, qoe, g, 1); }, field);
+  };
+  rejects_policy([](PolicyConfig& p) { p.target_buckets = 0; },
+                 "target_buckets");
+  rejects_policy(
+      [](PolicyConfig& p) {
+        p.max_bucket_span_ms = std::numeric_limits<double>::quiet_NaN();
+      },
+      "max_bucket_span_ms");
+  rejects_policy([](PolicyConfig& p) { p.instability_penalty = -0.5; },
+                 "instability_penalty");
 }
 
 TEST(Failover, BackupTakesOverAfterElection) {

@@ -198,6 +198,21 @@ TEST(MultiService, OutputBytesArePinned) {
   EXPECT_EQ(Fnv1a64(result.telemetry.SerializeJson()), 0x86fffc72e0fbe8a6ULL);
 }
 
+// Pins every byte one dependency-aware E2E run exports with B a legacy
+// FIFO service (the default): only A has a controller, so A's requests
+// read B's history and B's leg reads nothing.
+TEST(MultiService, LegacyFifoOutputBytesArePinned) {
+  const auto records = Workload(1500, 72.0, 59);
+  auto config = ServiceConfig(CrossServiceMode::kDependencyAware, true);
+  ASSERT_TRUE(config.service_b_legacy_fifo);
+  config.common.collect_telemetry = true;
+  const auto result = RunMultiServiceExperiment(records, TraceQoe(), config);
+  EXPECT_EQ(result.outcomes.size(), records.size());
+  EXPECT_EQ(Fnv1a64(result.Serialize()), 0xd38dc1672da1bf95ULL);
+  EXPECT_EQ(Fnv1a64(result.telemetry.SerializeText()), 0xc4d9ead16f2be570ULL);
+  EXPECT_EQ(Fnv1a64(result.telemetry.SerializeJson()), 0xf5f099994a57f3fdULL);
+}
+
 // Each service's deliveries are metered at its own handling cost.
 TEST(MultiService, BusyTimeChargesEachServiceItsOwnCost) {
   const auto records = Workload(400, 40.0);

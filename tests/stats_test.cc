@@ -7,6 +7,9 @@
 #include <limits>
 #include <ostream>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -333,6 +336,36 @@ TEST(FixedHistogram, ClampsOutOfRange) {
   EXPECT_DOUBLE_EQ(p[2], 1.0 / 3.0);
   h.Clear();
   EXPECT_EQ(h.Count(), 0u);
+}
+
+// Each bad support names its bound: an infinite lo would make Add's bin a
+// NaN cast to long, and an infinite hi would put every sample in bin 0.
+TEST(FixedHistogram, RejectsUnusableSupport) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto message = [](double lo, double hi, int bins) -> std::string {
+    try {
+      FixedHistogram(lo, hi, bins);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  for (const double lo : {-kInf, kInf, nan}) {
+    EXPECT_EQ(message(lo, 10.0, 4), "FixedHistogram: lo not finite") << lo;
+  }
+  for (const double hi : {kInf, -kInf, nan}) {
+    EXPECT_EQ(message(0.0, hi, 4), "FixedHistogram: hi not finite") << hi;
+  }
+  for (const auto& [lo, hi, bins] :
+       {std::tuple{10.0, 10.0, 4}, std::tuple{10.0, 0.0, 4},
+        std::tuple{0.0, 10.0, 0}, std::tuple{0.0, 10.0, -1}}) {
+    EXPECT_EQ(message(lo, hi, bins),
+              "FixedHistogram: need lo < hi and bins >= 1")
+        << lo << " " << hi << " " << bins;
+  }
+  EXPECT_THROW(JsDivergenceOfSamples({}, {}, -kInf, 10.0, 4),
+               std::invalid_argument);
 }
 
 TEST(Fairness, JainIndexBounds) {
