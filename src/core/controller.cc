@@ -1,11 +1,21 @@
 #include "core/controller.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "util/log.h"
 
 namespace e2e {
+namespace {
+
+// The most threads a Controller's pool runs, caller included. The calling
+// thread prepares one D = 8 mapping solve's columns in about the time a
+// worker takes to solve it, so it and three workers keep the pipeline full
+// (docs/PERFORMANCE.md §12); more workers would only spin.
+constexpr int kMaxPolicyWorkers = 4;
+
+}  // namespace
 
 Controller::Controller(std::string name, ControllerConfig config,
                        QoeModelPtr qoe,
@@ -35,7 +45,8 @@ Controller::Controller(std::string name, ControllerConfig config,
   }
   // Here, not at the first recompute, which comes late or never.
   ValidatePolicyConfig(config_.policy);
-  const int workers = ThreadPool::DefaultWorkers();
+  const int workers =
+      std::min(kMaxPolicyWorkers, ThreadPool::DefaultWorkers());
   if (workers > 1 &&
       PolicyPoolPays(config_.policy, server_model_->NumDecisions())) {
     pool_ = std::make_unique<ThreadPool>(workers);

@@ -78,9 +78,12 @@ struct ControllerStats {
 ///
 /// When its policy and G offer enough neighbours per climb step for a pool
 /// to pay (PolicyPoolPays) and the host has more than one core, the
-/// controller owns a ThreadPool of ThreadPool::DefaultWorkers() workers and
-/// hands it to every ComputePolicy, which fans each climb round's mapping
-/// solves out on it. The tables and stats are byte-identical to a
+/// controller owns a ThreadPool of min(4, ThreadPool::DefaultWorkers())
+/// workers, caller included, and hands it to every ComputePolicy, which
+/// pipelines each climb round's mapping solves through it: the calling
+/// thread fetches one evaluation's G outputs and columns in about the time
+/// a worker takes to solve the one before, so three workers keep up and
+/// more would only spin. The tables and stats are byte-identical to a
 /// pool-free solve. A controller with a smaller G, such as the db
 /// testbed's three replicas, starts no thread.
 class Controller {

@@ -186,9 +186,12 @@ struct Evaluation {
 // lockstep rounds: first every one's mapping solve at its unit split, then
 // each refine round's solves. Everything that calls a model, reads a cache
 // or writes shared state runs on the calling thread, allocation by
-// allocation in batch order. Only a round's mapping solves (SolveRound) may
-// run on the pool: each is a pure function of its allocation and the
-// columns already in the cache, and writes only its own mapping.
+// allocation in batch order. Only a round's mapping solves (RunRound) may
+// run on the pool: each is a pure function of its allocation and its
+// columns, and writes only its own mapping. With a pool a round is a
+// pipeline: each solve starts on a worker as soon as the calling thread has
+// fetched its evaluation's columns, while that thread fetches the next
+// evaluation's.
 class AllocationEvaluator {
  public:
   // Binds the evaluator to one solve and empties it. The arguments must
@@ -288,11 +291,12 @@ class AllocationEvaluator {
         .subspan(entry * decisions_, decisions_);
   }
 
-  // Column `entry` of the column cache: n per-bucket expected QoEs. Valid
-  // until the next QoeColumn call.
+  // Column `entry` of the column cache: n per-bucket expected QoEs, read
+  // through column_base_, so a solve may call it while this round's
+  // prepares insert columns. Valid until the round ends.
   std::span<const double> Column(std::uint32_t entry) const {
     const std::size_t n = buckets_.size();
-    return std::span<const double>(column_qoe_).subspan(entry * n, n);
+    return std::span<const double>(column_base_ + entry * n, n);
   }
 
   // Evaluates the cache entries from `first` on, which EvaluateAll appended
@@ -319,6 +323,7 @@ class AllocationEvaluator {
     // Round 0: solve each at its unit share (exact when buckets are
     // equal-population), with no G outputs from an earlier solve.
     const double total_units = static_cast<double>(n);
+    round_.clear();
     for (std::size_t k = 0; k < count; ++k) {
       Pending& p = pending_[k];
       p.entry = first + k;
@@ -338,15 +343,15 @@ class AllocationEvaluator {
       }
       p.refining = true;
       p.at_split.columns.clear();
-      PrepareSolve(p);
+      round_.push_back(k);
     }
-    SolveRound(count);
+    RunRound();
 
     // Refine rounds: re-solve each mapping at the split the last one
     // created until that split stops moving.
     const int max_rounds = config_->refine_fractions ? 3 : 0;
     for (int round = 0; round < max_rounds; ++round) {
-      bool any = false;
+      round_.clear();
       for (std::size_t k = 0; k < count; ++k) {
         Pending& p = pending_[k];
         if (!p.refining) continue;
@@ -358,14 +363,13 @@ class AllocationEvaluator {
           p.refining = false;
           continue;
         }
-        p.fractions.swap(p.actual);
-        // Where G's columns did not move, the mapping stands, the round's
+        // Where G's columns do not move, the mapping stands, the round's
         // SplitOf reproduces `fractions` bitwise, and the next round stops.
-        PrepareSolve(p);
-        any = true;
+        p.fractions.swap(p.actual);
+        round_.push_back(k);
       }
-      if (!any) break;
-      SolveRound(count);
+      if (round_.empty()) break;
+      RunRound();
     }
 
     for (std::size_t k = 0; k < count; ++k) Score(pending_[k]);
@@ -373,12 +377,12 @@ class AllocationEvaluator {
 
   // Asks G for the problem of `p`'s next mapping solve, at p.fractions, and
   // fetches every column; p.solve says whether those columns differ from
-  // the solve before it. On a refine round p.at_split still holds the
-  // columns of the solve just run (the first round finds none), and when G's
-  // columns at the new split are those same columns the mapping problem is
-  // bitwise that solve's, so the mapping stands. Compares every column, not
-  // only those the allocation uses, so the problem is the last one whatever
-  // a mapping algorithm reads.
+  // the solve before it, and a solve to run is counted. On a refine round
+  // p.at_split still holds the columns of the solve just run (the first
+  // round finds none), and when G's columns at the new split are those same
+  // columns the mapping problem is bitwise that solve's, so the mapping
+  // stands. Compares every column, not only those the allocation uses, so
+  // the problem is the last one whatever a mapping algorithm reads.
   void PrepareSolve(Pending& p) {
     p.solved_columns.assign(p.at_split.columns.begin(),
                             p.at_split.columns.end());
@@ -387,38 +391,56 @@ class AllocationEvaluator {
       p.at_split.columns[d] = QoeColumn(p.at_split.delay_of_decision[d]);
     }
     p.solve = p.at_split.columns != p.solved_columns;
+    if (!p.solve) return;
+    if (config_->mapping == MappingAlgorithm::kTransportation) {
+      ++stats_->transport_solves;
+    } else if (config_->mapping == MappingAlgorithm::kOptimalMatching) {
+      ++stats_->matchings_solved;
+    }
   }
 
-  // Runs the mapping solves of this round's refining evaluations among the
-  // first `count` pending ones, then records the split each mapping
-  // creates. The solves go to the pool when there are enough of them to pay
-  // for its fork/join.
-  void SolveRound(std::size_t count) {
-    round_solves_.clear();
-    for (std::size_t k = 0; k < count; ++k) {
-      const Pending& p = pending_[k];
-      if (!p.refining || !p.solve) continue;
-      round_solves_.push_back(k);
-      if (config_->mapping == MappingAlgorithm::kTransportation) {
-        ++stats_->transport_solves;
-      } else if (config_->mapping == MappingAlgorithm::kOptimalMatching) {
-        ++stats_->matchings_solved;
+  // Prepares and runs the mapping solves of the pending evaluations listed
+  // in round_, then records the split each mapping creates. A round big
+  // enough to pay for the pool's hand-off is a pipeline: this thread
+  // prepares the evaluations in order, and each one's solve starts on a
+  // worker as soon as its columns are in. Otherwise every solve runs here,
+  // after the last prepare.
+  void RunRound() {
+    ReserveColumns(round_.size());
+    if (pool_ != nullptr &&
+        round_.size() >= static_cast<std::size_t>(kMinPooledSolves)) {
+      // Each closure captures only `this`, so std::function stores it
+      // without a heap allocation.
+      pool_->ParallelFor(
+          round_.size(),
+          [this](std::size_t i) { PrepareSolve(pending_[round_[i]]); },
+          [this](std::size_t i) {
+            const Pending& p = pending_[round_[i]];
+            if (p.solve) SolveMapping(p);
+          });
+    } else {
+      for (const std::size_t k : round_) PrepareSolve(pending_[k]);
+      for (const std::size_t k : round_) {
+        if (pending_[k].solve) SolveMapping(pending_[k]);
       }
     }
-    if (pool_ != nullptr &&
-        round_solves_.size() >= static_cast<std::size_t>(kMinPooledSolves)) {
-      // Captures only `this`, so std::function stores it without a heap
-      // allocation.
-      pool_->ParallelFor(round_solves_.size(), [this](std::size_t i) {
-        SolveMapping(pending_[round_solves_[i]]);
-      });
-    } else {
-      for (const std::size_t k : round_solves_) SolveMapping(pending_[k]);
-    }
-    for (std::size_t k = 0; k < count; ++k) {
+    for (const std::size_t k : round_) {
       Pending& p = pending_[k];
-      if (p.refining) SplitOf(p.decision_of_bucket, p.actual);
+      SplitOf(p.decision_of_bucket, p.actual);
     }
+  }
+
+  // Makes room for every column `evaluations` prepares can insert (at most
+  // one per decision each), so no insert during the round moves the
+  // columns a running solve reads, and points column_base_ at them. Grows
+  // geometrically, so a warm evaluator reserves nothing.
+  void ReserveColumns(std::size_t evaluations) {
+    const std::size_t need =
+        column_qoe_.size() + evaluations * decisions_ * buckets_.size();
+    if (column_qoe_.capacity() < need) {
+      column_qoe_.reserve(std::max(need, 2 * column_qoe_.capacity()));
+    }
+    column_base_ = column_qoe_.data();
   }
 
   // Scores `p`'s final mapping at the split it actually creates, docked by
@@ -568,10 +590,11 @@ class AllocationEvaluator {
 
   // Solves `p`'s mapping against the columns PrepareSolve fetched into
   // p.at_split, writing it into p.decision_of_bucket/expected_qoe_of_bucket
-  // and nothing else, so solves of one round may run concurrently. Counted
-  // by SolveRound. No score here: Score always re-scores the final mapping
-  // at the split it actually creates, so an intermediate mean would be dead
-  // weight (and wrong for non-mean objectives).
+  // and nothing else, so solves of one round may run concurrently, and
+  // alongside later prepares. Counted by PrepareSolve. No score here: Score
+  // always re-scores the final mapping at the split it actually creates, so
+  // an intermediate mean would be dead weight (and wrong for non-mean
+  // objectives).
   void SolveMapping(const Pending& p) const {
     const std::size_t n = buckets_.size();
     const std::span<const int> units = UnitsOf(p.entry);
@@ -696,11 +719,13 @@ class AllocationEvaluator {
   std::vector<double> column_content_;
   std::vector<std::size_t> column_content_end_;
   std::vector<double> column_qoe_;
+  const double* column_base_ = nullptr;  // column_qoe_'s storage during a
+                                         // round (ReserveColumns).
 
   // Working state, reused across batches.
   std::vector<std::uint32_t> batch_entries_;  // EvaluateAll's answer.
   std::vector<Pending> pending_;              // The batch's misses.
-  std::vector<std::size_t> round_solves_;     // Pending indexes to solve.
+  std::vector<std::size_t> round_;            // This round's pending indexes.
   std::vector<char> overloaded_;              // By decision.
   std::vector<QoeBucketView> views_;          // By bucket (ScoreMapping).
   std::vector<double> qoe_values_;  // What the views' qoe_values alias.

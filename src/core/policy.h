@@ -172,11 +172,14 @@ PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
 /// empty.
 ///
 /// With a `pool`, each climb round's transportation or Hungarian mapping
-/// solves run on its workers (docs/PERFORMANCE.md §11). Every G and Q call,
-/// every cache insert and every stats count stays on the calling thread,
-/// and each solve is a pure function of its allocation and its columns, so
-/// the result and the stats are byte-identical at any worker count and
-/// without a pool. The pool must not be running another ParallelFor.
+/// solves run on its workers, pipelined with the calling thread: each solve
+/// starts as soon as the caller has fetched its evaluation's columns, while
+/// the caller fetches the next one's (docs/PERFORMANCE.md §11, §12). Every
+/// G and Q call, every cache insert and every stats count stays on the
+/// calling thread, in the same order as without a pool, and each solve is
+/// a pure function of its allocation and its columns, so the result and
+/// the stats are byte-identical at any worker count and without a pool.
+/// The pool must not be running another ParallelFor.
 PolicyResult ComputePolicy(const QoeModel& qoe, const ServerDelayModel& g,
                            const Bucketizer& external_delays, double total_rps,
                            const PolicyConfig& config,

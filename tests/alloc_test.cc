@@ -133,9 +133,11 @@ TEST_P(PolicyAllocations, EvaluationsDoNotAllocateOnAWarmThread) {
 TEST_P(PolicyAllocations, PooledEvaluationsDoNotAllocateOnWarmThreads) {
   // The same solves with each climb round's mapping solves on a 4-worker
   // pool. The counter is process-wide, so it sees the workers too: each
-  // worker's transportation scratch grows during the warm solves, and the
-  // ParallelFor closure captures only the evaluator, so std::function
-  // stores it in place. A warm round then allocates nothing on any thread.
+  // worker's transportation scratch grows during the warm solves, the
+  // column cache's room for a round grows geometrically, and both
+  // ParallelFor closures (produce and fn) capture only the evaluator, so
+  // std::function stores them in place. A warm round then allocates
+  // nothing on any thread.
   const auto qoe = SigmoidQoeModel::TraceTimeOnSite();
   const PriorityQueueModel g(8, 5.0, 1);
   Rng rng(2019);

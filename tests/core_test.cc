@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -10,6 +12,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/controller.h"
@@ -1081,51 +1085,144 @@ TEST(ComputePolicy, PoolsChangeNoByteOnRandomInstances) {
   }
 }
 
-// Counts Qoe calls into a base curve (serial use only).
-class CountingQoeModel final : public QoeModel {
+// The word a call log records for the thread that made the call.
+std::uint64_t ThisThreadWord() {
+  auto id = std::this_thread::get_id();
+  return std::hash<decltype(id)>{}(id);
+}
+
+// Appends each call into a base G to `log` (serial use only): the calling
+// thread's word, the call's kind ('G' for DelayDistribution, 'O' for
+// IsOverloaded), the decision, the split's bits and the rate's bits.
+class RecordingServerModel final : public ServerDelayModel {
  public:
-  explicit CountingQoeModel(const QoeModel& base) : base_(base) {}
+  RecordingServerModel(const ServerDelayModel& base,
+                       std::vector<std::uint64_t>& log)
+      : base_(base), log_(log) {}
+
+  int NumDecisions() const override { return base_.NumDecisions(); }
+  DiscreteDistribution DelayDistribution(
+      int decision, std::span<const double> load_fractions,
+      double total_rps) const override {
+    Record('G', decision, load_fractions, total_rps);
+    return base_.DelayDistribution(decision, load_fractions, total_rps);
+  }
+  std::string Name() const override { return base_.Name(); }
+  bool IsOverloaded(int decision, std::span<const double> load_fractions,
+                    double total_rps) const override {
+    Record('O', decision, load_fractions, total_rps);
+    return base_.IsOverloaded(decision, load_fractions, total_rps);
+  }
+
+ private:
+  void Record(char kind, int decision, std::span<const double> fractions,
+              double rps) const {
+    log_.push_back(ThisThreadWord());
+    log_.push_back(static_cast<std::uint64_t>(kind));
+    log_.push_back(static_cast<std::uint64_t>(decision));
+    for (const double f : fractions) {
+      log_.push_back(std::bit_cast<std::uint64_t>(f));
+    }
+    log_.push_back(std::bit_cast<std::uint64_t>(rps));
+  }
+
+  const ServerDelayModel& base_;
+  std::vector<std::uint64_t>& log_;
+};
+
+// Appends each Qoe call into a base curve to `log` (serial use only): the
+// calling thread's word, 'Q' and the delay's bits.
+class RecordingQoeModel final : public QoeModel {
+ public:
+  RecordingQoeModel(const QoeModel& base, std::vector<std::uint64_t>& log)
+      : base_(base), log_(log) {}
 
   double Qoe(DelayMs total_delay) const override {
-    ++calls_;
+    log_.push_back(ThisThreadWord());
+    log_.push_back(static_cast<std::uint64_t>('Q'));
+    log_.push_back(std::bit_cast<std::uint64_t>(total_delay));
     return base_.Qoe(total_delay);
   }
   std::string Name() const override { return base_.Name(); }
   DelayMs SensitiveLo() const override { return base_.SensitiveLo(); }
   DelayMs SensitiveHi() const override { return base_.SensitiveHi(); }
 
-  int calls() const { return calls_; }
-
  private:
   const QoeModel& base_;
-  mutable int calls_ = 0;
+  std::vector<std::uint64_t>& log_;
 };
 
-TEST(ComputePolicy, PoolsChangeNoGOrQCall) {
-  // Every model call stays on the calling thread, and there are as many:
-  // the counting decorators are not thread-safe, so a call from a worker
-  // would also be a data race for the tsan leg to report.
+TEST(ComputePolicy, PoolsKeepTheGAndQCallSequence) {
+  // Every G and Q call stays on the calling thread, in the same order and
+  // with the same arguments, with no pool and with pools of any size. The
+  // logs carry the calling thread, so equal logs also say no worker made a
+  // call; and the decorators are not thread-safe, so such a call would also
+  // be a data race for the tsan leg to report. On the live controller's G
+  // and on a random D = 5 one.
   const auto curve = SigmoidQoeModel::TraceTimeOnSite();
-  const PriorityQueueModel broker(8, 5.0, 1);
   Rng rng(77);
   std::vector<double> externals;
   for (int i = 0; i < 400; ++i) externals.push_back(rng.LogNormal(7.6, 0.7));
+  const PriorityQueueModel broker(8, 5.0, 1);
+  const double interval_ms = rng.Uniform(2.0, 8.0);
+  const PriorityQueueModel random_g(5, interval_ms, 1);
+  const double random_rps = rng.Uniform(0.4, 1.1) * 1000.0 / interval_ms;
   PolicyConfig config;
   config.target_buckets = 20;
-  const CountingQoeModel inline_qoe(curve);
-  const CountingServerModel inline_g(broker);
-  const PolicyResult inline_result =
-      ComputePolicy(inline_qoe, inline_g, externals, 160.0, config);
-  ThreadPool pool(4);
-  const CountingQoeModel pooled_qoe(curve);
-  const CountingServerModel pooled_g(broker);
-  const PolicyResult pooled_result =
-      ComputePolicy(pooled_qoe, pooled_g, externals, 160.0, config, &pool);
-  EXPECT_EQ(PolicyBytes(pooled_result), PolicyBytes(inline_result));
-  EXPECT_GT(inline_g.calls(), 0);
-  EXPECT_EQ(pooled_g.calls(), inline_g.calls());
-  EXPECT_GT(inline_qoe.calls(), 0);
-  EXPECT_EQ(pooled_qoe.calls(), inline_qoe.calls());
+  const auto pools = TestPools();
+  std::vector<ThreadPool*> solve_pools = {nullptr};
+  for (const auto& pool : pools) solve_pools.push_back(pool.get());
+  const std::uint64_t caller = ThisThreadWord();
+
+  for (const auto& [g, rps] :
+       {std::pair<const ServerDelayModel*, double>(&broker, 160.0),
+        std::pair<const ServerDelayModel*, double>(&random_g, random_rps)}) {
+    SCOPED_TRACE("D " + std::to_string(g->NumDecisions()));
+    std::string inline_bytes;
+    std::vector<std::uint64_t> inline_log;
+    for (ThreadPool* const solve_pool : solve_pools) {
+      SCOPED_TRACE(solve_pool == nullptr
+                       ? std::string("inline")
+                       : std::to_string(solve_pool->workers()) + " workers");
+      std::vector<std::uint64_t> log;
+      const RecordingQoeModel qoe(curve, log);
+      const RecordingServerModel recorded_g(*g, log);
+      const std::string bytes = PolicyBytes(
+          ComputePolicy(qoe, recorded_g, externals, rps, config, solve_pool));
+      if (solve_pool == nullptr) {
+        // Every record starts with its thread's word; check the inline
+        // log's records one by one, then compare the others with it.
+        const std::size_t g_words =
+            3 + static_cast<std::size_t>(g->NumDecisions()) + 1;
+        std::size_t g_calls = 0;
+        std::size_t q_calls = 0;
+        for (std::size_t at = 0; at < log.size();) {
+          ASSERT_EQ(log[at], caller) << "record at word " << at;
+          if (log[at + 1] == 'Q') {
+            ++q_calls;
+            at += 3;
+          } else {
+            ++g_calls;
+            at += g_words;
+          }
+        }
+        EXPECT_GT(g_calls, 0u);
+        EXPECT_GT(q_calls, 0u);
+        inline_bytes = bytes;
+        inline_log = std::move(log);
+        continue;
+      }
+      EXPECT_EQ(bytes, inline_bytes);
+      EXPECT_EQ(log.size(), inline_log.size());
+      const std::size_t common = std::min(log.size(), inline_log.size());
+      const auto diverged = std::mismatch(
+          log.begin(), log.begin() + static_cast<std::ptrdiff_t>(common),
+          inline_log.begin());
+      EXPECT_EQ(diverged.first - log.begin(),
+                static_cast<std::ptrdiff_t>(common))
+          << "first differing word";
+    }
+  }
 }
 
 // ---- Table cache -----------------------------------------------------------

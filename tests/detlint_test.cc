@@ -133,6 +133,16 @@ TEST(DetlintRules, ParallelSharedWriteFixture) {
                       {"parallel-shared-write", 62}}));
 }
 
+TEST(DetlintRules, ParallelSharedWritePipelineFixture) {
+  // The pipelined ParallelFor(count, produce, fn): fn is the task (an
+  // inline lambda, and a named one writing through `this`), and produce,
+  // which runs on the calling thread, is exempt — also when fn does not
+  // resolve to a lambda.
+  EXPECT_EQ(RuleLines(ScanFixture("parallel_shared_write_pipeline.cc")),
+            (Expected{{"parallel-shared-write", 19},
+                      {"parallel-shared-write", 29}}));
+}
+
 TEST(DetlintRules, ClockTaintFixture) {
   const auto findings = ScanFixture("clock_taint.cc");
   // Taint flows through NowWall()'s return into Serialize (line 21) and

@@ -472,6 +472,153 @@ TEST(ThreadPool, RethrowsLowestIndexedException) {
                           [](int h) { return h == 1; }));
 }
 
+// ---- ThreadPool: the pipelined form ---------------------------------------
+
+TEST(ThreadPool, PipelineFnReadsWhatItsProduceWrote) {
+  // produce(i) writes plain, non-atomic slots that fn(i) reads on another
+  // thread, so the tsan leg checks that the release orders them; every fn
+  // runs exactly once.
+  for (const int workers : {1, 2, 4, 7}) {
+    ThreadPool pool(workers);
+    for (int round = 0; round < 20; ++round) {
+      const std::size_t count = 50 + 13 * static_cast<std::size_t>(round);
+      std::vector<std::vector<double>> inputs(count);
+      std::vector<double> outputs(count, 0.0);
+      std::vector<int> hits(count, 0);
+      pool.ParallelFor(
+          count,
+          [&](std::size_t i) {
+            inputs[i].assign(3, static_cast<double>(i) + 0.5);
+          },
+          [&](std::size_t i) {
+            ++hits[i];
+            outputs[i] = inputs[i][0] + inputs[i][1] + inputs[i][2];
+          });
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(hits[i], 1) << "workers=" << workers << " index " << i;
+        ASSERT_EQ(outputs[i], 3.0 * (static_cast<double>(i) + 0.5))
+            << "workers=" << workers << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, PipelineWithOneWorkerAlternatesInIndexOrder) {
+  // produce(0), fn(0), produce(1), fn(1), ...: each produce finds the fn
+  // before it done and its own not yet, and each fn finds its produce done
+  // and the next one not yet.
+  ThreadPool pool(1);
+  constexpr std::size_t kCount = 64;
+  std::vector<int> produced(kCount + 1, 0);
+  std::vector<int> done(kCount, 0);
+  std::vector<int> produce_saw_fn_before(kCount, 0);
+  std::vector<int> produce_saw_own_fn(kCount, 0);
+  std::vector<int> fn_saw_produce(kCount, 0);
+  std::vector<int> fn_saw_next_produce(kCount, 0);
+  pool.ParallelFor(
+      kCount,
+      [&](std::size_t i) {
+        produced[i] = 1;
+        produce_saw_fn_before[i] = i == 0 ? 1 : done[i - 1];
+        produce_saw_own_fn[i] = done[i];
+      },
+      [&](std::size_t i) {
+        done[i] = 1;
+        fn_saw_produce[i] = produced[i];
+        fn_saw_next_produce[i] = produced[i + 1];
+      });
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(produce_saw_fn_before[i], 1) << i;
+    EXPECT_EQ(produce_saw_own_fn[i], 0) << i;
+    EXPECT_EQ(fn_saw_produce[i], 1) << i;
+    EXPECT_EQ(fn_saw_next_produce[i], 0) << i;
+  }
+}
+
+TEST(ThreadPool, PipelineProduceFailureStopsAtItsIndex) {
+  // produce(37) throws: it is rethrown, fn(j) ran once for every j < 37 and
+  // finished before the throw, and no fn(j >= 37) or later produce ran. A
+  // lower-indexed fn failure wins over it. The pool is reusable after
+  // either kind of throw.
+  constexpr std::size_t kCount = 100;
+  constexpr std::size_t kFailAt = 37;
+  for (const int workers : {1, 2, 4, 7}) {
+    ThreadPool pool(workers);
+    for (const bool fn_fails_first : {false, true}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   (fn_fails_first ? " fn fails at 5" : ""));
+      std::vector<int> produced(kCount, 0);
+      std::vector<int> ran(kCount, 0);
+      try {
+        pool.ParallelFor(
+            kCount,
+            [&](std::size_t i) {
+              produced[i] = 1;
+              if (i == kFailAt) throw std::runtime_error("produce 37");
+            },
+            [&](std::size_t i) {
+              ++ran[i];
+              if (fn_fails_first && i == 5) throw std::runtime_error("fn 5");
+            });
+        ADD_FAILURE() << "ParallelFor did not propagate the exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), fn_fails_first ? "fn 5" : "produce 37");
+      }
+      for (std::size_t i = 0; i < kCount; ++i) {
+        EXPECT_EQ(produced[i], i <= kFailAt ? 1 : 0) << "produce " << i;
+        EXPECT_EQ(ran[i], i < kFailAt ? 1 : 0) << "fn " << i;
+      }
+      std::vector<int> hits(kCount, 0);
+      pool.ParallelFor(
+          kCount, [&](std::size_t) {}, [&](std::size_t i) { ++hits[i]; });
+      EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
+                              [](int h) { return h == 1; }));
+    }
+  }
+}
+
+TEST(ThreadPool, PipelineFnFailureStopsNothing) {
+  // As in the fork/join form: the lowest-indexed fn failure is rethrown,
+  // every produce and every other fn still ran, and the pool is reusable.
+  for (const int workers : {1, 4}) {
+    ThreadPool pool(workers);
+    std::vector<int> produced(60, 0);
+    std::vector<int> ran(60, 0);
+    try {
+      pool.ParallelFor(
+          60, [&](std::size_t i) { produced[i] = 1; },
+          [&](std::size_t i) {
+            ++ran[i];
+            if (i % 20 == 19) {
+              throw std::runtime_error("fn " + std::to_string(i));
+            }
+          });
+      ADD_FAILURE() << "ParallelFor did not propagate the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "fn 19") << "workers=" << workers;
+    }
+    EXPECT_TRUE(std::all_of(produced.begin(), produced.end(),
+                            [](int p) { return p == 1; }));
+    EXPECT_TRUE(
+        std::all_of(ran.begin(), ran.end(), [](int r) { return r == 1; }));
+    std::vector<int> hits(8, 0);
+    pool.ParallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
+                            [](int h) { return h == 1; }));
+  }
+}
+
+TEST(ThreadPool, PipelineZeroCountCallsNeither) {
+  ThreadPool pool(2);
+  bool produced = false;
+  std::vector<int> hits(1, 0);
+  pool.ParallelFor(
+      0, [&](std::size_t) { produced = true; },
+      [&](std::size_t i) { ++hits[i]; });
+  EXPECT_FALSE(produced);
+  EXPECT_EQ(hits[0], 0);
+}
+
 TEST(ThreadPool, InvalidWorkerCountThrows) {
   EXPECT_THROW(ThreadPool(0), std::invalid_argument);
   EXPECT_THROW(ThreadPool(-2), std::invalid_argument);

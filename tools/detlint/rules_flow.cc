@@ -255,18 +255,20 @@ void ScanParallelSharedWrite(const std::string& path,
       }
       if (!pool) continue;
     }
-    // Resolve the functor argument: an inline lambda, or an identifier a
+    // The task is the last argument: fn in ParallelFor(count, fn) and in
+    // the pipelined ParallelFor(count, produce, fn), the task in Submit.
+    // produce runs on the calling thread, one index after another, so its
+    // writes cannot race: it is never analysed, even when fn does not
+    // resolve. Resolve the task: an inline lambda, or an identifier a
     // lambda was assigned to earlier in the TU.
     const auto pieces = SplitTopLevelCommas(toks, c.args_begin, c.args_end);
+    if (pieces.empty()) continue;
+    const auto [task_begin, task_end] = pieces.back();
     const LambdaInfo* lam = nullptr;
-    for (auto it = pieces.rbegin(); it != pieces.rend() && lam == nullptr;
-         ++it) {
-      if (it->first >= it->second) continue;
-      if (toks[it->first].Is("[")) {
-        lam = sym.LambdaAtIntro(it->first);
-      } else if (it->second == it->first + 1 && toks[it->first].IsIdent()) {
-        lam = sym.LambdaNamed(toks[it->first].text);
-      }
+    if (task_begin < task_end && toks[task_begin].Is("[")) {
+      lam = sym.LambdaAtIntro(task_begin);
+    } else if (task_end == task_begin + 1 && toks[task_begin].IsIdent()) {
+      lam = sym.LambdaNamed(toks[task_begin].text);
     }
     if (lam == nullptr || lam->body_scope < 0) continue;
     // The induction variable is the lambda's index parameter; Submit
