@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/log.h"
-
 namespace e2e {
 namespace {
 
@@ -67,16 +65,6 @@ void Controller::SetDecisionPenalties(std::vector<double> penalties_ms) {
   penalties_ms_ = std::move(penalties_ms);
 }
 
-void Controller::SetLoadDiscount(double fraction) {
-  // Written so NaN fails it too (`load_discount_ > 0.0` would then ignore
-  // the setting silently).
-  if (!(fraction >= 0.0 && fraction < 1.0)) {
-    throw std::invalid_argument(
-        "Controller::SetLoadDiscount: fraction outside [0, 1)");
-  }
-  load_discount_ = fraction;
-}
-
 void Controller::AttachTelemetry(obs::MetricsRegistry& registry,
                                  obs::Tracer* tracer,
                                  const std::string& prefix) {
@@ -110,12 +98,8 @@ bool Controller::Tick(double now_ms) {
   external_model_.MaybeRoll(now_ms);
   if (!external_model_.HasDistribution()) return false;
 
-  double rps = external_model_.PredictedRps(rng_) * config_.rps_planning_factor;
-  // Abandonment-aware planning: sessions that quit stop offering load, so
-  // the next window carries only the surviving fraction. Guarded so the
-  // default (0) keeps the historical multiplication-free code path — and
-  // its exact bytes.
-  if (load_discount_ > 0.0) rps *= 1.0 - load_discount_;
+  const double rps =
+      external_model_.PredictedRps(rng_) * config_.rps_planning_factor;
   if (rps <= 0.0) return false;
   if (!cache_.NeedsRefresh(external_model_.Samples(), rps)) return false;
 
@@ -152,13 +136,6 @@ bool Controller::Tick(double now_ms) {
         static_cast<std::uint64_t>(result.stats.transport_solves));
   }
 
-  if (LogEnabled(LogLevel::kDebug)) {
-    LogStream log(LogLevel::kDebug, name_);
-    log << "t=" << now_ms << " rps=" << rps << " buckets="
-        << result.stats.buckets << " expectedQ="
-        << result.table.objective_value << " fractions:";
-    for (double f : result.table.load_fractions) log << ' ' << f;
-  }
   cache_.Install(std::move(result.table),
                  std::vector<double>(external_model_.Samples().begin(),
                                      external_model_.Samples().end()),
@@ -182,7 +159,6 @@ int Controller::Decide(DelayMs true_external_delay_ms) {
 
 void Controller::AdoptStateFrom(const Controller& other) {
   cache_ = other.cache_;
-  external_model_ = other.external_model_;
   last_install_ms_ = other.last_install_ms_;
 }
 

@@ -133,27 +133,15 @@ class Controller {
   /// then run the base model untouched, byte-identical to before this hook
   /// existed). Throws when non-empty and sized != NumDecisions().
   void SetDecisionPenalties(std::vector<double> penalties_ms);
-  const std::vector<double>& decision_penalties_ms() const {
-    return penalties_ms_;
-  }
-
-  /// Live abandonment input (docs/OBJECTIVES.md): fraction of observed
-  /// arrivals whose sessions have quit. The planner discounts its offered-
-  /// load estimate by it — a gone user stops loading the system, and
-  /// planning for their traffic overshoots capacity the survivors could
-  /// use. 0 (the default) leaves the estimate untouched. Throws outside
-  /// [0, 1), NaN included.
-  void SetLoadDiscount(double fraction);
-  double load_discount() const { return load_discount_; }
 
   const ControllerStats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
   const ExternalDelayModel& external_model() const { return external_model_; }
-  const ServerDelayModel& server_model() const { return *server_model_; }
-  const QoeModel& qoe_model() const { return *qoe_; }
 
-  /// Copies the current table/cache state from another controller (backup
-  /// replication: replicas share input state, §5).
+  /// Copies another controller's decision-table cache and the time its
+  /// table landed (backup promotion). The external-delay model stays this
+  /// controller's own: replicas share input state (§5), so a backup has
+  /// observed every arrival, including those after the other failed.
   void AdoptStateFrom(const Controller& other);
 
   /// Attaches telemetry (docs/OBSERVABILITY.md) under `prefix` (e.g.
@@ -180,7 +168,6 @@ class Controller {
   Rng rng_;
   bool failed_ = false;
   std::vector<double> penalties_ms_;  // Empty = no placement penalty.
-  double load_discount_ = 0.0;        // 0 = plan for every observed arrival.
   ControllerStats stats_;
   double last_install_ms_ = 0.0;  // Virtual time the current table landed.
   // Telemetry (null until AttachTelemetry).

@@ -25,7 +25,8 @@ bool ReplicatedControllerGroup::Tick(double now_ms) {
       return false;  // Election in progress; stale cache keeps serving.
     }
     // Promotion: the backup adopts the last published table so its first
-    // decisions match what clients already cached.
+    // decisions match what clients already cached, and keeps its own
+    // external-delay model, which saw the arrivals the primary missed.
     backup_->AdoptStateFrom(*primary_);
     backup_->Recover();
     promoted_ = true;
@@ -61,11 +62,6 @@ void ReplicatedControllerGroup::SetDecisionPenalties(
     std::vector<double> penalties_ms) {
   primary_->SetDecisionPenalties(penalties_ms);
   backup_->SetDecisionPenalties(std::move(penalties_ms));
-}
-
-void ReplicatedControllerGroup::SetLoadDiscount(double fraction) {
-  primary_->SetLoadDiscount(fraction);
-  backup_->SetLoadDiscount(fraction);
 }
 
 const Controller& ReplicatedControllerGroup::active() const {

@@ -4,7 +4,8 @@
 // Both replicas receive the same input state (observations). When the
 // primary fails, updates stop; the shared-resource service keeps using its
 // cached decision table. After an election delay, the backup is promoted
-// and resumes updates, adopting the last published state.
+// and resumes updates: it adopts the last published table and plans from
+// its own observations, which kept arriving through the election.
 #pragma once
 
 #include <memory>
@@ -48,10 +49,6 @@ class ReplicatedControllerGroup {
   /// so whichever controller is active after a failover keeps solving
   /// against the same per-replica resilience view.
   void SetDecisionPenalties(std::vector<double> penalties_ms);
-
-  /// Broadcasts the abandonment load discount (docs/OBJECTIVES.md) to both
-  /// replicas.
-  void SetLoadDiscount(double fraction);
 
   /// True while no controller is active (election in progress).
   bool InElection() const { return election_deadline_ms_.has_value(); }

@@ -122,13 +122,8 @@ void Cluster::AttachMetrics(obs::MetricsRegistry& registry) {
 ClusterView Cluster::View() const {
   ClusterView view;
   view.loads.reserve(replicas_.size());
-  view.recent_delay_ms.reserve(replicas_.size());
   for (const auto& replica : replicas_) {
     view.loads.push_back(replica->server().Load());
-    view.recent_delay_ms.push_back(
-        replica->server().total_delay_stats().count() == 0
-            ? 0.0
-            : replica->server().total_delay_stats().mean());
   }
   return view;
 }
@@ -354,7 +349,8 @@ std::vector<ReplicaResilienceSnapshot> ReadExecutor::SnapshotResilience(
                       budget_remaining >= 1.0);
     if (!slowness_.empty() && slowness_[idx].baseline_ms() > 0.0) {
       const double excess =
-          view.recent_delay_ms[idx] - slowness_[idx].baseline_ms();
+          cluster_.replica(r).server().total_delay_stats().mean() -
+          slowness_[idx].baseline_ms();
       snap.excess_delay_ms = excess > 0.0 ? excess : 0.0;
     }
     snaps.push_back(snap);

@@ -25,29 +25,6 @@ int LoadBalancedSelector::SelectReplica(const DbRequest& /*request*/,
   return best;
 }
 
-int LatencyAwareSelector::SelectReplica(const DbRequest& /*request*/,
-                                        const ClusterView& view) {
-  if (view.loads.empty()) {
-    throw std::invalid_argument("LatencyAwareSelector: empty view");
-  }
-  int best = -1;
-  double best_score = 0.0;
-  const std::size_t n = view.loads.size();
-  for (std::size_t offset = 0; offset < n; ++offset) {
-    const std::size_t i = (next_ + offset) % n;
-    const double observed =
-        i < view.recent_delay_ms.size() ? view.recent_delay_ms[i] : 0.0;
-    const double score =
-        observed + load_weight_ms_ * static_cast<double>(view.loads[i]);
-    if (best < 0 || score < best_score) {
-      best = static_cast<int>(i);
-      best_score = score;
-    }
-  }
-  next_ = (static_cast<std::size_t>(best) + 1) % n;
-  return best;
-}
-
 void TableSelector::SetTable(DecisionTable table) {
   table.Validate();
   // Mostly the matched replica, with an epsilon spread that keeps every

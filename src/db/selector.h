@@ -17,10 +17,6 @@ namespace e2e::db {
 struct ClusterView {
   /// Per-replica load (queued + in-service requests).
   std::vector<int> loads;
-  /// Per-replica mean of recently observed total delays (ms); 0 when a
-  /// replica has served nothing yet. The signal the paper's modified
-  /// Cassandra client tracks alongside load.
-  std::vector<double> recent_delay_ms;
 };
 
 /// The per-request information available to a selector. The external delay
@@ -58,27 +54,6 @@ class LoadBalancedSelector final : public ReplicaSelector {
   std::string Name() const override { return "default-load-balanced"; }
 
  private:
-  std::size_t next_ = 0;
-};
-
-/// Latency-aware selection in the style of C3 (Suresh et al., NSDI'15 —
-/// cited by the paper as the state of the art in tail-cutting replica
-/// selection): rank replicas by a score combining observed delay and
-/// outstanding load, pick the best. Minimizes delay percentiles — exactly
-/// the conventional wisdom E2E argues is insufficient — so it is the
-/// strongest *QoE-agnostic* baseline.
-class LatencyAwareSelector final : public ReplicaSelector {
- public:
-  /// `load_weight_ms` converts one outstanding request into an equivalent
-  /// delay penalty (C3's cubic replica scoring simplified to linear).
-  explicit LatencyAwareSelector(double load_weight_ms = 40.0)
-      : load_weight_ms_(load_weight_ms) {}
-
-  int SelectReplica(const DbRequest& request, const ClusterView& view) override;
-  std::string Name() const override { return "latency-aware-c3"; }
-
- private:
-  double load_weight_ms_;
   std::size_t next_ = 0;
 };
 

@@ -430,13 +430,6 @@ void FaultPlan::Validate() const {
   }
 }
 
-bool FaultPlan::Has(FaultKind kind) const {
-  for (const FaultSpec& spec : faults) {
-    if (spec.kind == kind) return true;
-  }
-  return false;
-}
-
 std::string FaultPlan::ToString() const {
   std::string out;
   for (const FaultSpec& spec : faults) {

@@ -97,9 +97,6 @@ struct FaultPlan {
 
   bool empty() const { return faults.empty(); }
 
-  /// True when any clause has the given kind.
-  bool Has(FaultKind kind) const;
-
   /// Canonical spec text ("; "-joined clauses; round-trips through Parse).
   std::string ToString() const;
 };

@@ -23,18 +23,6 @@ CircuitBreaker::CircuitBreaker(const BreakerConfig& config) : config_(config) {
   }
 }
 
-const char* CircuitBreaker::StateName(State state) {
-  switch (state) {
-    case State::kClosed:
-      return "closed";
-    case State::kOpen:
-      return "open";
-    case State::kHalfOpen:
-      return "half_open";
-  }
-  return "unknown";
-}
-
 void CircuitBreaker::Transition(State to, double now_ms) {
   const State from = state_;
   state_ = to;

@@ -113,8 +113,6 @@ class CircuitBreaker {
   using TransitionHook = std::function<void(State, State, double)>;
   void SetTransitionHook(TransitionHook hook) { hook_ = std::move(hook); }
 
-  static const char* StateName(State state);
-
  private:
   void Transition(State to, double now_ms);
   void RecordOutcome(bool failure, double now_ms);

@@ -38,12 +38,6 @@ double EmpiricalCdf::Mean() const {
          static_cast<double>(sorted_.size());
 }
 
-double EmpiricalCdf::Sample(Rng& rng) const {
-  const auto i = static_cast<std::size_t>(
-      rng.UniformInt(0, static_cast<std::int64_t>(sorted_.size()) - 1));
-  return sorted_[i];
-}
-
 DiscreteDistribution DiscreteDistribution::PointMass(double value) {
   return Build(1, [value](std::span<double> values, std::span<double> probs) {
     values[0] = value;
@@ -199,10 +193,6 @@ DiscreteDistribution DiscreteDistribution::ScaledBy(double factor) const {
     for (std::size_t i = 0; i < vals.size(); ++i) vals[i] = from[i] * factor;
     std::copy(probabilities().begin(), probabilities().end(), probs.begin());
   });
-}
-
-double DiscreteDistribution::Sample(Rng& rng) const {
-  return values()[rng.Categorical(probabilities())];
 }
 
 }  // namespace e2e

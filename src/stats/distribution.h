@@ -14,8 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "util/rng.h"
-
 namespace e2e {
 
 /// An empirical cumulative distribution built from samples. Immutable after
@@ -39,9 +37,6 @@ class EmpiricalCdf {
 
   /// Sorted sample access (ascending).
   std::span<const double> Sorted() const { return sorted_; }
-
-  /// Draws one sample uniformly from the underlying data.
-  double Sample(Rng& rng) const;
 
  private:
   std::vector<double> sorted_;
@@ -105,9 +100,6 @@ class DiscreteDistribution {
 
   /// Returns a copy scaled by `factor` (X * factor); factor must be > 0.
   DiscreteDistribution ScaledBy(double factor) const;
-
-  /// Draws a sample.
-  double Sample(Rng& rng) const;
 
   /// Support points (ascending).
   std::span<const double> values() const {

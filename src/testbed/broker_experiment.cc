@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -53,7 +52,6 @@ class BreakerScheduler final : public broker::MessageScheduler {
         if (cand < 0 || cand >= levels) continue;
         auto& breaker = breakers_[static_cast<std::size_t>(cand)];
         if (breaker.WouldAllow(now) && breaker.AllowRequest(now)) {
-          ++reroutes_;
           if (metric_reroutes_ != nullptr) metric_reroutes_->Increment();
           return cand;
         }
@@ -86,8 +84,6 @@ class BreakerScheduler final : public broker::MessageScheduler {
     metric_reroutes_ = &registry.AddCounter("resilience.breaker_reroutes");
     tracer_ = tracer;
   }
-
-  std::uint64_t reroutes() const { return reroutes_; }
 
   resilience::BreakerStats TotalStats() const {
     resilience::BreakerStats total;
@@ -127,7 +123,6 @@ class BreakerScheduler final : public broker::MessageScheduler {
   EventLoop& loop_;
   std::vector<resilience::CircuitBreaker> breakers_;
   std::vector<resilience::SlownessTracker> slowness_;  // One per queue.
-  std::uint64_t reroutes_ = 0;
   obs::Counter* metric_transitions_ = nullptr;
   obs::Counter* metric_reroutes_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
@@ -157,6 +152,7 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
         "resilience.hedge.mode; the broker has no hedge path, and "
         "RunDbExperiment runs it");
   }
+  RequireNoAbandonment(config.common, "RunBrokerExperiment");
   Rng root(config.common.seed);
   EventLoop loop;
   const EventLoopClock loop_clock(loop);
@@ -245,18 +241,6 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
   }
   if (breaker_scheduler != nullptr) breaker_scheduler->InstallHooks();
 
-  // --- Session abandonment ----------------------------------------------
-  // Same semantics as the db runner: keyed on the true external delay, the
-  // session set only touched from (single-threaded) event-loop callbacks,
-  // and the counter registered only when the model is live so stock
-  // telemetry exports stay byte-identical.
-  const AbandonmentModel abandonment(config.common.abandonment);
-  std::unordered_set<std::uint64_t> abandoned_sessions;
-  obs::Counter* metric_abandoned =
-      abandonment.enabled()
-          ? &telemetry.metrics.AddCounter("testbed.abandoned")
-          : nullptr;
-
   // --- Replay ------------------------------------------------------------
   const auto schedule = BuildReplaySchedule(records, config.common.speedup);
   ExperimentResult result;
@@ -305,15 +289,13 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
   // The backoff continuation re-enters it by reference, never owning it:
   // the loop drains before this function returns, and a callable that
   // owned itself would never be freed.
-  std::function<void(broker::Message, int, double, int, std::uint64_t)>
-      publish;
+  std::function<void(broker::Message, int, double, int)> publish;
   publish = [&](broker::Message message, int failures, double first_ms,
-                int forced_priority, std::uint64_t session_id) {
-    auto confirm = [&result, &qoe, &loop, &abandonment, &abandoned_sessions,
-                    metric_abandoned, first_ms,
+                int forced_priority) {
+    auto confirm = [&result, &qoe, &loop, first_ms,
                     breaker = breaker_scheduler.get(), id = message.id,
-                    external = message.external_delay_ms,
-                    session_id](const broker::Delivery& delivery) {
+                    external = message.external_delay_ms](
+                       const broker::Delivery& delivery) {
       if (breaker != nullptr) {
         breaker->RecordDelivery(delivery.priority, delivery.QueueingDelayMs(),
                                 loop.Now());
@@ -326,17 +308,7 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
       // from the first publish attempt, not the one that got through.
       outcome.server_delay_ms = delivery.deliver_ms - first_ms;
       outcome.decision = delivery.priority;
-      const double total_delay = external + outcome.server_delay_ms;
-      if (abandonment.enabled() &&
-          (abandoned_sessions.count(session_id) > 0 ||
-           abandonment.Abandons(session_id, qoe.Classify(external),
-                                total_delay))) {
-        outcome.status = RequestStatus::kAbandoned;
-        abandoned_sessions.insert(session_id);
-        if (metric_abandoned != nullptr) metric_abandoned->Increment();
-      } else {
-        outcome.qoe = qoe.Qoe(total_delay);
-      }
+      outcome.qoe = qoe.Qoe(external + outcome.server_delay_ms);
       result.outcomes.push_back(outcome);
     };
     const bool ok =
@@ -351,8 +323,8 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
     if (backoff.has_value()) {
       if (metric_retries != nullptr) metric_retries->Increment();
       loop.ScheduleAfter(*backoff, [&publish, message, failures, first_ms,
-                                    forced_priority, session_id]() {
-        publish(message, failures + 1, first_ms, forced_priority, session_id);
+                                    forced_priority]() {
+        publish(message, failures + 1, first_ms, forced_priority);
       });
       return;
     }
@@ -370,20 +342,6 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
   for (const auto& arrival : schedule) {
     loop.Schedule(arrival.testbed_time_ms, [&, arrival]() {
       const TraceRecord& rec = arrival.record;
-      // A request from a session that already quit never reaches the
-      // controller, admission, or the broker: the user is gone, so the
-      // load is too.
-      if (abandonment.enabled() &&
-          abandoned_sessions.count(rec.session_id) > 0) {
-        RequestOutcome outcome;
-        outcome.id = rec.request_id;
-        outcome.arrival_ms = loop.Now();
-        outcome.external_delay_ms = rec.external_delay_ms;
-        outcome.status = RequestStatus::kAbandoned;
-        result.outcomes.push_back(outcome);
-        if (metric_abandoned != nullptr) metric_abandoned->Increment();
-        return;
-      }
       if (controllers != nullptr) {
         controllers->ObserveArrival(rec.external_delay_ms, loop.Now());
       }
@@ -405,14 +363,13 @@ ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
             return;
           }
           case resilience::AdmissionDecision::kDowngrade:
-            publish(message, 0, publish_ms, config.broker.priority_levels - 1,
-                    rec.session_id);
+            publish(message, 0, publish_ms, config.broker.priority_levels - 1);
             return;
           case resilience::AdmissionDecision::kAdmit:
             break;
         }
       }
-      publish(message, 0, publish_ms, -1, rec.session_id);
+      publish(message, 0, publish_ms, -1);
     });
   }
 

@@ -44,7 +44,8 @@ struct BrokerExperimentConfig {
 /// Runs the experiment over `records` scored against `qoe`. Of the
 /// resilience layer the broker runs retries, per-queue breakers and
 /// admission; a publish has no hedge path, so `resilience.hedge.enabled`
-/// throws std::invalid_argument in either mode, as do empty `records`.
+/// throws std::invalid_argument in either mode, as do empty `records` and
+/// `abandonment.enabled`, which only ReplayTraceSharded models.
 ExperimentResult RunBrokerExperiment(std::span<const TraceRecord> records,
                                      const QoeModel& qoe,
                                      const BrokerExperimentConfig& config);

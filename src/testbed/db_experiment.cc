@@ -1,11 +1,9 @@
 #include "testbed/db_experiment.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -55,6 +53,7 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
         "RunDbExperiment: resilience.admission is not supported here; "
         "RunBrokerExperiment runs it");
   }
+  RequireNoAbandonment(config.common, "RunDbExperiment");
   Rng root(config.common.seed);
   EventLoop loop;
   // Budget accounting runs on the sim's virtual clock unless the config
@@ -109,8 +108,6 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
         config.policy == DbPolicy::kSlope ? "slope-table" : "e2e-table",
         root.Fork(2), config.table_epsilon);
     selector = table_selector;
-  } else if (config.policy == DbPolicy::kLatencyAware) {
-    selector = std::make_shared<db::LatencyAwareSelector>();
   } else {
     selector = std::make_shared<db::LoadBalancedSelector>();
   }
@@ -184,23 +181,6 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
     injector->Arm();
   }
 
-  // --- Session abandonment ----------------------------------------------
-  // User behavior, so it keys off the *true* external delay, not the
-  // frontend's estimate. The session set is only touched from event-loop
-  // callbacks (single-threaded), and the counter is registered only when
-  // the model is live so stock telemetry exports stay byte-identical.
-  const AbandonmentModel abandonment(config.common.abandonment);
-  std::unordered_set<std::uint64_t> abandoned_sessions;
-  obs::Counter* metric_abandoned =
-      abandonment.enabled()
-          ? &telemetry.metrics.AddCounter("testbed.abandoned")
-          : nullptr;
-  // Running arrival/abandonment counts feed the controller's load discount
-  // at each tick: sessions that quit stop offering load, so the planner
-  // should stop provisioning for them (docs/OBJECTIVES.md).
-  std::uint64_t arrivals_seen = 0;
-  std::uint64_t arrivals_abandoned = 0;
-
   // --- Replay ------------------------------------------------------------
   const auto schedule = BuildReplaySchedule(records, config.common.speedup);
   ExperimentResult result;
@@ -211,21 +191,6 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
   for (const auto& arrival : schedule) {
     loop.Schedule(arrival.testbed_time_ms, [&, arrival]() {
       const TraceRecord& rec = arrival.record;
-      ++arrivals_seen;
-      // A request from a session that already quit never reaches the
-      // controller or the cluster: the user is gone, so the load is too.
-      if (abandonment.enabled() &&
-          abandoned_sessions.count(rec.session_id) > 0) {
-        RequestOutcome outcome;
-        outcome.id = rec.request_id;
-        outcome.arrival_ms = loop.Now();
-        outcome.external_delay_ms = rec.external_delay_ms;
-        outcome.status = RequestStatus::kAbandoned;
-        result.outcomes.push_back(outcome);
-        ++arrivals_abandoned;
-        if (metric_abandoned != nullptr) metric_abandoned->Increment();
-        return;
-      }
       const DelayMs tagged_external =
           frontend != nullptr ? frontend->EstimateExternal(rec)
                               : rec.external_delay_ms;
@@ -248,36 +213,17 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
                 : resil.hedge.insensitive_delay_ms;
       }
       executor.ExecuteRangeRead(
-          request, [&result, rec, &qoe, &abandonment, &abandoned_sessions,
-                    &arrivals_abandoned, metric_abandoned](db::ReadResult read) {
+          request, [&result, rec, &qoe](db::ReadResult read) {
             RequestOutcome outcome;
             outcome.id = rec.request_id;
             outcome.arrival_ms = read.timing.enqueue_ms;
             outcome.external_delay_ms = rec.external_delay_ms;
             outcome.server_delay_ms = read.timing.TotalDelayMs();
             outcome.decision = read.replica;
-            const double total_delay =
-                rec.external_delay_ms + outcome.server_delay_ms;
-            // The session quits if this delivery crossed its patience —
-            // or if a sibling request already triggered the quit while
-            // this one was in flight.
-            if (abandonment.enabled() &&
-                (abandoned_sessions.count(rec.session_id) > 0 ||
-                 abandonment.Abandons(rec.session_id,
-                                      qoe.Classify(rec.external_delay_ms),
-                                      total_delay))) {
-              outcome.status = RequestStatus::kAbandoned;
-              abandoned_sessions.insert(rec.session_id);
-              ++arrivals_abandoned;
-              if (metric_abandoned != nullptr) {
-                metric_abandoned->Increment();
-              }
-            } else {
-              outcome.qoe = qoe.Qoe(total_delay);
-              outcome.status = read.failed_over
-                                   ? RequestStatus::kFailedOver
-                                   : RequestStatus::kCompleted;
-            }
+            outcome.qoe =
+                qoe.Qoe(rec.external_delay_ms + outcome.server_delay_ms);
+            outcome.status = read.failed_over ? RequestStatus::kFailedOver
+                                              : RequestStatus::kCompleted;
             result.outcomes.push_back(outcome);
           });
     });
@@ -315,15 +261,6 @@ ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
           }
           controllers->SetDecisionPenalties(
               any_penalty ? std::move(penalties) : std::vector<double>{});
-        }
-        if (abandonment.enabled() && arrivals_seen > 0) {
-          // Live abandonment threading: plan only for the load that is
-          // still offered. Capped below 1 so a fully-quit window still
-          // keeps the planner well-defined.
-          const double quit_fraction =
-              static_cast<double>(arrivals_abandoned) /
-              static_cast<double>(arrivals_seen);
-          controllers->SetLoadDiscount(std::min(quit_fraction, 0.95));
         }
         if (controllers->Tick(loop.Now())) {
           const DecisionTable* table =

@@ -25,10 +25,9 @@ enum class ExternalSource {
 
 /// Which replica-selection policy the experiment runs.
 enum class DbPolicy {
-  kDefault,       ///< Perfect load balancing (the paper's default).
-  kLatencyAware,  ///< C3-style delay-percentile minimization (related work).
-  kSlope,         ///< Slope-based table (§7.1 baseline).
-  kE2e,           ///< E2E's full policy.
+  kDefault,  ///< Perfect load balancing (the paper's default).
+  kSlope,    ///< Slope-based table (§7.1 baseline).
+  kE2e,      ///< E2E's full policy.
 };
 
 /// Experiment configuration. Shared knobs (seed, speedup, controller,
@@ -66,8 +65,9 @@ struct DbExperimentConfig {
 /// scored against `qoe`. Deterministic in the seed. Of the resilience
 /// layer the read path runs retries, hedged reads and breakers. Throws
 /// std::invalid_argument on empty `records`, `dataset_keys` == 0,
-/// `range_count` == 0 or `resilience.admission.enabled`, which only the
-/// broker runs.
+/// `range_count` == 0, `resilience.admission.enabled`, which only the
+/// broker runs, or `abandonment.enabled`, which only ReplayTraceSharded
+/// models.
 ExperimentResult RunDbExperiment(std::span<const TraceRecord> records,
                                  const QoeModel& qoe,
                                  const DbExperimentConfig& config);

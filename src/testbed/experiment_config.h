@@ -65,9 +65,9 @@ struct ExperimentConfig {
   /// Session abandonment model (qoe/abandonment.h, docs/OBJECTIVES.md):
   /// when enabled, a session whose total delay exceeds its seeded patience
   /// threshold quits, and its remaining requests are removed from
-  /// downstream load instead of being served. Disabled by default, in
-  /// which case runs replay byte-identically to the pre-abandonment
-  /// testbed.
+  /// downstream load instead of being served. Disabled by default. Only
+  /// ReplayTraceSharded models quits; every other runner throws when it is
+  /// enabled (RequireNoAbandonment).
   AbandonmentConfig abandonment;
 
   /// Convenience for the runner configs' per-runner defaults.
@@ -127,7 +127,8 @@ inline void RequireNoAbandonment(const ExperimentConfig& config,
   if (config.abandonment.enabled) {
     throw std::invalid_argument(std::string(runner) +
                                 ": abandonment.enabled is not supported "
-                                "here; this runner models no session quits");
+                                "here; this runner models no session quits, "
+                                "and ReplayTraceSharded models them");
   }
 }
 

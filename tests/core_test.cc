@@ -1432,24 +1432,6 @@ TEST(Controller, RejectsUnusablePlanningInputs) {
           << e.what();
     }
   }
-  // A NaN discount used to pass the range guard and then be ignored by the
-  // planner's `> 0.0` test.
-  Controller controller("c", FastControllerConfig(), qoe, g, 1);
-  for (const double fraction :
-       {std::numeric_limits<double>::quiet_NaN(), -0.1, 1.0, kInf}) {
-    try {
-      controller.SetLoadDiscount(fraction);
-      ADD_FAILURE() << "expected std::invalid_argument for " << fraction;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("SetLoadDiscount"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-  EXPECT_EQ(controller.load_discount(), 0.0);
-  controller.SetLoadDiscount(0.25);
-  EXPECT_EQ(controller.load_discount(), 0.25);
-
   // A policy config every solve would reject fails at construction, not at
   // the first recompute (which never comes if no window fills).
   const auto rejects_policy = [&](void (*edit)(PolicyConfig&),
@@ -1467,6 +1449,51 @@ TEST(Controller, RejectsUnusablePlanningInputs) {
       "max_bucket_span_ms");
   rejects_policy([](PolicyConfig& p) { p.instability_penalty = -0.5; },
                  "instability_penalty");
+}
+
+// Placement co-design (docs/RESILIENCE.md): with penalties set, a recompute
+// solves against PenalizedServerModel byte for byte and moves load off the
+// penalized decision; once they are cleared, the next recompute is the
+// plain solve again.
+TEST(Controller, DecisionPenaltiesSolveAgainstThePenalizedModel) {
+  auto qoe = std::make_shared<const SigmoidQoeModel>(
+      SigmoidQoeModel::TraceTimeOnSite());
+  // A light G (0.5 ms per rps), on which a 1 s penalty outweighs every
+  // delay the load split can cause.
+  auto g = std::make_shared<const LinearReplicaModel>(3, 40.0, 0.5);
+  const ControllerConfig config = FastControllerConfig();
+  Controller plain("plain", config, qoe, g, 7);
+  Controller penalized("penalized", config, qoe, g, 7);
+  const std::vector<double> penalties = {0.0, 0.0, 1000.0};
+  penalized.SetDecisionPenalties(penalties);
+  Rng rng(19);
+  const auto observe = [&](double mu, double start_ms) {
+    for (int i = 0; i < 400; ++i) {
+      const double external = rng.LogNormal(mu, 0.8);
+      plain.ObserveArrival(external, start_ms + i * 2.5);
+      penalized.ObserveArrival(external, start_ms + i * 2.5);
+    }
+  };
+  const auto installed = [](const Controller& c) {
+    return PolicyBytes({*c.CurrentTable(), c.stats().last_policy_stats});
+  };
+
+  observe(8.1, 0.0);
+  ASSERT_TRUE(plain.Tick(1000.0));
+  ASSERT_TRUE(penalized.Tick(1000.0));
+  const ExternalDelayModel& window = penalized.external_model();
+  const PenalizedServerModel model(*g, penalties);
+  EXPECT_EQ(installed(penalized),
+            PolicyBytes(ComputePolicy(*qoe, model, window.Samples(),
+                                      window.PublishedRps(), config.policy)));
+  EXPECT_LT(penalized.CurrentTable()->load_fractions[2],
+            plain.CurrentTable()->load_fractions[2]);
+
+  penalized.SetDecisionPenalties({});
+  observe(9.1, 1000.0);  // A shifted window, so both recompute.
+  ASSERT_TRUE(plain.Tick(2000.0));
+  ASSERT_TRUE(penalized.Tick(2000.0));
+  EXPECT_EQ(installed(penalized), installed(plain));
 }
 
 TEST(Failover, BackupTakesOverAfterElection) {
@@ -1539,6 +1566,44 @@ TEST(Failover, PromotedBackupAdoptsThePrimaryTable) {
   std::size_t i = 0;
   for (double external = 500.0; external < 20000.0; external += 375.0, ++i) {
     EXPECT_EQ(group.Decide(external), before[i]) << "external " << external;
+  }
+}
+
+// The backup observes every arrival, the election's included, so once
+// promoted it plans from the window a controller that never failed plans
+// from, not from the partial window the primary froze at its crash.
+TEST(Failover, PromotedBackupPlansFromItsOwnObservations) {
+  ReplicatedControllerGroup group(MakeController("primary", 1),
+                                  MakeController("backup", 2));
+  auto reference = MakeController("reference", 2);
+  Rng rng(21);
+  const auto observe = [&](double mu, double start_ms, int n) {
+    for (int i = 0; i < n; ++i) {
+      const double external = rng.LogNormal(mu, 0.8);
+      group.ObserveArrival(external, start_ms + i * 2.5);
+      reference->ObserveArrival(external, start_ms + i * 2.5);
+    }
+  };
+  observe(8.1, 0.0, 400);
+  ASSERT_TRUE(group.Tick(1000.0));
+  ASSERT_TRUE(reference->Tick(1000.0));
+  // The traffic shifts, and the primary crashes halfway through the next
+  // window. The reference ticks only when the group does, so until the
+  // promotion both serve the table of t = 1 s.
+  observe(9.1, 1000.0, 200);
+  group.FailPrimary(1500.0, 2000.0);
+  observe(9.1, 1500.0, 1000);
+  ASSERT_TRUE(group.Tick(4000.0));
+  ASSERT_TRUE(group.promoted());
+  ASSERT_TRUE(reference->Tick(4000.0));
+
+  const ExternalDelayModel& promoted = group.active().external_model();
+  const ExternalDelayModel& expected = reference->external_model();
+  EXPECT_TRUE(std::ranges::equal(promoted.Samples(), expected.Samples()));
+  EXPECT_EQ(promoted.PublishedRps(), expected.PublishedRps());
+  for (double external = 500.0; external < 20000.0; external += 375.0) {
+    EXPECT_EQ(group.Decide(external), reference->Decide(external))
+        << "external " << external;
   }
 }
 

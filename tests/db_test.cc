@@ -133,13 +133,13 @@ TEST(RowSet, FrontAndBackOfAnEmptySetThrow) {
 
 TEST(LoadBalancedSelector, PicksLeastLoaded) {
   LoadBalancedSelector selector;
-  ClusterView view{.loads = {5, 1, 3}, .recent_delay_ms = {}};
+  ClusterView view{.loads = {5, 1, 3}};
   EXPECT_EQ(selector.SelectReplica(DbRequest{}, view), 1);
 }
 
 TEST(LoadBalancedSelector, RotatesOnTies) {
   LoadBalancedSelector selector;
-  ClusterView view{.loads = {0, 0, 0}, .recent_delay_ms = {}};
+  ClusterView view{.loads = {0, 0, 0}};
   std::set<int> picks;
   for (int i = 0; i < 3; ++i) {
     picks.insert(selector.SelectReplica(DbRequest{}, view));
@@ -155,7 +155,7 @@ TEST(TableSelector, RoutesByExternalDelayBucket) {
                               {.lo = 2000.0, .hi = 5800.0, .decision = 1},
                               {.lo = 5800.0, .hi = 1e9, .decision = 2}},
                      .load_fractions = std::vector<double>(3)});
-  ClusterView view{.loads = {0, 0, 0}, .recent_delay_ms = {}};
+  ClusterView view{.loads = {0, 0, 0}};
   DbRequest fast{.id = 1, .external_delay_ms = 500.0};
   DbRequest mid{.id = 2, .external_delay_ms = 3000.0};
   DbRequest slow{.id = 3, .external_delay_ms = 9000.0};
@@ -169,7 +169,7 @@ TEST(TableSelector, RoutesByExternalDelayBucket) {
 
 TEST(TableSelector, FallsBackRoundRobinWithoutTable) {
   TableSelector selector("t", Rng(1), 0.0);
-  ClusterView view{.loads = {0, 0, 0}, .recent_delay_ms = {}};
+  ClusterView view{.loads = {0, 0, 0}};
   std::set<int> picks;
   for (int i = 0; i < 3; ++i) {
     picks.insert(selector.SelectReplica(DbRequest{}, view));

@@ -565,6 +565,24 @@ TEST(DbResilience, BreakerOpensShowUpInStatsAndTelemetry) {
   EXPECT_NE(telemetry.find("db.resilience.hedges"), std::string::npos);
 }
 
+// With every replica partitioned nothing is routable, so reads back off and
+// re-select until the partition lifts or the retry policy says no; either
+// way each read is served, and the backoff draws repeat run to run.
+TEST(DbResilience, RetriesBackOffWhileEveryReplicaIsPartitioned) {
+  auto config = FastDbConfig(DbPolicy::kE2e);
+  config.common.collect_telemetry = true;
+  config.common.fault_plan = fault::FaultPlan::Parse("partition db t=[2s,4s]");
+  config.common.resilience = ResilienceConfig::DbAllOn();
+  const auto records = LoadedWorkload(600, 41, 90.0);
+  const auto a = RunDbExperiment(records, TraceQoe(), config);
+  EXPECT_GT(a.resilience.retries, 0u);
+  EXPECT_EQ(a.outcomes.size(), records.size());
+  ExpectConservation(a);
+  const auto b = RunDbExperiment(records, TraceQoe(), config);
+  EXPECT_EQ(a.Serialize(), b.Serialize());
+  EXPECT_EQ(a.telemetry.SerializeText(), b.telemetry.SerializeText());
+}
+
 TEST(DbResilience, TwoRunsAreByteIdentical) {
   auto config = FastDbConfig(DbPolicy::kE2e);
   config.common.collect_telemetry = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -178,6 +179,22 @@ TEST(Workloads, HourSliceFilters) {
   }
 }
 
+// Only ReplayTraceSharded models session quits: a testbed runner rejects an
+// enabled abandonment model by name instead of running without it.
+void ExpectRejectsAbandonment(const std::function<void()>& run) {
+  try {
+    run();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("abandonment.enabled"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("ReplayTraceSharded"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- DB experiment -----------------------------------------------------------
 
 DbExperimentConfig FastDbConfig(DbPolicy policy) {
@@ -337,6 +354,14 @@ TEST(DbExperiment, RejectsAdmission) {
   }
 }
 
+TEST(DbExperiment, RejectsAbandonment) {
+  const auto records = LoadedWorkload(50);
+  auto config = FastDbConfig(DbPolicy::kE2e);
+  config.common.abandonment.enabled = true;
+  ExpectRejectsAbandonment(
+      [&] { RunDbExperiment(records, TraceQoe(), config); });
+}
+
 // ---- Broker experiment --------------------------------------------------------
 
 BrokerExperimentConfig FastBrokerConfig(BrokerPolicy policy) {
@@ -415,6 +440,14 @@ TEST(BrokerExperiment, EmptyRecordsThrow) {
   EXPECT_THROW(RunBrokerExperiment({}, TraceQoe(),
                                    FastBrokerConfig(BrokerPolicy::kDefault)),
                std::invalid_argument);
+}
+
+TEST(BrokerExperiment, RejectsAbandonment) {
+  const auto records = LoadedWorkload(50);
+  auto config = FastBrokerConfig(BrokerPolicy::kE2e);
+  config.common.abandonment.enabled = true;
+  ExpectRejectsAbandonment(
+      [&] { RunBrokerExperiment(records, TraceQoe(), config); });
 }
 
 // A publish has no hedge path, so model-driven hedge gates would gate

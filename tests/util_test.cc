@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "util/flags.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -389,21 +388,6 @@ TEST(AsciiChart, ProducesRequestedHeight) {
   }
   EXPECT_EQ(lines, 6);  // 5 rows + footer.
   EXPECT_TRUE(AsciiChart({}, 5, 40).empty());
-}
-
-// ---- Log ---------------------------------------------------------------------
-
-TEST(Log, LevelGating) {
-  const LogLevel original = GetLogLevel();
-  SetLogLevel(LogLevel::kWarn);
-  EXPECT_FALSE(LogEnabled(LogLevel::kDebug));
-  EXPECT_FALSE(LogEnabled(LogLevel::kInfo));
-  EXPECT_TRUE(LogEnabled(LogLevel::kWarn));
-  EXPECT_TRUE(LogEnabled(LogLevel::kError));
-  SetLogLevel(LogLevel::kOff);
-  EXPECT_FALSE(LogEnabled(LogLevel::kError));
-  EXPECT_FALSE(LogEnabled(LogLevel::kOff));
-  SetLogLevel(original);
 }
 
 // ---- ThreadPool ------------------------------------------------------------
